@@ -4,6 +4,11 @@ Points of the hypercube are plain Python ints used as bit masks: variable i
 is bit i (variable 0 least significant), so a mask doubles as the truth-table
 index of the point it encodes.  Vectorized paths use uint64 arrays and are
 limited to n <= 64; everything has a plain-int fallback for larger n.
+
+Weight-preserving rearrangement of a block matches rows against a pool of
+uniform words of the same weight, all in integers and with no redraws; rows
+the pool cannot serve, and blocks too small to amortize the pool, fall back
+to an exact float-key sort.
 """
 
 from __future__ import annotations
@@ -14,18 +19,16 @@ import numpy as np
 
 _FULL64 = (1 << 64) - 1
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
+# Smallest block that rearrange_bits_block matches against a word pool.  At
+# 64 masked slots the pool path breaks even with the key sort near 110 rows
+# and at 36 slots near 190; the testers' doubling blocks of 64 and 128 rows
+# stay on the key sort, 256 and up take the pool.
+_POOL_MIN_ROWS = 192
 
 
 def popcount_u64(a: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array."""
-    a = a - ((a >> np.uint64(1)) & _M1)
-    a = (a & _M2) + ((a >> np.uint64(2)) & _M2)
-    a = (a + (a >> np.uint64(4))) & _M4
-    return (a * _H01) >> np.uint64(56)
+    """Per-element population count of a uint64 array, as uint64."""
+    return np.bitwise_count(a).astype(np.uint64)
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -80,6 +83,44 @@ def rearrange_bits_block(
     xs: np.ndarray, mask: int, positions: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Row-wise independent ``rearrange_bits`` over a uint64 block.
+
+    Blocks of at least ``_POOL_MIN_ROWS`` rows are matched by weight against
+    a pool of uniform words cut to ``mask``: a pool word is a uniform subset
+    of the masked slots, and conditioned on its weight m a uniform m-subset.
+    Rows and pool words are bucketed by weight, and the t-th row of weight m
+    takes the t-th pool word of weight m.  The matching reads weights only,
+    so every matched row gets an independent uniform subset of its own
+    weight.  Rows without a partner (mostly tail weights) and small blocks
+    go through ``_rearrange_keysort``.
+    """
+    b = len(xs)
+    if b < _POOL_MIN_ROWS:
+        return _rearrange_keysort(xs, mask, positions, rng)
+    mk = np.uint64(mask)
+    pool = random_masks_u64(64, b + b // 4, rng) & mk
+    m = np.bitwise_count(xs & mk)
+    pm = np.bitwise_count(pool)
+    rows = np.argsort(m, kind="stable")
+    words = np.argsort(pm, kind="stable")
+    m_sorted = m[rows]
+    # weight class w occupies [start[w], start[w + 1]) of each sorted order
+    classes = np.arange(len(positions) + 2, dtype=np.uint8)
+    word_start = np.searchsorted(pm[words], classes)
+    rank = np.arange(b) - np.searchsorted(m_sorted, classes)[m_sorted]
+    paired = rank < np.diff(word_start)[m_sorted]
+    ys = xs & ~mk
+    hit = rows[paired]
+    ys[hit] |= pool[words[word_start[m_sorted[paired]] + rank[paired]]]
+    left = rows[~paired]
+    if len(left):
+        ys[left] = _rearrange_keysort(xs[left], mask, positions, rng)
+    return ys
+
+
+def _rearrange_keysort(
+    xs: np.ndarray, mask: int, positions: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``rearrange_bits_block`` by float keys.
 
     A uniform arrangement of m ones among L slots is the indicator of the m
     smallest of L iid keys; rows where float ties spoil the count are

@@ -22,7 +22,6 @@ from ._bits import (
     indices_of,
     mask_from_indices,
     popcount_u64,
-    random_mask,
 )
 
 MAX_DENSE_N = 25
@@ -49,13 +48,14 @@ class Permutation:
     to a point moves bit i of the input to bit ``mapping[i]`` of the result.
     """
 
-    __slots__ = ("mapping",)
+    __slots__ = ("mapping", "_tables")
 
     def __init__(self, mapping: Sequence[int]):
         m = tuple(int(v) for v in mapping)
         if sorted(m) != list(range(len(m))):
             raise ValueError("mapping is not a bijection on range(n)")
         self.mapping = m
+        self._tables: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -79,11 +79,30 @@ class Permutation:
         return y
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        ys = np.zeros_like(xs)
-        one = np.uint64(1)
-        for i, d in enumerate(self.mapping):
-            ys |= ((xs >> np.uint64(i)) & one) << np.uint64(d)
+        """``apply`` over a uint64 array (n <= 64), one table lookup per byte.
+
+        Row j of the cached table maps a byte value v to the image of the
+        point v << 8j, so a point's image is the OR of its bytes' images.
+        """
+        if self._tables is None:
+            self._tables = self._byte_tables()
+        xs = np.ascontiguousarray(xs, dtype="<u8")
+        nbytes = len(self._tables)
+        parts = xs.view(np.uint8).reshape(len(xs), 8)[:, :nbytes]
+        ys = np.take(self._tables[0], parts[:, 0])
+        for j in range(1, nbytes):
+            ys |= np.take(self._tables[j], parts[:, j])
         return ys
+
+    def _byte_tables(self) -> np.ndarray:
+        n = len(self.mapping)
+        if n > 64:
+            raise ValueError("vectorized permutation needs n <= 64")
+        v = np.arange(256, dtype=np.uint64)
+        tables = np.zeros(((n + 7) // 8, 256), dtype=np.uint64)
+        for i, d in enumerate(self.mapping):
+            tables[i // 8] |= ((v >> np.uint64(i % 8)) & np.uint64(1)) << np.uint64(d)
+        return tables
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.mapping)
@@ -126,7 +145,22 @@ class BooleanFunction:
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate a batch of masks; one query is counted per element."""
-        return np.fromiter((self._eval(int(v)) for v in xs), dtype=np.uint8, count=len(xs))
+        return np.fromiter((self(int(v)) for v in xs), dtype=np.uint8, count=len(xs))
+
+    def _points(self, xs) -> np.ndarray:
+        """``xs`` as a uint64 array, range-checked as in ``__call__`` (n <= 64).
+
+        At n = 64 every uint64 is a point, so the hot path makes no pass.
+        """
+        try:
+            xs = np.asarray(xs, dtype=np.uint64)
+        except OverflowError:
+            raise ValueError(f"points outside {{0,1}}^{self.n}") from None
+        if self.n < 64 and len(xs):
+            top = int(xs.max())
+            if top >> self.n:
+                raise ValueError(f"point {top} outside {{0,1}}^{self.n}")
+        return xs
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         """Lazy g with g(x) = f(pi x); no table is materialized."""
@@ -159,7 +193,7 @@ class TruthTable(BooleanFunction):
         return int(self.table[x])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.table[np.asarray(xs, dtype=np.int64)]
+        return self.table[self._points(xs)]
 
     def truth_table(self) -> np.ndarray:
         return self.table
@@ -183,7 +217,7 @@ class KLinear(BooleanFunction):
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         if self.n <= 64:
-            return (popcount_u64(np.asarray(xs, dtype=np.uint64) & np.uint64(self.mask)) & np.uint64(1)).astype(np.uint8)
+            return (popcount_u64(self._points(xs) & np.uint64(self.mask)) & np.uint64(1)).astype(np.uint8)
         return super().eval_many(xs)
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
@@ -211,7 +245,7 @@ class SymmetricProfile(BooleanFunction):
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         if self.n <= 64:
-            return self.profile[popcount_u64(np.asarray(xs, dtype=np.uint64)).astype(np.int64)]
+            return self.profile[popcount_u64(self._points(xs)).astype(np.int64)]
         return super().eval_many(xs)
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
@@ -267,7 +301,7 @@ class PartiallySymmetricCore(BooleanFunction):
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         if self.n > 64:
             return super().eval_many(xs)
-        xs = np.asarray(xs, dtype=np.uint64)
+        xs = self._points(xs)
         xc = np.zeros(len(xs), dtype=np.uint64)
         for c, a in enumerate(self.asym):
             xc |= ((xs >> np.uint64(a)) & np.uint64(1)) << np.uint64(c)
@@ -297,7 +331,7 @@ class Permuted(BooleanFunction):
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         if self.n <= 64:
-            return self.inner.eval_many(self.pi.apply_many(np.asarray(xs, dtype=np.uint64)))
+            return self.inner.eval_many(self.pi.apply_many(self._points(xs)))
         return super().eval_many(xs)
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
@@ -319,8 +353,9 @@ class CountingFunction(BooleanFunction):
         return self.inner(x)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        ys = self.inner.eval_many(xs)
         self.count += len(xs)
-        return self.inner.eval_many(xs)
+        return ys
 
     def reset(self) -> None:
         self.count = 0
@@ -354,10 +389,6 @@ def random_core_spec(n: int, k: int, rng: np.random.Generator) -> PartiallySymme
     asym = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
     core = rng.integers(0, 2, size=(1 << k, n - k + 1), dtype=np.uint8)
     return PartiallySymmetricCore(n, k, asym, core)
-
-
-def random_point(n: int, rng: np.random.Generator) -> int:
-    return random_mask(n, rng)
 
 
 def function_to_json(f: BooleanFunction) -> dict:
@@ -406,10 +437,6 @@ def load_function(path) -> BooleanFunction:
         return function_from_json(json.load(fh))
 
 
-def variables_mask(f: BooleanFunction) -> int:
-    return (1 << f.n) - 1
-
-
 __all__ = [
     "MAX_DENSE_N",
     "BooleanFunction",
@@ -431,7 +458,6 @@ __all__ = [
     "point_from_bits",
     "random_core_spec",
     "random_function",
-    "random_point",
     "read_count",
     "save_function",
 ]

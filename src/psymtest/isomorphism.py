@@ -29,8 +29,6 @@ from .testers import (
 
 MAX_ASSIGNMENT_K = 10
 
-CoreAssignment = tuple  # assignment[c] = sample slot read by core coordinate c
-
 
 def _check_assignment(assignment: Sequence[int], k: int) -> tuple[int, ...]:
     a = tuple(int(v) for v in assignment)
@@ -140,7 +138,8 @@ def iso_test(
         g.n,
         inner.partition.size(inner.workspace),
     )
-    assert gg.count <= inner_bound + q, "query count exceeds the configured budget"
+    if gg.count > inner_bound + q:
+        raise RuntimeError(f"query count {gg.count} exceeds budget {inner_bound + q}")
     return TestVerdict(
         accepted,
         gg.count,
@@ -152,7 +151,6 @@ def iso_test(
 
 
 __all__ = [
-    "CoreAssignment",
     "best_assignment",
     "consistency_fraction",
     "iso_sample_budget",

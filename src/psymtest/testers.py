@@ -7,7 +7,10 @@ the surplus.  Both accept when at most k parts are identified.
 
 Every verdict reports the exact number of oracle evaluations performed; the
 hot loops generate query pairs in vectorized blocks, and a block's unused
-tail still counts as queried, which the asserted query bounds absorb.
+tail still counts as queried, which the checked query bounds absorb.  The
+psym blocks draw their weight-preserving partners with
+``rearrange_bits_block``, which matches rows to uniform pool words of equal
+weight (exact, integer-only) once a block reaches a few hundred rows.
 """
 
 from __future__ import annotations
@@ -490,7 +493,8 @@ def partially_symmetric_test(
             break
 
     bound = psym_query_bound(rounds, partition.r, n, w_size)
-    assert g.count <= bound, f"query count {g.count} exceeds budget {bound}"
+    if g.count > bound:
+        raise RuntimeError(f"query count {g.count} exceeds budget {bound}")
     return TestVerdict(accepted, g.count, found, partition, workspace)
 
 

@@ -1,0 +1,152 @@
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+import psymtest as pt
+from psymtest import _bits
+from psymtest._bits import mask_from_indices, random_masks_u64, rearrange_bits_block
+
+FULL = (1 << 64) - 1
+CONTIGUOUS6 = mask_from_indices(range(3, 9))
+GAPPED6 = mask_from_indices((0, 5, 17, 30, 41, 63))
+GAPPED16 = mask_from_indices(range(0, 64, 4))
+SMALL = _bits._POOL_MIN_ROWS - 1
+P_MIN = 1e-4
+
+
+def _positions(mask: int) -> np.ndarray:
+    return np.array(_bits.indices_of(mask), dtype=np.int64)
+
+
+def _rearrange(xs: np.ndarray, mask: int, block: int, rng) -> np.ndarray:
+    """Rearrange ``xs`` in consecutive blocks of ``block`` rows."""
+    pos = _positions(mask)
+    return np.concatenate(
+        [rearrange_bits_block(xs[i : i + block], mask, pos, rng) for i in range(0, len(xs), block)]
+    )
+
+
+def _weight_class_pvalues(xs: np.ndarray, ys: np.ndarray, mask: int) -> dict[int, float]:
+    """Chi-square p-value of y & mask against uniform, per weight of x & mask
+    (weights strictly between 0 and |mask| that occur in xs)."""
+    pos = _bits.indices_of(mask)
+    m = np.bitwise_count(xs & np.uint64(mask))
+    out = {}
+    for w in range(1, len(pos)):
+        sel = ys[m == w] & np.uint64(mask)
+        if not len(sel):
+            continue
+        cells = {sum(1 << p for p in c): i for i, c in enumerate(combinations(pos, w))}
+        counts = np.bincount([cells[int(v)] for v in sel], minlength=len(cells))
+        out[w] = stats.chisquare(counts).pvalue
+    return out
+
+
+@pytest.mark.parametrize("mask", [FULL, CONTIGUOUS6, GAPPED16])
+@pytest.mark.parametrize("block", [SMALL, 4096])
+def test_block_preserves_weight_and_unmasked_bits(mask, block):
+    rng = np.random.default_rng(0)
+    xs = random_masks_u64(64, 2 * block, rng)
+    ys = _rearrange(xs, mask, block, rng)
+    mk = np.uint64(mask)
+    assert ys.dtype == np.uint64 and len(ys) == len(xs)
+    assert np.array_equal(np.bitwise_count(ys & mk), np.bitwise_count(xs & mk))
+    assert np.array_equal(ys & ~mk, xs & ~mk)
+
+
+@pytest.mark.parametrize("mask", [CONTIGUOUS6, GAPPED6], ids=["contiguous", "gapped"])
+@pytest.mark.parametrize("block", [SMALL, 4096], ids=["keysort", "pool"])
+def test_block_is_uniform_within_each_weight_class(mask, block):
+    rng = np.random.default_rng(1)
+    xs = random_masks_u64(64, 8192 if block > SMALL else 40 * SMALL, rng)
+    ys = _rearrange(xs, mask, block, rng)
+    pvalues = _weight_class_pvalues(xs, ys, mask)
+    assert sorted(pvalues) == [1, 2, 3, 4, 5]
+    for w, p in pvalues.items():
+        assert p > P_MIN, (w, p)
+
+
+def test_block_rows_are_independent():
+    # identical rows of weight 2 in 4 slots: (y_2i, y_2i+1) uniform on 6 x 6 cells
+    rng = np.random.default_rng(2)
+    mask = mask_from_indices((2, 9, 20, 33))
+    xs = np.full(8192, (1 << 2) | (1 << 33) | (1 << 50), dtype=np.uint64)
+    ys = rearrange_bits_block(xs, mask, _positions(mask), rng) & np.uint64(mask)
+    cells = {int(v): i for i, v in enumerate(np.unique(ys))}
+    assert len(cells) == 6
+    idx = np.array([cells[int(v)] for v in ys])
+    counts = np.bincount(6 * idx[0::2] + idx[1::2], minlength=36)
+    assert stats.chisquare(counts).pvalue > P_MIN
+
+
+def test_pool_path_spreads_bits_over_all_64_slots():
+    rng = np.random.default_rng(3)
+    xs = random_masks_u64(64, 16384, rng)
+    ys = rearrange_bits_block(xs, FULL, _positions(FULL), rng)
+    per_slot = np.unpackbits(ys.view(np.uint8), bitorder="little").reshape(-1, 64).sum(axis=0)
+    assert stats.chisquare(per_slot).pvalue > P_MIN
+
+
+def _count_keysort_rows(monkeypatch) -> list[int]:
+    seen: list[int] = []
+    inner = _bits._rearrange_keysort
+
+    def spy(xs, *args):
+        seen.append(len(xs))
+        return inner(xs, *args)
+
+    monkeypatch.setattr(_bits, "_rearrange_keysort", spy)
+    return seen
+
+
+@pytest.mark.parametrize("mask", [FULL, GAPPED16])
+def test_dispatch_on_block_size(monkeypatch, mask):
+    seen = _count_keysort_rows(monkeypatch)
+    rng = np.random.default_rng(4)
+    pos = _positions(mask)
+    rearrange_bits_block(random_masks_u64(64, SMALL, rng), mask, pos, rng)
+    assert seen == [SMALL]
+    seen.clear()
+    rearrange_bits_block(random_masks_u64(64, 4096, rng), mask, pos, rng)
+    assert sum(seen) < 0.05 * 4096
+
+
+def test_leftover_rows_keep_the_law(monkeypatch):
+    # empty, full and weight-2 rows have (almost) no pool partner at 16 slots
+    seen = _count_keysort_rows(monkeypatch)
+    rng = np.random.default_rng(5)
+    mask = GAPPED16
+    pos = _positions(mask)
+    mk = np.uint64(mask)
+    uniform = random_masks_u64(64, 4096, rng)
+    noise = random_masks_u64(64, 4096, rng) & ~mk
+    two = np.array([(1 << int(a)) | (1 << int(b)) for a, b in rng.choice(pos, (2048, 2))])
+    two = two[np.bitwise_count(two.astype(np.uint64)) == 2].astype(np.uint64)
+    empty, full = noise[:1024], noise[1024:2048] | mk
+    xs = np.concatenate([uniform, empty, full, noise[2048 : 2048 + len(two)] | two])
+    xs = xs[rng.permutation(len(xs))]
+    ys = rearrange_bits_block(xs, mask, pos, rng)
+    assert sum(seen) >= 2048 + len(two) - 64
+    m = np.bitwise_count(xs & mk)
+    assert np.array_equal(np.bitwise_count(ys & mk), m)
+    assert np.array_equal(ys & ~mk, xs & ~mk)
+    assert np.array_equal(ys[m == 0], xs[m == 0])
+    assert np.array_equal(ys[m == 16], xs[m == 16])
+    pvalues = _weight_class_pvalues(xs[m == 2], ys[m == 2], mask)
+    assert list(pvalues) == [2] and pvalues[2] > P_MIN
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_permutation_apply_many_matches_apply(data):
+    n = data.draw(st.sampled_from([1, 8, 63, 64]))
+    pi = pt.Permutation(data.draw(st.permutations(range(n))))
+    xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    for _ in range(2):  # the second call reads the cached tables
+        ys = pi.apply_many(np.array(xs, dtype=np.uint64))
+        assert ys.dtype == np.uint64
+        assert [int(y) for y in ys] == [pi.apply(x) for x in xs]

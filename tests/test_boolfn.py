@@ -230,3 +230,36 @@ def test_dense_table_cap():
 def test_point_bits_roundtrip():
     assert pt.point_from_bits((1, 0, 1, 1)) == 0b1101
     assert pt.point_bits(0b1101, 4) == (1, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pt.TruthTable(3, [0, 1, 1, 0, 1, 0, 0, 1]),
+        pt.KLinear(3, [0]),
+        pt.SymmetricProfile(3, [0, 1, 0, 1]),
+        pt.PartiallySymmetricCore(3, 1, [2], np.zeros((2, 3), dtype=np.uint8)),
+        pt.Permuted(pt.KLinear(3, [0]), pt.Permutation([2, 0, 1])),
+        pt.counting_oracle(pt.KLinear(3, [0])),
+        pt.KLinear(70, [0]),
+    ],
+    ids=lambda f: f"{f.kind}-{f.n}",
+)
+def test_eval_many_range_check_matches_call(f):
+    top = 1 << f.n
+    for bad in [top, -1] + [2**64 - 1] * (f.n < 64):
+        with pytest.raises(ValueError):
+            f(bad)
+        with pytest.raises(ValueError):
+            f.eval_many([0, bad])
+    with pytest.raises(ValueError):
+        f.eval_many(np.array([1, -1]))
+    if isinstance(f, pt.CountingFunction):
+        assert pt.read_count(f) == 0  # rejected points are not queries
+    assert [int(v) for v in f.eval_many([0, top - 1])] == [f(0), f(top - 1)]
+
+
+def test_eval_many_takes_every_uint64_at_n64():
+    f = pt.KLinear(64, [0, 63])
+    xs = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert [int(v) for v in f.eval_many(xs)] == [f(int(x)) for x in xs] == [0, 1, 0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
+from psymtest import isomorphism
 from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import TesterConfig, _rounds, psym_query_bound
 
@@ -143,6 +144,15 @@ def test_iso_test_query_budget():
         _rounds(cfg, 2, eps / 1000), v.partition.r, 32, v.partition.size(v.workspace)
     ) + iso_sample_budget(2, eps, cfg)
     assert v.queries <= budget
+
+
+def test_iso_query_budget_check_raises(monkeypatch):
+    monkeypatch.setattr(isomorphism, "psym_query_bound", lambda *args: 0)
+    f = strong_core_spec(12)
+    eps = 0.5
+    budget = iso_sample_budget(2, eps, TesterConfig())
+    with pytest.raises(RuntimeError, match=f"exceeds budget {budget}$"):
+        pt.iso_test(f, f, eps, np.random.default_rng(0))
 
 
 def test_iso_relabeling_invariance_of_acceptance_rate():

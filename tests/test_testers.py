@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
+from psymtest import testers
 from psymtest.testers import psym_partition_size, psym_query_bound
 
 from helpers import random_junta, strong_core_spec
@@ -210,6 +211,13 @@ def test_psym_queries_match_counting_oracle_and_bound():
     rounds = ceil(cfg.c_iters * 2 / 0.1)
     bound = psym_query_bound(rounds, v.partition.r, 64, v.partition.size(v.workspace))
     assert v.queries <= bound
+
+
+def test_psym_query_budget_check_raises(monkeypatch):
+    monkeypatch.setattr(testers, "psym_query_bound", lambda *args: 1)
+    f = pt.SymmetricProfile(16, np.arange(17) % 2)
+    with pytest.raises(RuntimeError, match="exceeds budget 1"):
+        pt.partially_symmetric_test(f, 1, 0.3, np.random.default_rng(0))
 
 
 def test_psym_workspace_failure_reason():
