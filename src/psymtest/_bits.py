@@ -2,8 +2,9 @@
 
 Points of the hypercube are plain Python ints used as bit masks: variable i
 is bit i (variable 0 least significant), so a mask doubles as the truth-table
-index of the point it encodes.  Vectorized paths use uint64 arrays and are
-limited to n <= 64; everything has a plain-int fallback for larger n.
+index of the point it encodes.  Blocks of points are (b, ceil(n/64)) uint64
+word arrays for every n, variable i being bit i % 64 of word i // 64; at
+n <= 64 a block is a single column.
 
 Weight-preserving rearrangement of a block matches rows against a pool of
 uniform words of the same weight, all in integers and with no redraws; rows
@@ -55,34 +56,49 @@ def random_mask(n: int, rng: np.random.Generator) -> int:
     return int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
 
 
+def to_words(mask: int, width: int) -> np.ndarray:
+    """``mask`` as ``width`` little-endian uint64 words."""
+    return np.array([(mask >> (64 * i)) & _FULL64 for i in range(width)], dtype=np.uint64)
+
+
+def from_words(row: np.ndarray) -> int:
+    """The point (an int) held by one row of a block."""
+    return int.from_bytes(row.tobytes(), "little")
+
+
+def block_points(xs: np.ndarray) -> np.ndarray | list[int]:
+    """A block as ``eval_many`` takes it: its uint64 column at n <= 64,
+    Python ints above."""
+    if xs.shape[1] == 1:
+        return xs[:, 0]
+    return [from_words(row) for row in xs]
+
+
+def block_weights(xs: np.ndarray) -> np.ndarray:
+    """Hamming weight of every row, summed over the words; uint8 while a row
+    has at most 192 bits, uint16 above."""
+    return np.bitwise_count(xs).sum(axis=1, dtype=np.uint8 if xs.shape[1] < 4 else np.uint16)
+
+
 def random_masks_u64(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform n-bit masks as a uint64 array (n <= 64)."""
-    if n > 64:
-        raise ValueError("vectorized masks need n <= 64")
-    if n == 64:
-        return rng.integers(0, _FULL64, size=size, dtype=np.uint64, endpoint=True)
-    return rng.integers(0, 1 << n, size=size, dtype=np.uint64)
+    """Block of ``size`` uniform points of {0,1}^n.
 
-
-def rearrange_bits(x: int, mask: int, positions: np.ndarray, rng: np.random.Generator) -> int:
-    """Uniformly rearrange the bits of ``x`` at the masked positions.
-
-    Equivalent to applying a uniformly random permutation of those
-    coordinates: the multiset of bits inside ``mask`` is preserved, all
-    placements are equally likely, bits outside ``mask`` stay put.
+    At n <= 64 this is one bounded draw of shape (size, 1), the same stream
+    as a draw of ``size`` values; above, full words with the top word cut
+    to n bits.
     """
-    m = (x & mask).bit_count()
-    y = x & ~mask
-    if m:
-        for p in rng.choice(positions, size=m, replace=False):
-            y |= 1 << int(p)
-    return y
+    xs = rng.integers(0, 1 << min(n, 64), size=(size, (n + 63) // 64), dtype=np.uint64)
+    if n > 64 and n % 64:
+        xs[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    return xs
 
 
-def rearrange_bits_block(
-    xs: np.ndarray, mask: int, positions: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Row-wise independent ``rearrange_bits`` over a uint64 block.
+def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly rearrange the masked bits of every row of a block.
+
+    Each row independently gets a uniformly random permutation of the
+    coordinates in ``mask``: the number of ones inside ``mask`` is kept, all
+    placements are equally likely, and bits outside ``mask`` stay put.
 
     Blocks of at least ``_POOL_MIN_ROWS`` rows are matched by weight against
     a pool of uniform words cut to ``mask``: a pool word is a uniform subset
@@ -93,32 +109,34 @@ def rearrange_bits_block(
     weight.  Rows without a partner (mostly tail weights) and small blocks
     go through ``_rearrange_keysort``.
     """
-    b = len(xs)
+    b, width = xs.shape
+    mk = to_words(mask, width)
+    positions = np.flatnonzero(np.unpackbits(mk.view(np.uint8), bitorder="little"))
     if b < _POOL_MIN_ROWS:
-        return _rearrange_keysort(xs, mask, positions, rng)
-    mk = np.uint64(mask)
-    pool = random_masks_u64(64, b + b // 4, rng) & mk
-    m = np.bitwise_count(xs & mk)
-    pm = np.bitwise_count(pool)
+        return _rearrange_keysort(xs, mk, positions, rng)
+    pool = random_masks_u64(64 * width, b + b // 4, rng) & mk
+    m = block_weights(xs & mk)
+    pm = block_weights(pool)
     rows = np.argsort(m, kind="stable")
     words = np.argsort(pm, kind="stable")
     m_sorted = m[rows]
     # weight class w occupies [start[w], start[w + 1]) of each sorted order
-    classes = np.arange(len(positions) + 2, dtype=np.uint8)
+    classes = np.arange(len(positions) + 2, dtype=m.dtype)
     word_start = np.searchsorted(pm[words], classes)
     rank = np.arange(b) - np.searchsorted(m_sorted, classes)[m_sorted]
     paired = rank < np.diff(word_start)[m_sorted]
-    ys = xs & ~mk
-    hit = rows[paired]
-    ys[hit] |= pool[words[word_start[m_sorted[paired]] + rank[paired]]]
+    # row i takes pool word src[i]; unpaired rows are redrawn below
+    src = np.zeros(b, dtype=np.intp)
+    src[rows[paired]] = words[word_start[m_sorted[paired]] + rank[paired]]
+    ys = (xs & ~mk) | np.take(pool, src, axis=0)
     left = rows[~paired]
     if len(left):
-        ys[left] = _rearrange_keysort(xs[left], mask, positions, rng)
+        ys[left] = _rearrange_keysort(xs[left], mk, positions, rng)
     return ys
 
 
 def _rearrange_keysort(
-    xs: np.ndarray, mask: int, positions: np.ndarray, rng: np.random.Generator
+    xs: np.ndarray, mk: np.ndarray, positions: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """``rearrange_bits_block`` by float keys.
 
@@ -126,9 +144,9 @@ def _rearrange_keysort(
     smallest of L iid keys; rows where float ties spoil the count are
     redrawn, so the result is exact.
     """
-    b = len(xs)
+    b, width = xs.shape
     length = len(positions)
-    m = popcount_u64(xs & np.uint64(mask)).astype(np.int64)
+    m = block_weights(xs & mk).astype(np.int64)
 
     def draw(counts: np.ndarray) -> np.ndarray:
         keys = rng.random((len(counts), length), dtype=np.float32)
@@ -143,9 +161,10 @@ def _rearrange_keysort(
         cand = draw(m[todo])
         bits[todo] = cand
         todo = todo[cand.sum(axis=1) != m[todo]]
-    full = np.unpackbits(xs.view(np.uint8).reshape(b, 8), axis=1, bitorder="little")
+    raw = np.ascontiguousarray(xs).view(np.uint8).reshape(b, 8 * width)
+    full = np.unpackbits(raw, axis=1, bitorder="little")
     full[:, positions] = bits
-    return np.packbits(full, axis=1, bitorder="little").view(np.uint64).ravel()
+    return np.packbits(full, axis=1, bitorder="little").view(np.uint64).reshape(b, width)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:

@@ -118,16 +118,14 @@ def _run_trial(args, f, target, cfg, rng) -> testers.TestVerdict:
     if args.tester == "iso":
         return isomorphism.iso_test(target, f, args.eps, rng, cfg=cfg)
     if args.tester == "sampler":
-        wrapped = boolfn.counting_oracle(f)
         try:
-            handle = sampling.build_sampler(wrapped, args.k, args.delta, args.eta, rng, cfg=cfg)
-            parts = list(handle.j_parts)
-            return testers.TestVerdict(True, wrapped.count, parts, handle.partition, handle.workspace)
+            handle = sampling.build_sampler(f, args.k, args.delta, args.eta, rng, cfg=cfg)
         except sampling.SamplerRejected as rej:
-            v = rej.verdict
-            return testers.TestVerdict(
-                False, wrapped.count, v.found_parts, v.partition, v.workspace, v.failure_reason
-            )
+            return rej.verdict
+        parts = list(handle.j_parts)
+        return testers.TestVerdict(
+            True, handle.preprocessing_queries, parts, handle.partition, handle.workspace
+        )
     raise ValueError(f"unknown tester {args.tester!r}")
 
 
@@ -371,9 +369,9 @@ def brute_iso_once(
     if g.n != n:
         raise ValueError("dimension mismatch")
     q = ceil(2 * n * log2(n + 1) / eps)
-    from ._bits import random_masks_u64
+    from ._bits import block_points, random_masks_u64
 
-    pts = random_masks_u64(n, q, rng)
+    pts = block_points(random_masks_u64(n, q, rng))
     gv = g.eval_many(pts)
     if isinstance(f, boolfn.PartiallySymmetricCore):
         total = 1

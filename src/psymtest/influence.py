@@ -17,21 +17,15 @@ from typing import Iterable
 
 import numpy as np
 
-from ._bits import (
-    indices_of,
-    mask_from_indices,
-    popcount_u64,
-    random_mask,
-    random_masks_u64,
-    rearrange_bits,
-    rearrange_bits_block,
-)
+from ._bits import mask_from_indices, popcount_u64, rearrange_bits_block
 from .boolfn import BooleanFunction, TruthTable
+from .testers import Partner, _pair_block, _rerandomized
 
 MAX_EXACT_INFLUENCE_N = 15
 MAX_EXACT_SYMINF_N = 20
 MAX_FOURIER_N = 16
 
+# Monte Carlo block rows: 2^15 while a row is one word, 2^15 * 64 / n above (about as many words).
 _MC_BLOCK = 1 << 15
 
 
@@ -69,6 +63,20 @@ def _pair_disagreement(sizes: np.ndarray, ones: np.ndarray, n: int) -> Fraction:
     return total / (1 << n)
 
 
+def _flip_rate(
+    f: BooleanFunction, trials: int, partner: Partner, rng: np.random.Generator
+) -> float:
+    """Fraction of ``trials`` uniform pairs (x, partner(x)) on which f differs."""
+    block = _MC_BLOCK * 64 // max(f.n, 64)
+    hits = done = 0
+    while done < trials:
+        b = min(block, trials - done)
+        _, _, fx, fy = _pair_block(f, b, partner, rng)
+        hits += int(np.count_nonzero(fx != fy))
+        done += b
+    return hits / trials
+
+
 def influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     """Exact Pr[f(x) != f(x with J rerandomized)] by cube enumeration."""
     if f.n > MAX_EXACT_INFLUENCE_N:
@@ -99,26 +107,7 @@ def influence_mc(
     j_mask = _as_mask(f, members)
     if j_mask == 0:
         return 0.0
-    n = f.n
-    hits = 0
-    if n <= 64:
-        jm = np.uint64(j_mask)
-        notj = np.uint64(((1 << 64) - 1) ^ j_mask)
-        done = 0
-        while done < trials:
-            b = min(_MC_BLOCK, trials - done)
-            xs = random_masks_u64(n, b, rng)
-            ys = random_masks_u64(n, b, rng)
-            zs = (xs & notj) | (ys & jm)
-            hits += int(np.count_nonzero(f.eval_many(xs) != f.eval_many(zs)))
-            done += b
-    else:
-        for _ in range(trials):
-            x = random_mask(n, rng)
-            y = random_mask(n, rng)
-            z = (x & ~j_mask) | (y & j_mask)
-            hits += f(x) != f(z)
-    return hits / trials
+    return _flip_rate(f, trials, lambda xs: _rerandomized(xs, f.n, j_mask, rng), rng)
 
 
 def symmetric_influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fraction:
@@ -147,24 +136,7 @@ def symmetric_influence_mc(
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:
         return 0.0
-    n = f.n
-    hits = 0
-    if n <= 64:
-        positions = np.array(indices_of(j_mask), dtype=np.uint64)
-        done = 0
-        while done < trials:
-            b = min(_MC_BLOCK, trials - done)
-            xs = random_masks_u64(n, b, rng)
-            ys = rearrange_bits_block(xs, j_mask, positions, rng)
-            hits += int(np.count_nonzero(f.eval_many(xs) != f.eval_many(ys)))
-            done += b
-    else:
-        positions = np.array(indices_of(j_mask))
-        for _ in range(trials):
-            x = random_mask(n, rng)
-            y = rearrange_bits(x, j_mask, positions, rng)
-            hits += f(x) != f(y)
-    return hits / trials
+    return _flip_rate(f, trials, lambda xs: rearrange_bits_block(xs, j_mask, rng), rng)
 
 
 def symmetric_distance(f: BooleanFunction, members: Iterable[int]) -> Fraction:

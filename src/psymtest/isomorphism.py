@@ -10,6 +10,7 @@ interchangeable.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, log2
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
+from .boolfn import BooleanFunction, PartiallySymmetricCore
 from .sampling import CoreSample, draw_core_samples_batch, handle_from_verdict
 from .testers import (
     TesterConfig,
@@ -69,7 +70,8 @@ def _best_assignment_arrays(
         hits = _consistency_arrays(xs, ws, zs, f_spec, a)
         if hits > best_hits:
             best_a, best_hits = a, hits
-    assert best_a is not None
+    if best_a is None:
+        raise RuntimeError("no assignment scored; k! candidates expected")
     return best_a, Fraction(best_hits, len(xs))
 
 
@@ -115,39 +117,27 @@ def iso_test(
     if k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
     cfg = cfg or TesterConfig()
-    gg = CountingFunction(g)
-    inner = partially_symmetric_test(gg, k, eps / 1000, rng, cfg=cfg)
+    inner = partially_symmetric_test(g, k, eps / 1000, rng, cfg=cfg)
     if not inner.accepted:
-        return TestVerdict(
-            False,
-            gg.count,
-            inner.found_parts,
-            inner.partition,
-            inner.workspace,
-            failure_reason=inner.failure_reason or "not_partially_symmetric",
-        )
-    handle = handle_from_verdict(gg, inner, k)
+        return replace(inner, failure_reason=inner.failure_reason or "not_partially_symmetric")
+    handle = handle_from_verdict(g, inner, k)
     q = iso_sample_budget(k, eps, cfg)
     xs, ws, zs = draw_core_samples_batch(handle, q, rng)
     _, frac = _best_assignment_arrays(xs, ws, zs, f_spec)
     accepted = frac >= 1 - Fraction(eps) / 2
 
-    inner_bound = psym_query_bound(
+    # one query per core sample
+    queries = inner.queries + q
+    budget = q + psym_query_bound(
         _rounds(cfg, k, eps / 1000),
         inner.partition.r,
         g.n,
         inner.partition.size(inner.workspace),
     )
-    if gg.count > inner_bound + q:
-        raise RuntimeError(f"query count {gg.count} exceeds budget {inner_bound + q}")
-    return TestVerdict(
-        accepted,
-        gg.count,
-        inner.found_parts,
-        inner.partition,
-        inner.workspace,
-        failure_reason=None if accepted else "core_mismatch",
-    )
+    if queries > budget:
+        raise RuntimeError(f"query count {queries} exceeds budget {budget}")
+    failure = None if accepted else "core_mismatch"
+    return replace(inner, accepted=accepted, queries=queries, failure_reason=failure)
 
 
 __all__ = [

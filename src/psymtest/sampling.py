@@ -152,11 +152,10 @@ def _sample_constrained(
     if fill:
         for pos in rng.choice(partition.positions(workspace), size=fill, replace=False):
             y |= 1 << int(pos)
-    assert y.bit_count() == w
-    assert all(
-        (y & partition.parts[p]) in (0, partition.parts[p])
-        for p in others
-    ), "non-workspace part not constant"
+    if y.bit_count() != w:
+        raise RuntimeError(f"constrained point has weight {y.bit_count()}, not {w}")
+    if any((y & partition.parts[p]) not in (0, partition.parts[p]) for p in others):
+        raise RuntimeError("non-workspace part not constant")
     return y, choices
 
 
@@ -282,7 +281,8 @@ def _sample_to_core(handle: SamplerHandle, y: int, choices: dict[int, int]) -> t
     for c, part in enumerate(handle.j_parts):
         x |= choices[part] << c
     w = y.bit_count() - x.bit_count()
-    assert 0 <= w <= handle.n - handle.k
+    if not 0 <= w <= handle.n - handle.k:
+        raise RuntimeError(f"symmetric weight {w} outside 0..{handle.n - handle.k}")
     return x, w
 
 
@@ -294,20 +294,29 @@ def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSam
     return CoreSample(x, w, int(handle.f(y)))
 
 
+def _singleton_draws(
+    handle: SamplerHandle, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` draws of a singleton-like handle at n <= 64: uniform points
+    y (binomial weight, then uniform among the valid points, is uniform)
+    with their slot bits x and symmetric weights w."""
+    ys = random_masks_u64(handle.n, count, rng)[:, 0]
+    xs = np.zeros(count, dtype=np.int64)
+    for c, part in enumerate(handle.j_parts):
+        pos = int(handle.partition.positions(part)[0])
+        xs |= (((ys >> np.uint64(pos)) & np.uint64(1)) << np.uint64(c)).astype(np.int64)
+    ws = popcount_u64(ys).astype(np.int64) - popcount_u64(xs.astype(np.uint64)).astype(np.int64)
+    return ys, xs, ws
+
+
 def draw_core_samples_batch(
     handle: SamplerHandle, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized equivalent of ``count`` independent draws; still exactly
     one query per sample."""
     if handle._singleton and handle.n <= 64:
-        ys = random_masks_u64(handle.n, count, rng)
-        xs = np.zeros(count, dtype=np.int64)
-        for c, part in enumerate(handle.j_parts):
-            pos = int(handle.partition.positions(part)[0])
-            xs |= (((ys >> np.uint64(pos)) & np.uint64(1)) << np.uint64(c)).astype(np.int64)
-        ws = popcount_u64(ys).astype(np.int64) - popcount_u64(xs.astype(np.uint64)).astype(np.int64)
-        zs = handle.f.eval_many(ys).astype(np.int64)
-        return xs, ws, zs
+        ys, xs, ws = _singleton_draws(handle, count, rng)
+        return xs, ws, handle.f.eval_many(ys).astype(np.int64)
     xs = np.empty(count, dtype=np.int64)
     ws = np.empty(count, dtype=np.int64)
     zs = np.empty(count, dtype=np.int64)
@@ -322,12 +331,7 @@ def _marginal_counts(
 ) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     if handle._singleton and handle.n <= 64:
-        ys = random_masks_u64(handle.n, trials, rng)
-        xs = np.zeros(trials, dtype=np.int64)
-        for c, part in enumerate(handle.j_parts):
-            pos = int(handle.partition.positions(part)[0])
-            xs |= (((ys >> np.uint64(pos)) & np.uint64(1)) << np.uint64(c)).astype(np.int64)
-        ws = popcount_u64(ys).astype(np.int64) - popcount_u64(xs.astype(np.uint64)).astype(np.int64)
+        _, xs, ws = _singleton_draws(handle, trials, rng)
         keys = xs * (handle.n + 1) + ws
         uniq, cnt = np.unique(keys, return_counts=True)
         for key, c in zip(uniq, cnt):

@@ -5,28 +5,35 @@ variables; ``partially_symmetric_test`` looks for parts containing asymmetric
 variables, using weight-preserving permutations so the workspace part absorbs
 the surplus.  Both accept when at most k parts are identified.
 
-Every verdict reports the exact number of oracle evaluations performed; the
-hot loops generate query pairs in vectorized blocks, and a block's unused
-tail still counts as queried, which the checked query bounds absorb.  The
-psym blocks draw their weight-preserving partners with
-``rearrange_bits_block``, which matches rows to uniform pool words of equal
-weight (exact, integer-only) once a block reaches a few hundred rows.
+Both testers run one probe loop: draw a block of uniform points as a word
+array (any n), draw each point's partner, evaluate both ends, and on the
+first value flip hand the pair to the tester's localization; the Monte Carlo
+estimators in ``influence`` draw their pairs with the same step.  Verdicts
+report logical queries, the evaluations a pair-at-a-time tester makes: a
+block whose first flip is at row h costs 2(h + 1), a block with no flip
+costs two per row, and localization queries come on top.  The evaluations
+past a block's first flip are reported separately as ``speculative``, so
+the oracle reads ``queries + speculative`` evaluations in all.  The psym
+partners come from ``rearrange_bits_block``, which matches rows to uniform
+pool words of equal weight (exact, integer-only) once a block reaches a few
+hundred rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._bits import (
+    block_points,
+    from_words,
     indices_of,
-    random_mask,
     random_masks_u64,
-    rearrange_bits,
     rearrange_bits_block,
+    to_words,
 )
 from .boolfn import BooleanFunction, CountingFunction
 
@@ -40,16 +47,13 @@ class TesterConfig:
 
     ``c_parts`` scales the partition size, ``c_iters`` the main loop length.
     The defaults are calibrated so the statistical contracts hold at the
-    sample sizes used in the acceptance suite.  ``seed`` is a convenience
-    slot for callers that bundle a seed with the multipliers; the library
-    functions themselves always take an explicit generator.
+    sample sizes used in the acceptance suite.
     """
 
     __test__ = False  # keep pytest from collecting the class
 
     c_parts: float = 3.0
     c_iters: float = 24.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.c_parts < 1 or self.c_iters < 1:
@@ -72,6 +76,7 @@ class Partition:
         if union != (1 << self.n) - 1 or total != self.n:
             raise ValueError("parts must be disjoint and cover range(n)")
         self._positions: dict[int, np.ndarray] = {}
+        self._chunks: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def r(self) -> int:
@@ -84,6 +89,25 @@ class Partition:
         if i not in self._positions:
             self._positions[i] = np.array(indices_of(self.parts[i]), dtype=np.int64)
         return self._positions[i]
+
+    def chunks(self, workspace: int) -> list[tuple[int, int]]:
+        """Every non-workspace part split into pieces of at most ceil(|W|/4).
+
+        Returns (owner part index, chunk mask) pairs; owners repeat when a
+        part splits.  Small pieces keep every weight adjustment within the
+        slack the workspace can absorb.
+        """
+        if workspace not in self._chunks:
+            cap = max(1, -(-self.size(workspace) // 4))
+            out = []
+            for p in range(self.r):
+                if p == workspace:
+                    continue
+                pos = self.positions(p)
+                for start in range(0, len(pos), cap):
+                    out.append((p, sum(1 << int(v) for v in pos[start : start + cap])))
+            self._chunks[workspace] = out
+        return self._chunks[workspace]
 
 
 def random_partition(n: int, r: int, rng: np.random.Generator) -> Partition:
@@ -114,6 +138,7 @@ class TestVerdict:
     partition: Partition
     workspace: int | None = None
     failure_reason: str | None = None
+    speculative: int = 0
 
 
 def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
@@ -123,6 +148,63 @@ def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
 def _check_eps(eps: float) -> None:
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
+
+
+# ---------------------------------------------------------------------------
+# The probe loop
+
+# maps a block of points to a block of partners
+Partner = Callable[[np.ndarray], np.ndarray]
+
+
+def _rerandomized(xs: np.ndarray, n: int, mask: int, rng: np.random.Generator) -> np.ndarray:
+    """Partner that keeps the bits of ``xs`` outside ``mask`` and draws
+    fresh uniform bits inside it."""
+    m = to_words(mask, xs.shape[1])
+    return (xs & ~m) | (random_masks_u64(n, len(xs), rng) & m)
+
+
+def _pair_block(f: BooleanFunction, b: int, partner: Partner, rng: np.random.Generator):
+    """b uniform points, their partners, and the value of f at both ends."""
+    xs = random_masks_u64(f.n, b, rng)
+    ys = partner(xs)
+    return xs, ys, f.eval_many(block_points(xs)), f.eval_many(block_points(ys))
+
+
+class _Probe:
+    """The testers' probe loop over doubling blocks of query pairs.
+
+    A block starts at ``_BLOCK_START`` rows and doubles, up to a cap set by
+    the round count and k, while no pair flips f.  The first flip ends its
+    block and is yielded as (x, y, f(x)); the caller localizes it before the
+    next block is drawn, and that block starts small again.  ``partner`` is
+    called once per block, so the law it reads may change between hits.  The
+    rows after a flip were evaluated but are not queries of the
+    pair-at-a-time tester; ``speculative`` counts them.
+    """
+
+    def __init__(self, f: BooleanFunction, k: int, eps: float, cfg: TesterConfig):
+        self.f = f
+        self.rounds = _rounds(cfg, k, eps)
+        self.max_block = min(_BLOCK_CAP, max(_BLOCK_START, self.rounds // (8 * (k + 1))))
+        self.speculative = 0
+
+    def hits(self, partner: Partner, rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
+        consumed = 0
+        block = _BLOCK_START
+        while consumed < self.rounds:
+            b = min(block, self.rounds - consumed)
+            xs, ys, fx, fy = _pair_block(self.f, b, partner, rng)
+            flips = np.flatnonzero(fx != fy)
+            if not len(flips):
+                consumed += b
+                block = min(block * 2, self.max_block)
+                continue
+            h = int(flips[0])
+            consumed += h + 1
+            self.speculative += 2 * (b - h - 1)
+            yield from_words(xs[h]), from_words(ys[h]), int(fx[h])
+            block = _BLOCK_START
 
 
 # ---------------------------------------------------------------------------
@@ -169,78 +251,30 @@ def junta_test(
     r = max(1, ceil(cfg.c_parts * k * k))
     partition = random_partition(n, r, rng)
     g = CountingFunction(f)
-    rounds = _rounds(cfg, k, eps)
-    max_block = min(_BLOCK_CAP, max(_BLOCK_START, rounds // (8 * (k + 1))))
-
+    probe = _Probe(g, k, eps, cfg)
     found: list[int] = []
-    j_mask = 0
+    jbar_mask = (1 << n) - 1
     accepted = True
-    consumed = 0
-    block = _BLOCK_START
-    vector = n <= 64
 
-    while consumed < rounds:
-        todo = rounds - consumed
-        b = min(block, todo)
-        if vector:
-            xs = random_masks_u64(n, b, rng)
-            ys = random_masks_u64(n, b, rng)
-            zs = (xs & np.uint64(j_mask)) | (ys & np.uint64(((1 << 64) - 1) ^ j_mask))
-            fx = g.eval_many(xs)
-            fz = g.eval_many(zs)
-            hits = np.nonzero(fx != fz)[0]
-            if len(hits) == 0:
-                consumed += b
-                block = min(block * 2, max_block)
-                continue
-            h = int(hits[0])
-            consumed += h + 1
-            x, z, fxv = int(xs[h]), int(zs[h]), int(fx[h])
-        else:
-            x = random_mask(n, rng)
-            y = random_mask(n, rng)
-            z = (x & j_mask) | (y & ~j_mask)
-            fxv = g(x)
-            consumed += 1
-            if g(z) == fxv:
-                continue
+    # the partner reads jbar_mask at every block: identified parts stay fixed
+    for x, z, fx in probe.hits(lambda xs: _rerandomized(xs, n, jbar_mask, rng), rng):
         order = [p for p in range(partition.r) if p not in found and partition.parts[p]]
         cum = [0]
         for p in order:
             cum.append(cum[-1] | partition.parts[p])
-        part = _junta_locate(g, x, z, order, cum, fxv)
+        part = _junta_locate(g, x, z, order, cum, fx)
         found.append(part)
-        j_mask |= partition.parts[part]
-        block = _BLOCK_START
+        jbar_mask ^= partition.parts[part]
         if len(found) > k:
             accepted = False
             break
 
-    return TestVerdict(accepted, g.count, found, partition)
+    spec = probe.speculative
+    return TestVerdict(accepted, g.count - spec, found, partition, speculative=spec)
 
 
 # ---------------------------------------------------------------------------
 # Partial-symmetry testing
-
-
-def _chunks_of(partition: Partition, workspace: int) -> list[tuple[int, int]]:
-    """Split every non-workspace part into pieces of at most ceil(|W|/4).
-
-    Returns (owner part index, chunk mask) pairs; owners repeat when a part
-    splits.  Small pieces keep every weight adjustment within the slack the
-    workspace can absorb.
-    """
-    w_size = partition.size(workspace)
-    cap = max(1, -(-w_size // 4))
-    out = []
-    for p in range(partition.r):
-        if p == workspace:
-            continue
-        pos = partition.positions(p)
-        for start in range(0, len(pos), cap):
-            piece = pos[start : start + cap]
-            out.append((p, int(sum(1 << int(v) for v in piece))))
-    return out
 
 
 def _weight_preserving_chain(
@@ -266,7 +300,7 @@ def _weight_preserving_chain(
     weight = x.bit_count()
 
     pending: list[tuple[int, int, int]] = []  # (owner, chunk mask, ones deficit)
-    for owner, cmask in _chunks_of(partition, workspace):
+    for owner, cmask in partition.chunks(workspace):
         if (x ^ y) & cmask:
             d = (y & cmask).bit_count() - (x & cmask).bit_count()
             pending.append((owner, cmask, d))
@@ -301,11 +335,13 @@ def _weight_preserving_chain(
                     if d == 0:
                         pick = idx
                         break
-            assert pick >= 0, "no feasible chunk; cannot happen for |W| >= n/(2r)"
+            if pick < 0:
+                raise RuntimeError("no feasible chunk; cannot happen for |W| >= n/(2r)")
         owner, cmask, d = pending.pop(pick)
         cur = (cur & ~cmask) | (y & cmask)
         cur_w -= d
-        assert 0 <= cur_w <= w_size
+        if not 0 <= cur_w <= w_size:
+            raise RuntimeError(f"workspace weight {cur_w} outside 0..{w_size}")
         if pending:
             cur &= ~w_mask
             if cur_w:
@@ -313,8 +349,10 @@ def _weight_preserving_chain(
                     cur |= 1 << int(p)
         else:
             cur = (cur & ~w_mask) | (y & w_mask)
-            assert cur == y
-        assert cur.bit_count() == weight, "chain step changed the Hamming weight"
+            if cur != y:
+                raise RuntimeError("chain did not end at its endpoint")
+        if cur.bit_count() != weight:
+            raise RuntimeError("chain step changed the Hamming weight")
         points.append(cur)
         owners.append(owner)
         if d:
@@ -323,7 +361,8 @@ def _weight_preserving_chain(
     if cur != y:
         # x and y agree outside W; a lone workspace-internal step remains and
         # gets attributed to the lowest-indexed free part, if any exists.
-        assert (cur ^ y) & ~w_mask == 0
+        if (cur ^ y) & ~w_mask:
+            raise RuntimeError("chain endpoints differ outside the workspace")
         fallback = next(
             (p for p in range(partition.r) if p != workspace and p not in j_set), None
         )
@@ -361,7 +400,8 @@ def _locate_asymmetric_part(
         return None
     step = _chain_search(g, points, fx)
     owner = owners[step]
-    assert owner != workspace and owner not in set(j_parts)
+    if owner == workspace or owner in j_parts:
+        raise RuntimeError(f"step owner {owner} is the workspace or an identified part")
     return owner
 
 
@@ -389,13 +429,11 @@ def find_asymmetric_set(
     for p in j_parts:
         j_mask |= partition.parts[p]
     jbar_mask = ((1 << n) - 1) ^ j_mask
-    positions = np.array(indices_of(jbar_mask), dtype=np.int64)
-    x = random_mask(n, rng)
-    y = rearrange_bits(x, jbar_mask, positions, rng)
-    fx = f(x)
-    if f(y) == fx:
+    xs, ys, fx, fy = _pair_block(f, 1, lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng)
+    if fx[0] == fy[0]:
         return None
-    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, fx, rng)
+    x, y = from_words(xs[0]), from_words(ys[0])
+    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, int(fx[0]), rng)
 
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
@@ -446,56 +484,28 @@ def partially_symmetric_test(
         return TestVerdict(False, 0, [], partition, workspace, failure_reason="workspace")
 
     g = CountingFunction(f)
-    rounds = _rounds(cfg, k, eps)
-    max_block = min(_BLOCK_CAP, max(_BLOCK_START, rounds // (8 * (k + 1))))
+    probe = _Probe(g, k, eps, cfg)
     found: list[int] = []
-    accepted = True
-    consumed = 0
-    block = _BLOCK_START
-    vector = n <= 64
-
-    j_mask = 0
     jbar_mask = (1 << n) - 1
-    positions = np.array(indices_of(jbar_mask), dtype=np.int64)
+    accepted = True
 
-    while consumed < rounds:
-        b = min(block, rounds - consumed)
-        if vector:
-            xs = random_masks_u64(n, b, rng)
-            ys = rearrange_bits_block(xs, jbar_mask, positions, rng)
-            fx = g.eval_many(xs)
-            fy = g.eval_many(ys)
-            hits = np.nonzero(fx != fy)[0]
-            if len(hits) == 0:
-                consumed += b
-                block = min(block * 2, max_block)
-                continue
-            h = int(hits[0])
-            consumed += h + 1
-            x, y, fxv = int(xs[h]), int(ys[h]), int(fx[h])
-        else:
-            x = random_mask(n, rng)
-            y = rearrange_bits(x, jbar_mask, positions, rng)
-            fxv = g(x)
-            consumed += 1
-            if g(y) == fxv:
-                continue
-        part = _locate_asymmetric_part(g, x, y, partition, found, workspace, fxv, rng)
-        block = _BLOCK_START
+    # the partner reads jbar_mask at every block: identified parts stay fixed
+    for x, y, fx in probe.hits(lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng):
+        part = _locate_asymmetric_part(g, x, y, partition, found, workspace, fx, rng)
         if part is None:
             continue
         found.append(part)
-        j_mask |= partition.parts[part]
-        jbar_mask = ((1 << n) - 1) ^ j_mask
-        positions = np.array(indices_of(jbar_mask), dtype=np.int64)
+        jbar_mask ^= partition.parts[part]
         if len(found) > k:
             accepted = False
             break
 
-    bound = psym_query_bound(rounds, partition.r, n, w_size)
-    if g.count > bound:
-        raise RuntimeError(f"query count {g.count} exceeds budget {bound}")
-    return TestVerdict(accepted, g.count, found, partition, workspace)
+    spec = probe.speculative
+    queries = g.count - spec
+    bound = psym_query_bound(probe.rounds, partition.r, n, w_size)
+    if queries > bound:
+        raise RuntimeError(f"query count {queries} exceeds budget {bound}")
+    return TestVerdict(accepted, queries, found, partition, workspace, speculative=spec)
 
 
 __all__ = [

@@ -8,25 +8,37 @@ from scipy import stats
 
 import psymtest as pt
 from psymtest import _bits
-from psymtest._bits import mask_from_indices, random_masks_u64, rearrange_bits_block
+from psymtest._bits import (
+    block_weights,
+    from_words,
+    mask_from_indices,
+    random_masks_u64,
+    rearrange_bits_block,
+    to_words,
+)
 
 FULL = (1 << 64) - 1
 CONTIGUOUS6 = mask_from_indices(range(3, 9))
 GAPPED6 = mask_from_indices((0, 5, 17, 30, 41, 63))
 GAPPED16 = mask_from_indices(range(0, 64, 4))
+# masks whose top bit sits in the last word of a two- and a four-word block
+GAPPED6_N128 = mask_from_indices((2, 40, 63, 64, 99, 127))
+GAPPED6_N256 = mask_from_indices((7, 70, 128, 150, 201, 255))
+GAPPED24_N128 = mask_from_indices(range(1, 128, 5)) | 1 << 127
+GAPPED40_N256 = mask_from_indices(range(3, 256, 6)) | 1 << 255
 SMALL = _bits._POOL_MIN_ROWS - 1
 P_MIN = 1e-4
 
 
-def _positions(mask: int) -> np.ndarray:
-    return np.array(_bits.indices_of(mask), dtype=np.int64)
+def _n(mask: int) -> int:
+    """Variables of the smallest block holding ``mask``: a whole number of words."""
+    return 64 * -(-mask.bit_length() // 64)
 
 
 def _rearrange(xs: np.ndarray, mask: int, block: int, rng) -> np.ndarray:
     """Rearrange ``xs`` in consecutive blocks of ``block`` rows."""
-    pos = _positions(mask)
     return np.concatenate(
-        [rearrange_bits_block(xs[i : i + block], mask, pos, rng) for i in range(0, len(xs), block)]
+        [rearrange_bits_block(xs[i : i + block], mask, rng) for i in range(0, len(xs), block)]
     )
 
 
@@ -34,35 +46,53 @@ def _weight_class_pvalues(xs: np.ndarray, ys: np.ndarray, mask: int) -> dict[int
     """Chi-square p-value of y & mask against uniform, per weight of x & mask
     (weights strictly between 0 and |mask| that occur in xs)."""
     pos = _bits.indices_of(mask)
-    m = np.bitwise_count(xs & np.uint64(mask))
+    mk = to_words(mask, xs.shape[1])
+    m = block_weights(xs & mk)
     out = {}
     for w in range(1, len(pos)):
-        sel = ys[m == w] & np.uint64(mask)
+        sel = ys[m == w] & mk
         if not len(sel):
             continue
         cells = {sum(1 << p for p in c): i for i, c in enumerate(combinations(pos, w))}
-        counts = np.bincount([cells[int(v)] for v in sel], minlength=len(cells))
+        counts = np.bincount([cells[from_words(v)] for v in sel], minlength=len(cells))
         out[w] = stats.chisquare(counts).pvalue
     return out
 
 
-@pytest.mark.parametrize("mask", [FULL, CONTIGUOUS6, GAPPED16])
+@pytest.mark.parametrize("n", [1, 33, 63, 64, 65, 128, 200])
+def test_masks_are_word_blocks_of_n_bits(n):
+    xs = random_masks_u64(n, 4096, np.random.default_rng(9))
+    assert xs.dtype == np.uint64 and xs.shape == (4096, -(-n // 64))
+    bits = np.unpackbits(xs.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, n:].any()
+    assert np.abs(bits[:, :n].mean(axis=0) - 0.5).max() < 0.05
+    if n <= 64:
+        # one word draws the stream of a flat draw of n-bit values
+        flat = np.random.default_rng(9).integers(0, (1 << n) - 1, 4096, np.uint64, endpoint=True)
+        assert np.array_equal(xs[:, 0], flat)
+
+
+@pytest.mark.parametrize("mask", [FULL, CONTIGUOUS6, GAPPED16, GAPPED24_N128, GAPPED40_N256])
 @pytest.mark.parametrize("block", [SMALL, 4096])
 def test_block_preserves_weight_and_unmasked_bits(mask, block):
     rng = np.random.default_rng(0)
-    xs = random_masks_u64(64, 2 * block, rng)
+    xs = random_masks_u64(_n(mask), 2 * block, rng)
     ys = _rearrange(xs, mask, block, rng)
-    mk = np.uint64(mask)
-    assert ys.dtype == np.uint64 and len(ys) == len(xs)
-    assert np.array_equal(np.bitwise_count(ys & mk), np.bitwise_count(xs & mk))
+    mk = to_words(mask, xs.shape[1])
+    assert ys.dtype == np.uint64 and ys.shape == xs.shape
+    assert np.array_equal(block_weights(ys & mk), block_weights(xs & mk))
     assert np.array_equal(ys & ~mk, xs & ~mk)
 
 
-@pytest.mark.parametrize("mask", [CONTIGUOUS6, GAPPED6], ids=["contiguous", "gapped"])
+@pytest.mark.parametrize(
+    "mask",
+    [CONTIGUOUS6, GAPPED6, GAPPED6_N128, GAPPED6_N256],
+    ids=["contiguous", "gapped", "gapped-n128", "gapped-n256"],
+)
 @pytest.mark.parametrize("block", [SMALL, 4096], ids=["keysort", "pool"])
 def test_block_is_uniform_within_each_weight_class(mask, block):
     rng = np.random.default_rng(1)
-    xs = random_masks_u64(64, 8192 if block > SMALL else 40 * SMALL, rng)
+    xs = random_masks_u64(_n(mask), 8192 if block > SMALL else 40 * SMALL, rng)
     ys = _rearrange(xs, mask, block, rng)
     pvalues = _weight_class_pvalues(xs, ys, mask)
     assert sorted(pvalues) == [1, 2, 3, 4, 5]
@@ -74,8 +104,8 @@ def test_block_rows_are_independent():
     # identical rows of weight 2 in 4 slots: (y_2i, y_2i+1) uniform on 6 x 6 cells
     rng = np.random.default_rng(2)
     mask = mask_from_indices((2, 9, 20, 33))
-    xs = np.full(8192, (1 << 2) | (1 << 33) | (1 << 50), dtype=np.uint64)
-    ys = rearrange_bits_block(xs, mask, _positions(mask), rng) & np.uint64(mask)
+    xs = np.full((8192, 1), (1 << 2) | (1 << 33) | (1 << 50), dtype=np.uint64)
+    ys = (rearrange_bits_block(xs, mask, rng) & np.uint64(mask))[:, 0]
     cells = {int(v): i for i, v in enumerate(np.unique(ys))}
     assert len(cells) == 6
     idx = np.array([cells[int(v)] for v in ys])
@@ -86,7 +116,7 @@ def test_block_rows_are_independent():
 def test_pool_path_spreads_bits_over_all_64_slots():
     rng = np.random.default_rng(3)
     xs = random_masks_u64(64, 16384, rng)
-    ys = rearrange_bits_block(xs, FULL, _positions(FULL), rng)
+    ys = rearrange_bits_block(xs, FULL, rng)
     per_slot = np.unpackbits(ys.view(np.uint8), bitorder="little").reshape(-1, 64).sum(axis=0)
     assert stats.chisquare(per_slot).pvalue > P_MIN
 
@@ -107,11 +137,10 @@ def _count_keysort_rows(monkeypatch) -> list[int]:
 def test_dispatch_on_block_size(monkeypatch, mask):
     seen = _count_keysort_rows(monkeypatch)
     rng = np.random.default_rng(4)
-    pos = _positions(mask)
-    rearrange_bits_block(random_masks_u64(64, SMALL, rng), mask, pos, rng)
+    rearrange_bits_block(random_masks_u64(64, SMALL, rng), mask, rng)
     assert seen == [SMALL]
     seen.clear()
-    rearrange_bits_block(random_masks_u64(64, 4096, rng), mask, pos, rng)
+    rearrange_bits_block(random_masks_u64(64, 4096, rng), mask, rng)
     assert sum(seen) < 0.05 * 4096
 
 
@@ -120,19 +149,19 @@ def test_leftover_rows_keep_the_law(monkeypatch):
     seen = _count_keysort_rows(monkeypatch)
     rng = np.random.default_rng(5)
     mask = GAPPED16
-    pos = _positions(mask)
+    pos = _bits.indices_of(mask)
     mk = np.uint64(mask)
     uniform = random_masks_u64(64, 4096, rng)
     noise = random_masks_u64(64, 4096, rng) & ~mk
     two = np.array([(1 << int(a)) | (1 << int(b)) for a, b in rng.choice(pos, (2048, 2))])
-    two = two[np.bitwise_count(two.astype(np.uint64)) == 2].astype(np.uint64)
+    two = two[np.bitwise_count(two.astype(np.uint64)) == 2].astype(np.uint64)[:, None]
     empty, full = noise[:1024], noise[1024:2048] | mk
     xs = np.concatenate([uniform, empty, full, noise[2048 : 2048 + len(two)] | two])
     xs = xs[rng.permutation(len(xs))]
-    ys = rearrange_bits_block(xs, mask, pos, rng)
+    ys = rearrange_bits_block(xs, mask, rng)
     assert sum(seen) >= 2048 + len(two) - 64
-    m = np.bitwise_count(xs & mk)
-    assert np.array_equal(np.bitwise_count(ys & mk), m)
+    m = block_weights(xs & mk)
+    assert np.array_equal(block_weights(ys & mk), m)
     assert np.array_equal(ys & ~mk, xs & ~mk)
     assert np.array_equal(ys[m == 0], xs[m == 0])
     assert np.array_equal(ys[m == 16], xs[m == 16])

@@ -122,6 +122,25 @@ def test_syminf_mc():
     assert abs(est - 0.25) < 0.01
 
 
+@pytest.mark.parametrize("n", [65, 128, 256])
+def test_mc_estimators_match_closed_forms_past_one_word(n):
+    # AND of x_1 and x_{n-1}: rerandomizing x_{n-1} flips it w.p. 1/4.  The
+    # dictator x_{n-1} under a uniform permutation of m coordinates that
+    # include n-1 reads another coordinate w.p. (m-1)/m: (m-1)/(2m).
+    rng = np.random.default_rng(n)
+    trials = 20_000
+    core = np.repeat(np.array([[0], [0], [0], [1]], dtype=np.uint8), n - 1, axis=1)
+    and2 = pt.PartiallySymmetricCore(n, 2, (1, n - 1), core)
+    members = list(range(0, n, 3)) + [n - 1]
+    dictator = pt.KLinear(n, [n - 1])
+    m = len(members)
+    for est, p in (
+        (pt.influence_mc(and2, [n - 1], trials, rng), 1 / 4),
+        (pt.symmetric_influence_mc(dictator, members, trials, rng), (m - 1) / (2 * m)),
+    ):
+        assert abs(est - p) <= 4 * (p * (1 - p) / trials) ** 0.5, (est, p)
+
+
 def test_syminf_mc_within_three_standard_errors_of_exact():
     rng = np.random.default_rng(6)
     f = pt.random_function(10, rng)

@@ -139,7 +139,7 @@ def test_iso_test_query_budget():
     gg = pt.counting_oracle(g)
     eps = 0.25
     v = pt.iso_test(f, gg, eps, np.random.default_rng(10), cfg=cfg)
-    assert pt.read_count(gg) == v.queries
+    assert pt.read_count(gg) == v.queries + v.speculative
     budget = psym_query_bound(
         _rounds(cfg, 2, eps / 1000), v.partition.r, 32, v.partition.size(v.workspace)
     ) + iso_sample_budget(2, eps, cfg)

@@ -7,6 +7,7 @@ import pytest
 import psymtest as pt
 from psymtest.sampling import (
     _sample_constrained,
+    _sample_to_core,
     core_marginal_exact,
     draw_core_samples_batch,
     dstar_pmf,
@@ -268,3 +269,13 @@ def test_build_sampler_validates_parameters():
     f = strong_core_spec(64)
     with pytest.raises(ValueError):
         pt.build_sampler(f, 2, 1.5, 0.1, np.random.default_rng(0))
+
+
+def test_core_reading_checks_the_weight_it_reports():
+    # slot constants of 1 on an all-zeros point would give a negative weight
+    f = strong_core_spec(12)
+    partition = pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16])
+    handle = pt.SamplerHandle(f, partition, 2, (0, 1), 2, 12)
+    assert _sample_to_core(handle, 0b0011, {0: 1, 1: 0}) == (1, 1)
+    with pytest.raises(RuntimeError, match="symmetric weight -2"):
+        _sample_to_core(handle, 0, {0: 1, 1: 1})

@@ -76,7 +76,7 @@ def test_junta_found_parts_contain_relevant_variables():
 def test_junta_verdict_queries_match_counting_oracle():
     f = pt.counting_oracle(pt.KLinear(64, range(6)))
     v = pt.junta_test(f, 1, 0.1, np.random.default_rng(3))
-    assert pt.read_count(f) == v.queries
+    assert pt.read_count(f) == v.queries + v.speculative
     assert not v.accepted
 
 
@@ -144,22 +144,82 @@ def test_find_asymmetric_set_rejects_bad_arguments():
 
 
 def test_weight_preserved_along_chain():
+    from psymtest._bits import from_words, random_masks_u64, rearrange_bits_block
     from psymtest.testers import _weight_preserving_chain
 
     rng = np.random.default_rng(8)
-    n = 24
-    for _ in range(50):
-        partition = pt.random_partition(n, 5, rng)
-        w = max(range(partition.r), key=partition.size)
-        x = int(rng.integers(0, 1 << n))
-        jbar_positions = np.array([i for i in range(n)], dtype=np.int64)
-        from psymtest._bits import rearrange_bits
+    for n in (24, 130):
+        for _ in range(50):
+            partition = pt.random_partition(n, 5, rng)
+            w = max(range(partition.r), key=partition.size)
+            xs = random_masks_u64(n, 1, rng)
+            ys = rearrange_bits_block(xs, (1 << n) - 1, rng)
+            x, y = from_words(xs[0]), from_words(ys[0])
+            points, owners = _weight_preserving_chain(x, y, partition, w, [], rng)
+            assert points[0] == x and points[-1] == y
+            assert all(p.bit_count() == x.bit_count() for p in points)
+            assert all(o != w for o in owners)
 
-        y = rearrange_bits(x, (1 << n) - 1, jbar_positions, rng)
-        points, owners = _weight_preserving_chain(x, y, partition, w, [], rng)
-        assert points[0] == x and points[-1] == y
-        assert all(p.bit_count() == x.bit_count() for p in points)
-        assert all(o != w for o in owners)
+
+@pytest.mark.parametrize("n", [65, 128, 256])
+def test_testers_past_one_word(n):
+    g = np.random.default_rng(n)
+    and2 = random_junta(n, 2, (3, n - 1), [0, 0, 0, 1])
+    parity6 = pt.KLinear(n, [int(i) for i in g.choice(n, 6, replace=False)])
+    core6 = pt.random_core_spec(n, 6, g)
+    seeds = 20
+
+    def accepted(tester, f):
+        return sum(tester(f, 2, 0.1, np.random.default_rng(s)).accepted for s in range(seeds))
+
+    assert accepted(pt.junta_test, and2) == seeds
+    assert accepted(pt.junta_test, parity6) <= 0.4 * seeds
+    assert accepted(pt.partially_symmetric_test, strong_core_spec(n)) >= 0.6 * seeds
+    assert accepted(pt.partially_symmetric_test, core6) <= 0.4 * seeds
+
+
+class _Log(pt.BooleanFunction):
+    """Keeps every batch of answers and counts single queries."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n)
+        self.inner = inner
+        self.batches = []
+        self.single = 0
+
+    def _eval(self, x):
+        self.single += 1
+        return self.inner(x)
+
+    def eval_many(self, xs):
+        ys = self.inner.eval_many(xs)
+        self.batches.append(np.asarray(ys))
+        return ys
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_verdicts_count_pairs_up_to_each_first_flip(n):
+    # Batches come in (x-ends, partner-ends) pairs, one pair per block; the
+    # pairs after a block's first flip are speculative, localization queries
+    # are single calls.
+    g = np.random.default_rng(n)
+    cases = [
+        (pt.junta_test, pt.KLinear(n, [int(i) for i in g.choice(n, 6, replace=False)])),
+        (pt.junta_test, random_junta(n, 2, (0, n - 1), [0, 1, 1, 0])),
+        (pt.partially_symmetric_test, pt.random_core_spec(n, 6, g)),
+        (pt.partially_symmetric_test, strong_core_spec(n)),
+    ]
+    for tester, f in cases:
+        for s in range(5):
+            log = _Log(f)
+            counted = pt.counting_oracle(log)
+            v = tester(counted, 2, 0.1, np.random.default_rng(s))
+            pairs = 0
+            for fx, fy in zip(log.batches[0::2], log.batches[1::2]):
+                flips = np.flatnonzero(fx != fy)
+                pairs += flips[0] + 1 if len(flips) else len(fx)
+            assert v.queries == 2 * pairs + log.single
+            assert pt.read_count(counted) == v.queries + v.speculative
 
 
 def test_psym_accepts_symmetric_profile():
@@ -207,7 +267,7 @@ def test_psym_queries_match_counting_oracle_and_bound():
     f = pt.counting_oracle(strong_core_spec(64))
     cfg = pt.TesterConfig()
     v = pt.partially_symmetric_test(f, 2, 0.1, np.random.default_rng(11), cfg=cfg)
-    assert pt.read_count(f) == v.queries
+    assert pt.read_count(f) == v.queries + v.speculative
     rounds = ceil(cfg.c_iters * 2 / 0.1)
     bound = psym_query_bound(rounds, v.partition.r, 64, v.partition.size(v.workspace))
     assert v.queries <= bound
