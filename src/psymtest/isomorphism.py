@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, PartiallySymmetricCore
+from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
 from .sampling import CoreSample, draw_core_samples_batch, handle_from_verdict
 from .testers import (
     TesterConfig,
@@ -117,17 +117,18 @@ def iso_test(
     if k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
     cfg = cfg or TesterConfig()
-    inner = partially_symmetric_test(g, k, eps / 1000, rng, cfg=cfg)
+    gg = CountingFunction(g)
+    inner = partially_symmetric_test(gg, k, eps / 1000, rng, cfg=cfg)
     if not inner.accepted:
         return replace(inner, failure_reason=inner.failure_reason or "not_partially_symmetric")
-    handle = handle_from_verdict(g, inner, k)
+    handle = handle_from_verdict(gg, inner, k)
     q = iso_sample_budget(k, eps, cfg)
     xs, ws, zs = draw_core_samples_batch(handle, q, rng)
     _, frac = _best_assignment_arrays(xs, ws, zs, f_spec)
     accepted = frac >= 1 - Fraction(eps) / 2
 
-    # one query per core sample
-    queries = inner.queries + q
+    # every evaluation of g but the psym stage's speculative ones
+    queries = gg.count - inner.speculative
     budget = q + psym_query_bound(
         _rounds(cfg, k, eps / 1000),
         inner.partition.r,

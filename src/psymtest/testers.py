@@ -32,6 +32,7 @@ from ._bits import (
     from_words,
     indices_of,
     random_masks_u64,
+    rearrange_bits,
     rearrange_bits_block,
     to_words,
 )
@@ -425,15 +426,15 @@ def find_asymmetric_set(
     n = f.n
     if 2 * partition.r * partition.size(workspace) < n:
         raise ValueError("workspace too small (needs |W| >= n / (2r))")
-    j_mask = 0
+    jbar_mask = (1 << n) - 1
     for p in j_parts:
-        j_mask |= partition.parts[p]
-    jbar_mask = ((1 << n) - 1) ^ j_mask
-    xs, ys, fx, fy = _pair_block(f, 1, lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng)
-    if fx[0] == fy[0]:
+        jbar_mask &= ~partition.parts[p]
+    x = from_words(random_masks_u64(n, 1, rng)[0])
+    y = rearrange_bits(x, jbar_mask, rng)
+    fx = f(x)
+    if f(y) == fx:
         return None
-    x, y = from_words(xs[0]), from_words(ys[0])
-    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, int(fx[0]), rng)
+    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, fx, rng)
 
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
@@ -447,13 +448,6 @@ def psym_query_bound(rounds: int, r: int, n: int, w_size: int) -> int:
     a binary search over at most r + 4n/|W| chunks."""
     t_bound = max(2, r + ceil(4 * n / w_size))
     return rounds * (2 + ceil(log2(t_bound)))
-
-
-def _check_psym_sizing(n: int, k: int) -> None:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k >= n / 2:
-        raise ValueError(f"k = {k} too large for n = {n} (need k < n/2)")
 
 
 def partially_symmetric_test(
@@ -474,7 +468,10 @@ def partially_symmetric_test(
     """
     cfg = cfg or TesterConfig()
     n = f.n
-    _check_psym_sizing(n, k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k >= n / 2:
+        raise ValueError(f"k = {k} too large for n = {n} (need k < n/2)")
     _check_eps(eps)
     r = psym_partition_size(n, k, eps, cfg)
     partition = random_partition(n, r, rng)

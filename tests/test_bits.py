@@ -13,6 +13,7 @@ from psymtest._bits import (
     from_words,
     mask_from_indices,
     random_masks_u64,
+    rearrange_bits,
     rearrange_bits_block,
     to_words,
 )
@@ -111,6 +112,17 @@ def test_block_rows_are_independent():
     idx = np.array([cells[int(v)] for v in ys])
     counts = np.bincount(6 * idx[0::2] + idx[1::2], minlength=36)
     assert stats.chisquare(counts).pvalue > P_MIN
+
+
+@pytest.mark.parametrize("mask", [GAPPED6, GAPPED6_N128, GAPPED40_N256])
+def test_one_point_rearrangement_is_a_one_row_block(mask):
+    n = _n(mask)
+    for seed in range(20):
+        x = from_words(random_masks_u64(n, 1, np.random.default_rng(seed))[0])
+        y = rearrange_bits(x, mask, np.random.default_rng(seed + 100))
+        row = rearrange_bits_block(to_words(x, n // 64)[None, :], mask, np.random.default_rng(seed + 100))
+        assert y == from_words(row[0])
+        assert y & ~mask == x & ~mask and y.bit_count() == x.bit_count()
 
 
 def test_pool_path_spreads_bits_over_all_64_slots():

@@ -155,6 +155,27 @@ def test_iso_query_budget_check_raises(monkeypatch):
         pt.iso_test(f, f, eps, np.random.default_rng(0))
 
 
+def test_iso_budget_check_measures_the_sampling_stage(monkeypatch):
+    # with the psym allowance set to what the psym stage used, the budget is
+    # met exactly; one extra oracle read in the sampling stage overruns it
+    f = strong_core_spec(12)
+    eps = 0.5
+    q = iso_sample_budget(2, eps, TesterConfig())
+    v = pt.iso_test(f, f, eps, np.random.default_rng(0))
+    assert v.accepted
+    monkeypatch.setattr(isomorphism, "psym_query_bound", lambda *args: v.queries - q)
+    assert pt.iso_test(f, f, eps, np.random.default_rng(0)).queries == v.queries
+    draw = isomorphism.draw_core_samples_batch
+
+    def one_extra_read(handle, count, rng):
+        handle.f(0)
+        return draw(handle, count, rng)
+
+    monkeypatch.setattr(isomorphism, "draw_core_samples_batch", one_extra_read)
+    with pytest.raises(RuntimeError, match=f"query count {v.queries + 1} exceeds budget {v.queries}$"):
+        pt.iso_test(f, f, eps, np.random.default_rng(0))
+
+
 def test_iso_relabeling_invariance_of_acceptance_rate():
     f = strong_core_spec(16)
     g1 = pt.apply_permutation(f, pt.Permutation.random(16, np.random.default_rng(11)))
