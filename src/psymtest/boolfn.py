@@ -385,7 +385,10 @@ def random_function(n: int, rng: np.random.Generator) -> TruthTable:
 
 
 def random_core_spec(n: int, k: int, rng: np.random.Generator) -> PartiallySymmetricCore:
-    """Uniformly random (n-k)-symmetric function in core form."""
+    """Uniformly random (n-k)-symmetric function in core form; the core's
+    2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N."""
+    if 0 <= k <= n and (n - k + 1) << k > 1 << MAX_DENSE_N:
+        raise ValueError(f"a core of 2^{k} x {n - k + 1} entries exceeds 2^{MAX_DENSE_N}")
     asym = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
     core = rng.integers(0, 2, size=(1 << k, n - k + 1), dtype=np.uint8)
     return PartiallySymmetricCore(n, k, asym, core)

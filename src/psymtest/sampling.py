@@ -5,6 +5,12 @@ independent Binomial(n - k, 1/2) weight.  The constrained input law draws a
 binomial Hamming weight and then a uniform point among those whose
 non-workspace parts are each constant; one query at such a point yields a
 core triplet whose marginal approaches the reference law.
+
+A handle keeps one exact subset-sum table for its (partition, workspace):
+it counts the valid points of each weight in at most |W| + 1 terms, and a
+draw unranks one uniform rank among them.  When every non-workspace part
+is a singleton the law is uniform on the cube, so a batch is one block of
+uniform words at any n.  Either way a batch is one ``eval_many`` call.
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._bits import popcount_u64, random_mask, random_masks_u64, randrange_bigint
+from ._bits import block_points, block_weights, random_mask, random_masks_u64, randrange_bigint
 from .boolfn import BooleanFunction
 from .testers import Partition, TesterConfig, TestVerdict, partially_symmetric_test
 
@@ -72,12 +78,6 @@ def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def _nonempty_others(partition: Partition, workspace: int) -> list[int]:
-    return [
-        p for p in range(partition.r) if p != workspace and partition.parts[p]
-    ]
-
-
 def _suffix_ways(sizes: Sequence[int]) -> list[list[int]]:
     """suffix[i][s] counts 0/1 choices for parts i.. with total size s."""
     total = sum(sizes)
@@ -92,104 +92,94 @@ def _suffix_ways(sizes: Sequence[int]) -> list[list[int]]:
     return suffix
 
 
-def count_valid(partition: Partition, workspace: int, w: int) -> int:
-    """Number of weight-w points whose non-workspace parts are all constant.
+class _SubsetSumTable:
+    """Exact counts, by weight, of the points whose non-workspace parts are
+    each constant, for one (partition, workspace), and the walk that turns
+    a rank among them back into a point.
 
-    Sums, over subset-sum values s of the non-workspace part sizes, the ways
-    to reach s times the workspace completions choose(|W|, w - s).
+    A weight-w valid point is a choice of nonempty non-workspace parts set
+    to 1, of total size s, plus a weight-(w - s) fill of the workspace W:
+    ``suffix`` counts the choices and ``wcomb[t]`` = C(|W|, t) the fills.
     """
+
+    def __init__(self, partition: Partition, workspace: int):
+        if not 0 <= workspace < partition.r:
+            raise ValueError("workspace is not a part index")
+        self.partition = partition
+        self.others = [
+            p for p in range(partition.r) if p != workspace and partition.parts[p]
+        ]
+        self.sizes = [partition.size(p) for p in self.others]
+        self.suffix = _suffix_ways(self.sizes)
+        self.wcomb = [comb(partition.size(workspace), t) for t in range(partition.size(workspace) + 1)]
+        self.fill_positions = partition.positions(workspace)
+        # binomial weight + uniform valid point collapses to a uniform point
+        self.uniform = all(size == 1 for size in self.sizes)
+
+    def _by_sum(self, w: int) -> Iterator[tuple[int, int]]:
+        """(s, number of valid weight-w points whose choice sums to s)."""
+        ways = self.suffix[0]
+        for s in range(max(0, w - len(self.wcomb) + 1), min(w, len(ways) - 1) + 1):
+            yield s, ways[s] * self.wcomb[w - s]
+
+    def count(self, w: int) -> int:
+        return sum(c for _, c in self._by_sum(w))
+
+    def unrank(self, w: int, u: int) -> tuple[int, int]:
+        """The choice of the u-th valid weight-w point, u in [0, count(w)),
+        as (mask of the chosen part indices, mask of their positions).
+
+        Ranks run through the sums s in order, each choice of sum s taking
+        C(|W|, w - s) consecutive ranks, one per workspace fill.
+        """
+        for s, c in self._by_sum(w):
+            if u < c:
+                break
+            u -= c
+        else:
+            raise ValueError(f"rank outside 0..count({w}) - 1")
+        v = u // self.wcomb[w - s]
+        chosen = y = 0
+        for i, part in enumerate(self.others):
+            skip = self.suffix[i + 1][s]
+            if v >= skip:
+                v -= skip
+                s -= self.sizes[i]
+                chosen |= 1 << part
+                y |= self.partition.parts[part]
+        if s or v:
+            raise RuntimeError("subset walk ended off its rank")
+        return chosen, y
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
+        """A point of the constrained law and its chosen-part mask."""
+        return self.point(int(rng.binomial(self.partition.n, 0.5)), rng)
+
+    def point(self, w: int, rng: np.random.Generator) -> tuple[int, int]:
+        """Uniform valid weight-w point from one uniform rank (the all-zeros
+        point when there is none) and its chosen-part mask."""
+        total = self.count(w)
+        if total == 0:
+            return 0, 0
+        chosen, y = self.unrank(w, randrange_bigint(total, rng))
+        fill = w - y.bit_count()
+        if fill:
+            for pos in rng.choice(self.fill_positions, size=fill, replace=False):
+                y |= 1 << int(pos)
+        return y, chosen
+
+
+def count_valid(partition: Partition, workspace: int, w: int) -> int:
+    """Number of weight-w points whose non-workspace parts are all constant."""
     if not 0 <= w <= partition.n:
         raise ValueError("weight outside 0..n")
-    others = _nonempty_others(partition, workspace)
-    sizes = [partition.size(p) for p in others]
-    ways = _suffix_ways(sizes)[0]
-    w_size = partition.size(workspace)
-    total = 0
-    for s, c in enumerate(ways):
-        if c and 0 <= w - s <= w_size:
-            total += c * comb(w_size, w - s)
-    return total
-
-
-def _sample_constrained(
-    partition: Partition, workspace: int, w: int, rng: np.random.Generator
-) -> tuple[int, dict[int, int]]:
-    """Uniform weight-w point with constant non-workspace parts, plus the
-    per-part constants (empty parts get an independent fair bit).
-
-    Falls back to the all-zeros point when no valid point of weight w exists.
-    """
-    others = _nonempty_others(partition, workspace)
-    sizes = [partition.size(p) for p in others]
-    suffix = _suffix_ways(sizes)
-    w_size = partition.size(workspace)
-
-    def completions(level: int, acc: int) -> int:
-        row = suffix[level]
-        return sum(
-            c * comb(w_size, w - acc - s)
-            for s, c in enumerate(row)
-            if c and 0 <= w - acc - s <= w_size
-        )
-
-    choices = {p: 0 for p in range(partition.r) if p != workspace}
-    if completions(0, 0) == 0:
-        return 0, choices
-    y = 0
-    acc = 0
-    for level, part in enumerate(others):
-        w1 = completions(level + 1, acc + sizes[level])
-        w0 = completions(level + 1, acc)
-        pick_one = w1 > 0 and randrange_bigint(w0 + w1, rng) < w1
-        if pick_one:
-            choices[part] = 1
-            acc += sizes[level]
-            y |= partition.parts[part]
-    for part in range(partition.r):
-        if part != workspace and not partition.parts[part]:
-            choices[part] = int(rng.integers(0, 2))
-    fill = w - acc
-    if fill:
-        for pos in rng.choice(partition.positions(workspace), size=fill, replace=False):
-            y |= 1 << int(pos)
-    if y.bit_count() != w:
-        raise RuntimeError(f"constrained point has weight {y.bit_count()}, not {w}")
-    if any((y & partition.parts[p]) not in (0, partition.parts[p]) for p in others):
-        raise RuntimeError("non-workspace part not constant")
-    return y, choices
-
-
-def _singleton_like(partition: Partition, workspace: int) -> bool:
-    return all(
-        partition.size(p) <= 1 for p in range(partition.r) if p != workspace
-    )
-
-
-def _draw_point_choices(
-    partition: Partition, workspace: int, rng: np.random.Generator
-) -> tuple[int, dict[int, int]]:
-    n = partition.n
-    if _singleton_like(partition, workspace):
-        # binomial weight + uniform valid point collapses to a uniform point
-        y = random_mask(n, rng)
-        choices = {}
-        for p in range(partition.r):
-            if p == workspace:
-                continue
-            mask = partition.parts[p]
-            choices[p] = int(bool(y & mask)) if mask else int(rng.integers(0, 2))
-        return y, choices
-    w = int(rng.binomial(n, 0.5))
-    return _sample_constrained(partition, workspace, w, rng)
+    return _SubsetSumTable(partition, workspace).count(w)
 
 
 def sample_diw(partition: Partition, workspace: int, rng: np.random.Generator) -> int:
     """Draw a point with binomial weight, uniform among the valid points of
     that weight; the all-zeros point stands in when none exists."""
-    if not 0 <= workspace < partition.r:
-        raise ValueError("workspace is not a part index")
-    y, _ = _draw_point_choices(partition, workspace, rng)
-    return y
+    return _SubsetSumTable(partition, workspace).draw(rng)[0]
 
 
 @dataclass
@@ -207,16 +197,16 @@ class SamplerHandle:
     k: int
     n: int
     preprocessing_queries: int = 0
-    _singleton: bool = field(init=False, repr=False)
+    _table: _SubsetSumTable = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._table = _SubsetSumTable(self.partition, self.workspace)
         if len(set(self.j_parts)) != self.k:
             raise ValueError("j_parts must be k distinct parts")
         if self.workspace in self.j_parts:
             raise ValueError("workspace cannot be an asymmetric slot")
         if any(not self.partition.parts[p] for p in self.j_parts):
             raise ValueError("asymmetric slots must be nonempty parts")
-        self._singleton = _singleton_like(self.partition, self.workspace)
 
 
 def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> SamplerHandle:
@@ -276,10 +266,12 @@ def build_sampler(
     return handle_from_verdict(f, verdict, k)
 
 
-def _sample_to_core(handle: SamplerHandle, y: int, choices: dict[int, int]) -> tuple[int, int]:
+def _sample_to_core(handle: SamplerHandle, y: int, chosen: int) -> tuple[int, int]:
+    """Slot bits x (bit c is part ``j_parts[c]``'s constant, read off the
+    chosen-part mask) and the symmetric weight |y| - |x|."""
     x = 0
     for c, part in enumerate(handle.j_parts):
-        x |= choices[part] << c
+        x |= ((chosen >> part) & 1) << c
     w = y.bit_count() - x.bit_count()
     if not 0 <= w <= handle.n - handle.k:
         raise RuntimeError(f"symmetric weight {w} outside 0..{handle.n - handle.k}")
@@ -287,61 +279,59 @@ def _sample_to_core(handle: SamplerHandle, y: int, choices: dict[int, int]) -> t
 
 
 def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSample:
-    """One core triplet for one query: draw a constrained point y, read off
-    the slot constants as x, report w = |y| - |x| and z = f(y)."""
-    y, choices = _draw_point_choices(handle.partition, handle.workspace, rng)
-    x, w = _sample_to_core(handle, y, choices)
+    """One core triplet for one query: draw a constrained point y by the
+    table walk, read off the slot constants as x, report w = |y| - |x| and
+    z = f(y)."""
+    y, chosen = handle._table.draw(rng)
+    x, w = _sample_to_core(handle, y, chosen)
     return CoreSample(x, w, int(handle.f(y)))
 
 
-def _singleton_draws(
+def _draw(
     handle: SamplerHandle, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` draws of a singleton-like handle at n <= 64: uniform points
-    y (binomial weight, then uniform among the valid points, is uniform)
-    with their slot bits x and symmetric weights w."""
-    ys = random_masks_u64(handle.n, count, rng)[:, 0]
-    xs = np.zeros(count, dtype=np.int64)
-    for c, part in enumerate(handle.j_parts):
-        pos = int(handle.partition.positions(part)[0])
-        xs |= (((ys >> np.uint64(pos)) & np.uint64(1)) << np.uint64(c)).astype(np.int64)
-    ws = popcount_u64(ys).astype(np.int64) - popcount_u64(xs.astype(np.uint64)).astype(np.int64)
-    return ys, xs, ws
+) -> tuple[np.ndarray | list[int], np.ndarray, np.ndarray]:
+    """``count`` constrained points y, as ``eval_many`` takes them (uint64 at
+    n <= 64, Python ints above), with their slot bits x and weights |y| - |x|.
+
+    A handle whose non-workspace parts are singletons draws one block of
+    uniform points and reads slot bits off their words; any other handle
+    draws each point by the table walk.
+    """
+    table = handle._table
+    if table.uniform:
+        block = random_masks_u64(handle.n, count, rng)
+        xs = np.zeros(count, dtype=np.int64)
+        for c, part in enumerate(handle.j_parts):
+            pos = int(handle.partition.positions(part)[0])
+            xs |= ((block[:, pos // 64] >> np.uint64(pos % 64)) & np.uint64(1)).astype(np.int64) << c
+        ws = block_weights(block).astype(np.int64) - np.bitwise_count(xs)
+        return block_points(block), xs, ws
+    ys, xs, ws = [], [], []
+    for _ in range(count):
+        y, chosen = table.draw(rng)
+        x, w = _sample_to_core(handle, y, chosen)
+        ys.append(y)
+        xs.append(x)
+        ws.append(w)
+    points = np.array(ys, dtype=np.uint64) if handle.n <= 64 else ys
+    return points, np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)
 
 
 def draw_core_samples_batch(
     handle: SamplerHandle, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized equivalent of ``count`` independent draws; still exactly
-    one query per sample."""
-    if handle._singleton and handle.n <= 64:
-        ys, xs, ws = _singleton_draws(handle, count, rng)
-        return xs, ws, handle.f.eval_many(ys).astype(np.int64)
-    xs = np.empty(count, dtype=np.int64)
-    ws = np.empty(count, dtype=np.int64)
-    zs = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        s = draw_core_sample(handle, rng)
-        xs[i], ws[i], zs[i] = s.x, s.w, s.z
-    return xs, ws, zs
+    """``count`` independent core triplets (x, w, z) from one ``eval_many``
+    call; still exactly one query per sample."""
+    ys, xs, ws = _draw(handle, count, rng)
+    return xs, ws, handle.f.eval_many(ys).astype(np.int64)
 
 
 def _marginal_counts(
     handle: SamplerHandle, trials: int, rng: np.random.Generator
 ) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    if handle._singleton and handle.n <= 64:
-        _, xs, ws = _singleton_draws(handle, trials, rng)
-        keys = xs * (handle.n + 1) + ws
-        uniq, cnt = np.unique(keys, return_counts=True)
-        for key, c in zip(uniq, cnt):
-            counts[(int(key) // (handle.n + 1), int(key) % (handle.n + 1))] = int(c)
-        return counts
-    for _ in range(trials):
-        y, choices = _draw_point_choices(handle.partition, handle.workspace, rng)
-        key = _sample_to_core(handle, y, choices)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    _, xs, ws = _draw(handle, trials, rng)
+    keys, counts = np.unique(xs * (handle.n + 1) + ws, return_counts=True)
+    return {divmod(int(key), handle.n + 1): int(c) for key, c in zip(keys, counts)}
 
 
 def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Generator) -> float:
@@ -358,7 +348,6 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
     hi = min(m, int(np.ceil(mean + 6 * sd)))
     counts = _marginal_counts(handle, trials, rng)
     total = 0.0
-    tail_emp = 0
     tail_ref = 1.0
     for x in range(1 << k):
         for w in range(lo, hi + 1):
@@ -374,15 +363,15 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
 def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction]:
     """Exact (x, w) law of the handle's sampler by enumerating the part
     constants; usable while the non-workspace part count stays small."""
-    partition, workspace = handle.partition, handle.workspace
+    partition, table = handle.partition, handle._table
     n = handle.n
-    others = _nonempty_others(partition, workspace)
+    others = table.others
     if len(others) > MAX_ENUMERATION_PARTS:
         raise ValueError("too many parts to enumerate")
     sizes = {p: partition.size(p) for p in others}
     slot_of = {part: c for c, part in enumerate(handle.j_parts)}
-    w_size = partition.size(workspace)
-    valid = {w: count_valid(partition, workspace, w) for w in range(n + 1)}
+    w_size = partition.size(handle.workspace)
+    valid = [table.count(w) for w in range(n + 1)]
 
     mass: dict[tuple[int, int], Fraction] = {}
 

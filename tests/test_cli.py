@@ -107,6 +107,15 @@ def test_experiment_sampler(tmp_path):
     assert float(summary[2]) >= 0.6
 
 
+def test_experiment_oversized_core_exits_2(capsys):
+    code = run_cli(
+        "experiment", "--tester", "sampler", "--fn", "core:n=64,k=40", "--k", "2",
+        "--delta", "0.2", "--eta", "0.2", "--trials", "1", "--seed", "1",
+    )
+    assert code == 2
+    assert "exceeds 2^25" in capsys.readouterr().err
+
+
 def test_lemmas_default_run_passes(capsys):
     assert run_cli("lemmas", "--n-max", "8", "--trials", "60", "--seed", "2") == 0
     report = json.loads(capsys.readouterr().out)

@@ -1,12 +1,15 @@
 import io
+from collections import Counter
+from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
 
 import psymtest as pt
+from psymtest._bits import random_masks_u64
 from psymtest.sampling import (
-    _sample_constrained,
+    _SubsetSumTable,
     _sample_to_core,
     core_marginal_exact,
     draw_core_samples_batch,
@@ -80,8 +83,50 @@ def test_sample_diw_parts_constant_every_draw():
 def test_sample_diw_infeasible_weight_returns_zeros():
     partition = pt.Partition(16, [(1 << 15) - 1, 0x8000])
     rng = np.random.default_rng(5)
-    y, choices = _sample_constrained(partition, 1, 7, rng)
-    assert y == 0 and all(b == 0 for b in choices.values())
+    y, chosen = _SubsetSumTable(partition, 1).point(7, rng)
+    assert y == 0 and chosen == 0
+
+
+@pytest.mark.parametrize("workspace", [-1, 3])
+def test_out_of_range_workspace_is_rejected(workspace):
+    partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
+    f = pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8))
+    with pytest.raises(ValueError, match="workspace is not a part index"):
+        pt.count_valid(partition, workspace, 6)
+    with pytest.raises(ValueError, match="workspace is not a part index"):
+        pt.SamplerHandle(f, partition, workspace, (0,), 1, 6)
+    with pytest.raises(ValueError, match="workspace is not a part index"):
+        pt.sample_diw(partition, workspace, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "partition, workspace, infeasible",
+    [
+        # part 1 is empty
+        (pt.Partition(9, [0b11, 0, 0b11100, 0b111100000]), 3, set()),
+        # two parts of 4 beside a one-slot workspace
+        (pt.Partition(9, [0b1111, 0b11110000, 1 << 8]), 2, {2, 3, 6, 7}),
+    ],
+)
+def test_unranking_every_rank_covers_each_pattern_once_per_fill(partition, workspace, infeasible):
+    table = _SubsetSumTable(partition, workspace)
+    w_size = partition.size(workspace)
+    others = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
+    for w in range(partition.n + 1):
+        total = table.count(w)
+        assert (total == 0) == (w in infeasible)
+        seen = Counter(table.unrank(w, u) for u in range(total))
+        expected = {}
+        for bits in product((0, 1), repeat=len(others)):
+            chosen = sum(b << p for p, b in zip(others, bits))
+            y = sum(partition.parts[p] for p, b in zip(others, bits) if b)
+            t = w - y.bit_count()
+            if 0 <= t <= w_size:
+                expected[(chosen, y)] = comb(w_size, t)
+        assert seen == expected
+        assert total == sum(expected.values())
+        with pytest.raises(ValueError, match="rank outside"):
+            table.unrank(w, total)
 
 
 def test_sample_diw_conditional_uniformity_chi_square():
@@ -100,10 +145,11 @@ def test_sample_diw_conditional_uniformity_chi_square():
         and all((x & m) == 0 or (x & m) == m for m in other_masks)
     ]
     index = {x: i for i, x in enumerate(valid)}
+    table = _SubsetSumTable(partition, w_part)
     draws = 300_000
     counts = np.zeros(len(valid), dtype=np.int64)
     for _ in range(draws):
-        y, _ = _sample_constrained(partition, w_part, w, rng)
+        y, _ = table.point(w, rng)
         counts[index[y]] += 1
     expected = draws / len(valid)
     stat = float(np.sum((counts - expected) ** 2 / expected))
@@ -276,6 +322,72 @@ def test_core_reading_checks_the_weight_it_reports():
     f = strong_core_spec(12)
     partition = pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16])
     handle = pt.SamplerHandle(f, partition, 2, (0, 1), 2, 12)
-    assert _sample_to_core(handle, 0b0011, {0: 1, 1: 0}) == (1, 1)
+    assert _sample_to_core(handle, 0b0011, 0b01) == (1, 1)
     with pytest.raises(RuntimeError, match="symmetric weight -2"):
-        _sample_to_core(handle, 0, {0: 1, 1: 1})
+        _sample_to_core(handle, 0, 0b11)
+
+
+class _BatchRecorder(pt.BooleanFunction):
+    """Keeps every batch of points it is asked; scalar queries are an error."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n)
+        self.inner = inner
+        self.batches = []
+
+    def _eval(self, x):
+        raise AssertionError("the batch sampler made a scalar query")
+
+    def eval_many(self, xs):
+        self.batches.append([int(v) for v in xs])
+        return self.inner.eval_many(xs)
+
+
+@pytest.mark.parametrize("n", [65, 130])
+def test_singleton_batches_past_one_word_read_off_their_queries(n):
+    # slots in the top word and past the first, an empty part, and a
+    # workspace spread over all words
+    slots = [1 << (n - 1), 1 << 63, 1 << (n // 2)]
+    parts = slots + [0, ((1 << n) - 1) ^ sum(slots)]
+    partition = pt.Partition(n, parts)
+    rec = _BatchRecorder(pt.KLinear(n, [0, n - 1, 63]))
+    handle = pt.SamplerHandle(rec, partition, 4, (0, 1, 2), 3, n)
+    xs, ws, zs = draw_core_samples_batch(handle, 2000, np.random.default_rng(23))
+    assert len(rec.batches) == 1 and len(rec.batches[0]) == 2000
+    for y, x, w, z in zip(rec.batches[0], xs, ws, zs):
+        bits = [int(y & m == m) for m in slots]
+        assert x == sum(b << c for c, b in enumerate(bits))
+        assert w == y.bit_count() - sum(bits)
+        assert z == ((y & 1) ^ bits[0] ^ bits[1])
+    assert abs(ws.mean() - (n - 3) / 2) < 4 * np.sqrt((n - 3) / 4 / 2000)
+    assert set(xs.tolist()) == set(range(8))
+
+
+def test_singleton_batch_at_one_word_is_the_uniform_mask_stream():
+    f = strong_core_spec(64)
+    partition = pt.Partition(64, [1 << 5, 1 << 11, ((1 << 64) - 1) ^ (1 << 5) ^ (1 << 11)])
+    handle = pt.SamplerHandle(f, partition, 2, (1, 0), 2, 64)
+    xs, ws, zs = draw_core_samples_batch(handle, 3000, np.random.default_rng(24))
+    ys = random_masks_u64(64, 3000, np.random.default_rng(24))[:, 0]
+    x_ref = ((ys >> np.uint64(11)) & np.uint64(1)) | (((ys >> np.uint64(5)) & np.uint64(1)) << np.uint64(1))
+    assert (xs == x_ref.astype(np.int64)).all()
+    assert (ws == np.bitwise_count(ys).astype(np.int64) - np.bitwise_count(x_ref)).all()
+    assert (zs == f.eval_many(ys)).all()
+
+
+def test_general_batch_is_one_query_call():
+    rng = np.random.default_rng(25)
+    partition = pt.random_partition(64, 9, rng)
+    w_part = max(range(partition.r), key=partition.size)
+    slots = [p for p in range(partition.r) if p != w_part and partition.parts[p]][:1]
+    rec = _BatchRecorder(pt.SymmetricProfile(64, (np.arange(65) % 3 == 0).astype(np.uint8)))
+    handle = pt.SamplerHandle(rec, partition, w_part, tuple(slots), 1, 64)
+    xs, ws, zs = draw_core_samples_batch(handle, 300, rng)
+    assert len(rec.batches) == 1 and len(rec.batches[0]) == 300
+    for y, x, w, z in zip(rec.batches[0], xs, ws, zs):
+        assert x == int(y & partition.parts[slots[0]] == partition.parts[slots[0]])
+        assert w == y.bit_count() - x
+        assert z == int(y.bit_count() % 3 == 0)
+        for p in range(partition.r):
+            m = partition.parts[p]
+            assert p == w_part or y & m in (0, m)
