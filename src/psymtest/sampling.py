@@ -106,12 +106,11 @@ class _SubsetSumTable:
         if not 0 <= workspace < partition.r:
             raise ValueError("workspace is not a part index")
         self.partition = partition
-        self.others = [
-            p for p in range(partition.r) if p != workspace and partition.parts[p]
-        ]
+        self.others = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
         self.sizes = [partition.size(p) for p in self.others]
         self.suffix = _suffix_ways(self.sizes)
-        self.wcomb = [comb(partition.size(workspace), t) for t in range(partition.size(workspace) + 1)]
+        w_size = partition.size(workspace)
+        self.wcomb = [comb(w_size, t) for t in range(w_size + 1)]
         self.fill_positions = partition.positions(workspace)
         # binomial weight + uniform valid point collapses to a uniform point
         self.uniform = all(size == 1 for size in self.sizes)

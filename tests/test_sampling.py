@@ -369,7 +369,9 @@ def test_singleton_batch_at_one_word_is_the_uniform_mask_stream():
     handle = pt.SamplerHandle(f, partition, 2, (1, 0), 2, 64)
     xs, ws, zs = draw_core_samples_batch(handle, 3000, np.random.default_rng(24))
     ys = random_masks_u64(64, 3000, np.random.default_rng(24))[:, 0]
-    x_ref = ((ys >> np.uint64(11)) & np.uint64(1)) | (((ys >> np.uint64(5)) & np.uint64(1)) << np.uint64(1))
+    # slot 0 is the part at bit 11, slot 1 the part at bit 5
+    bit11, bit5 = ((ys >> np.uint64(b)) & np.uint64(1) for b in (11, 5))
+    x_ref = bit11 | (bit5 << np.uint64(1))
     assert (xs == x_ref.astype(np.int64)).all()
     assert (ws == np.bitwise_count(ys).astype(np.int64) - np.bitwise_count(x_ref)).all()
     assert (zs == f.eval_many(ys)).all()
