@@ -2,11 +2,15 @@
 
 Every function is a total map {0,1}^n -> {0,1} queried at integer masks
 (variable i is bit i, variable 0 least significant, so a mask is also the
-truth-table index of the point).  Dense truth tables are capped at n <= 25;
-larger n must use one of the structured kinds.  All functions are immutable
-after construction and safe to query concurrently; the counting wrapper's
-counter is the single mutable spot and needs external synchronization if
-shared across threads.
+truth-table index of the point).  ``eval_many`` takes a batch of points in
+one of two forms: a 1-D uint64 array at n <= 64, or a sequence of ints at
+any n.  It range-checks the batch as ``__call__`` does and turns it into a
+(b, ceil(n/64)) uint64 word block, and every structured kind evaluates that
+block with array operations at every n.  Dense truth tables are capped at
+n <= 25; larger n must use one of the structured kinds.  All functions are
+immutable after construction and safe to query concurrently; the counting
+wrapper's counter is the single mutable spot and needs external
+synchronization if shared across threads.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import numpy as np
 
 from ._bits import (
     bits_to_hex,
+    block_points,
+    block_weights,
     hex_to_bits,
     indices_of,
     mask_from_indices,
-    popcount_u64,
+    to_words,
 )
 
 MAX_DENSE_N = 25
@@ -79,29 +85,28 @@ class Permutation:
         return y
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        """``apply`` over a uint64 array (n <= 64), one table lookup per byte.
+        """``apply`` over a (b, ceil(n/64)) uint64 word block, one table
+        lookup per byte; returns a block of the same shape.
 
-        Row j of the cached table maps a byte value v to the image of the
-        point v << 8j, so a point's image is the OR of its bytes' images.
+        Entry [j, v] of the cached tables holds the words of the image of
+        the point v << 8j, so a point's image is the OR of its bytes' images.
         """
         if self._tables is None:
             self._tables = self._byte_tables()
         xs = np.ascontiguousarray(xs, dtype="<u8")
         nbytes = len(self._tables)
-        parts = xs.view(np.uint8).reshape(len(xs), 8)[:, :nbytes]
-        ys = np.take(self._tables[0], parts[:, 0])
+        parts = xs.view(np.uint8).reshape(xs.shape[0], 8 * xs.shape[1])[:, :nbytes]
+        ys = np.take(self._tables[0], parts[:, 0], axis=0)
         for j in range(1, nbytes):
-            ys |= np.take(self._tables[j], parts[:, j])
+            ys |= np.take(self._tables[j], parts[:, j], axis=0)
         return ys
 
     def _byte_tables(self) -> np.ndarray:
         n = len(self.mapping)
-        if n > 64:
-            raise ValueError("vectorized permutation needs n <= 64")
         v = np.arange(256, dtype=np.uint64)
-        tables = np.zeros(((n + 7) // 8, 256), dtype=np.uint64)
+        tables = np.zeros(((n + 7) // 8, 256, (n + 63) // 64), dtype=np.uint64)
         for i, d in enumerate(self.mapping):
-            tables[i // 8] |= ((v >> np.uint64(i % 8)) & np.uint64(1)) << np.uint64(d)
+            tables[i // 8, :, d // 64] |= ((v >> np.uint64(i % 8)) & np.uint64(1)) << np.uint64(d % 64)
         return tables
 
     def inverse(self) -> "Permutation":
@@ -143,24 +148,42 @@ class BooleanFunction:
     def _eval(self, x: int) -> int:
         raise NotImplementedError
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of masks; one query is counted per element."""
+    def eval_many(self, xs) -> np.ndarray:
+        """Evaluate a batch of points, a uint64 array (n <= 64) or a sequence
+        of ints (any n); one query is counted per element."""
         return np.fromiter((self(int(v)) for v in xs), dtype=np.uint8, count=len(xs))
 
-    def _points(self, xs) -> np.ndarray:
-        """``xs`` as a uint64 array, range-checked as in ``__call__`` (n <= 64).
+    def _block(self, xs) -> np.ndarray:
+        """``xs`` as a (b, ceil(n/64)) uint64 word block, range-checked as
+        in ``__call__``.
 
-        At n = 64 every uint64 is a point, so the hot path makes no pass.
+        At n <= 64 the block is a view of the uint64 array, checked by one
+        ``max`` pass (none at n = 64, where every uint64 is a point).  Above,
+        the ints go through one bytes pass and the top word is checked
+        against n % 64.
         """
+        n = self.n
+        if n <= 64:
+            try:
+                xs = np.asarray(xs, dtype=np.uint64)
+            except OverflowError:
+                raise ValueError(f"points outside {{0,1}}^{n}") from None
+            if n < 64 and len(xs):
+                top = int(xs.max())
+                if top >> n:
+                    raise ValueError(f"point {top} outside {{0,1}}^{n}")
+            return xs[:, None]
+        width = (n + 63) // 64
         try:
-            xs = np.asarray(xs, dtype=np.uint64)
+            raw = b"".join([x.to_bytes(8 * width, "little") for x in map(int, xs)])
         except OverflowError:
-            raise ValueError(f"points outside {{0,1}}^{self.n}") from None
-        if self.n < 64 and len(xs):
-            top = int(xs.max())
-            if top >> self.n:
-                raise ValueError(f"point {top} outside {{0,1}}^{self.n}")
-        return xs
+            raise ValueError(f"points outside {{0,1}}^{n}") from None
+        block = np.frombuffer(raw, dtype="<u8").reshape(len(xs), width)
+        if n % 64 and len(xs):
+            top = int(block[:, -1].max())
+            if top >> (n % 64):
+                raise ValueError(f"point with top word {top} outside {{0,1}}^{n}")
+        return block
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         """Lazy g with g(x) = f(pi x); no table is materialized."""
@@ -192,8 +215,8 @@ class TruthTable(BooleanFunction):
     def _eval(self, x: int) -> int:
         return int(self.table[x])
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return self.table[self._points(xs)]
+    def eval_many(self, xs) -> np.ndarray:
+        return self.table[self._block(xs)[:, 0]]
 
     def truth_table(self) -> np.ndarray:
         return self.table
@@ -211,14 +234,13 @@ class KLinear(BooleanFunction):
             raise ValueError("indices must be distinct and in range(n)")
         self.indices = idx
         self.mask = mask_from_indices(idx)
+        self._mask_words = to_words(self.mask, (n + 63) // 64)
 
     def _eval(self, x: int) -> int:
         return (x & self.mask).bit_count() & 1
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.n <= 64:
-            return (popcount_u64(self._points(xs) & np.uint64(self.mask)) & np.uint64(1)).astype(np.uint8)
-        return super().eval_many(xs)
+    def eval_many(self, xs) -> np.ndarray:
+        return (block_weights(self._block(xs) & self._mask_words) & 1).astype(np.uint8)
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         inv = pi.inverse().mapping
@@ -243,10 +265,8 @@ class SymmetricProfile(BooleanFunction):
     def _eval(self, x: int) -> int:
         return int(self.profile[x.bit_count()])
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.n <= 64:
-            return self.profile[popcount_u64(self._points(xs)).astype(np.int64)]
-        return super().eval_many(xs)
+    def eval_many(self, xs) -> np.ndarray:
+        return self.profile[block_weights(self._block(xs))]
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         # weight is permutation-invariant
@@ -283,6 +303,7 @@ class PartiallySymmetricCore(BooleanFunction):
         self.core.flags.writeable = False
         self.asym_mask = mask_from_indices(asym)
         self.sym_mask = ((1 << n) - 1) ^ self.asym_mask
+        self._sym_words = to_words(self.sym_mask, (n + 63) // 64)
 
     def core_eval(self, x: int, w: int) -> int:
         """Value of the core at asymmetric values ``x`` and symmetric weight ``w``."""
@@ -298,15 +319,12 @@ class PartiallySymmetricCore(BooleanFunction):
             xc |= ((x >> a) & 1) << c
         return int(self.core[xc, (x & self.sym_mask).bit_count()])
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.n > 64:
-            return super().eval_many(xs)
-        xs = self._points(xs)
+    def eval_many(self, xs) -> np.ndarray:
+        xs = self._block(xs)
         xc = np.zeros(len(xs), dtype=np.uint64)
         for c, a in enumerate(self.asym):
-            xc |= ((xs >> np.uint64(a)) & np.uint64(1)) << np.uint64(c)
-        w = popcount_u64(xs & np.uint64(self.sym_mask))
-        return self.core[xc.astype(np.int64), w.astype(np.int64)]
+            xc |= ((xs[:, a // 64] >> np.uint64(a % 64)) & np.uint64(1)) << np.uint64(c)
+        return self.core[xc.astype(np.int64), block_weights(xs & self._sym_words)]
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         # g(x) = f(pi x) reads asymmetric value c at pi^{-1}(asym[c])
@@ -329,10 +347,9 @@ class Permuted(BooleanFunction):
     def _eval(self, x: int) -> int:
         return self.inner(self.pi.apply(x))
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.n <= 64:
-            return self.inner.eval_many(self.pi.apply_many(self._points(xs)))
-        return super().eval_many(xs)
+    def eval_many(self, xs) -> np.ndarray:
+        # the inner function gets the public form, so wrappers see every query
+        return self.inner.eval_many(block_points(self.pi.apply_many(self._block(xs))))
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         return Permuted(self.inner, self.pi.compose(pi))
@@ -352,7 +369,7 @@ class CountingFunction(BooleanFunction):
         self.count += 1
         return self.inner(x)
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+    def eval_many(self, xs) -> np.ndarray:
         ys = self.inner.eval_many(xs)
         self.count += len(xs)
         return ys

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boolfn, influence, isomorphism, oracle, sampling, testers
+from ._bits import block_points, random_masks_u64
 
 _EXACT_INFLUENCE_N = influence.MAX_EXACT_INFLUENCE_N
 _EXACT_SYMINF_N = influence.MAX_EXACT_SYMINF_N
@@ -369,8 +370,6 @@ def brute_iso_once(
     if g.n != n:
         raise ValueError("dimension mismatch")
     q = ceil(2 * n * log2(n + 1) / eps)
-    from ._bits import block_points, random_masks_u64
-
     pts = block_points(random_masks_u64(n, q, rng))
     gv = g.eval_many(pts)
     if isinstance(f, boolfn.PartiallySymmetricCore):

@@ -44,12 +44,13 @@ def _layer_keys(n: int, j_mask: int) -> np.ndarray:
     return (z * np.uint64(n + 1) + w).astype(np.int64)
 
 
-def _layer_counts(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-layer sizes and ones-counts for a 0/1 table."""
-    _, inv = np.unique(keys, return_inverse=True)
+def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer index of every point, then per-layer sizes and ones-counts,
+    for a 0/1 table."""
+    _, inv = np.unique(_layer_keys(n, j_mask), return_inverse=True)
     sizes = np.bincount(inv)
     ones = np.bincount(inv[table.astype(bool)], minlength=len(sizes))
-    return sizes, ones
+    return inv, sizes, ones
 
 
 def _pair_disagreement(sizes: np.ndarray, ones: np.ndarray, n: int) -> Fraction:
@@ -123,7 +124,7 @@ def symmetric_influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fra
     if j_mask.bit_count() <= 1:
         return Fraction(0)
     table = f.truth_table()
-    sizes, ones = _layer_counts(table, _layer_keys(f.n, j_mask))
+    _, sizes, ones = _layer_counts(table, f.n, j_mask)
     return _pair_disagreement(sizes, ones, f.n)
 
 
@@ -149,7 +150,7 @@ def symmetric_distance(f: BooleanFunction, members: Iterable[int]) -> Fraction:
 
 
 def _symmetric_distance_table(table: np.ndarray, n: int, j_mask: int) -> Fraction:
-    sizes, ones = _layer_counts(table, _layer_keys(n, j_mask))
+    _, sizes, ones = _layer_counts(table, n, j_mask)
     flips = int(np.sum(np.minimum(ones, sizes - ones)))
     return Fraction(flips, 1 << n)
 
@@ -163,11 +164,7 @@ def closest_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> TruthTabl
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"closest J-symmetric construction is capped at n <= {MAX_EXACT_SYMINF_N}")
     j_mask = _as_mask(f, members)
-    table = f.truth_table()
-    keys = _layer_keys(f.n, j_mask)
-    _, inv = np.unique(keys, return_inverse=True)
-    sizes = np.bincount(inv)
-    ones = np.bincount(inv[table.astype(bool)], minlength=len(sizes))
+    inv, sizes, ones = _layer_counts(f.truth_table(), f.n, j_mask)
     majority = (2 * ones > sizes).astype(np.uint8)
     return TruthTable(f.n, majority[inv])
 
@@ -231,7 +228,7 @@ def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> F
     counts = np.bincount(inv)
     expected = np.array([comb(j, int(u % (j + 1))) for u in uniq])
     if not np.array_equal(counts, expected):
-        raise AssertionError("orbit sizes disagree with binomial counts")
+        raise RuntimeError("orbit sizes disagree with binomial counts")
     sums = np.bincount(inv, weights=raw).astype(np.int64)
     sums_sq = np.bincount(inv, weights=raw.astype(np.float64) ** 2).astype(np.int64)
     total = Fraction(0)

@@ -107,7 +107,9 @@ def iso_test(
 
     Runs the partial-symmetry test on g at accuracy eps/1000; on acceptance,
     draws the sample budget through the frozen handle and accepts iff some
-    assignment reaches consistency at least 1 - eps/2 (ties accept).
+    assignment reaches consistency at least 1 - eps/2 (ties accept).  A
+    rejection by the first stage reports ``"workspace"`` or
+    ``"not_partially_symmetric"``, one by the second ``"core_mismatch"``.
     """
     if f_spec.n != g.n:
         raise ValueError("dimension mismatch")
@@ -120,7 +122,8 @@ def iso_test(
     gg = CountingFunction(g)
     inner = partially_symmetric_test(gg, k, eps / 1000, rng, cfg=cfg)
     if not inner.accepted:
-        return replace(inner, failure_reason=inner.failure_reason or "not_partially_symmetric")
+        reason = "workspace" if inner.failure_reason == "workspace" else "not_partially_symmetric"
+        return replace(inner, failure_reason=reason)
     handle = handle_from_verdict(gg, inner, k)
     q = iso_sample_budget(k, eps, cfg)
     xs, ws, zs = draw_core_samples_batch(handle, q, rng)

@@ -111,7 +111,7 @@ class _SubsetSumTable:
         self.suffix = _suffix_ways(self.sizes)
         w_size = partition.size(workspace)
         self.wcomb = [comb(w_size, t) for t in range(w_size + 1)]
-        self.fill_positions = partition.positions(workspace)
+        self.fill_bits = [1 << int(pos) for pos in partition.positions(workspace)]
         # binomial weight + uniform valid point collapses to a uniform point
         self.uniform = all(size == 1 for size in self.sizes)
 
@@ -125,11 +125,13 @@ class _SubsetSumTable:
         return sum(c for _, c in self._by_sum(w))
 
     def unrank(self, w: int, u: int) -> tuple[int, int]:
-        """The choice of the u-th valid weight-w point, u in [0, count(w)),
-        as (mask of the chosen part indices, mask of their positions).
+        """The u-th valid weight-w point, u in [0, count(w)), and its
+        chosen-part mask.
 
         Ranks run through the sums s in order, each choice of sum s taking
-        C(|W|, w - s) consecutive ranks, one per workspace fill.
+        C(|W|, w - s) consecutive ranks, one per workspace fill: the quotient
+        walks the suffix table to the choice, and the remainder is the fill,
+        a (w - s)-subset of W in the combinatorial number system.
         """
         for s, c in self._by_sum(w):
             if u < c:
@@ -137,7 +139,8 @@ class _SubsetSumTable:
             u -= c
         else:
             raise ValueError(f"rank outside 0..count({w}) - 1")
-        v = u // self.wcomb[w - s]
+        t = w - s
+        v, fill = divmod(u, self.wcomb[t])
         chosen = y = 0
         for i, part in enumerate(self.others):
             skip = self.suffix[i + 1][s]
@@ -146,9 +149,18 @@ class _SubsetSumTable:
                 s -= self.sizes[i]
                 chosen |= 1 << part
                 y |= self.partition.parts[part]
-        if s or v:
-            raise RuntimeError("subset walk ended off its rank")
-        return chosen, y
+        # fill = sum of C(i, j) over the j-th lowest chosen slot i of W
+        i = len(self.fill_bits)
+        while t:
+            i -= 1
+            c = comb(i, t)
+            if fill >= c:
+                fill -= c
+                t -= 1
+                y |= self.fill_bits[i]
+        if s or v or fill:
+            raise RuntimeError("rank walk ended off its rank")
+        return y, chosen
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         """A point of the constrained law and its chosen-part mask."""
@@ -160,12 +172,7 @@ class _SubsetSumTable:
         total = self.count(w)
         if total == 0:
             return 0, 0
-        chosen, y = self.unrank(w, randrange_bigint(total, rng))
-        fill = w - y.bit_count()
-        if fill:
-            for pos in rng.choice(self.fill_positions, size=fill, replace=False):
-                y |= 1 << int(pos)
-        return y, chosen
+        return self.unrank(w, randrange_bigint(total, rng))
 
 
 def count_valid(partition: Partition, workspace: int, w: int) -> int:
@@ -289,8 +296,8 @@ def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSam
 def _draw(
     handle: SamplerHandle, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray | list[int], np.ndarray, np.ndarray]:
-    """``count`` constrained points y, as ``eval_many`` takes them (uint64 at
-    n <= 64, Python ints above), with their slot bits x and weights |y| - |x|.
+    """``count`` constrained points y, as ``eval_many`` takes them, with
+    their slot bits x and weights |y| - |x|.
 
     A handle whose non-workspace parts are singletons draws one block of
     uniform points and reads slot bits off their words; any other handle
@@ -312,8 +319,7 @@ def _draw(
         ys.append(y)
         xs.append(x)
         ws.append(w)
-    points = np.array(ys, dtype=np.uint64) if handle.n <= 64 else ys
-    return points, np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)
+    return ys, np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)
 
 
 def draw_core_samples_batch(

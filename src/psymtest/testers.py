@@ -242,7 +242,8 @@ def junta_test(
 
     Each round rerandomizes the coordinates outside the identified parts and,
     when the value flips, binary-searches the affected part.  Rejects as soon
-    as more than k parts are identified.
+    as more than k parts are identified, with
+    ``failure_reason="too_many_parts"``.
     """
     cfg = cfg or TesterConfig()
     if k < 0:
@@ -255,7 +256,6 @@ def junta_test(
     probe = _Probe(g, k, eps, cfg)
     found: list[int] = []
     jbar_mask = (1 << n) - 1
-    accepted = True
 
     # the partner reads jbar_mask at every block: identified parts stay fixed
     for x, z, fx in probe.hits(lambda xs: _rerandomized(xs, n, jbar_mask, rng), rng):
@@ -267,11 +267,11 @@ def junta_test(
         found.append(part)
         jbar_mask ^= partition.parts[part]
         if len(found) > k:
-            accepted = False
             break
 
     spec = probe.speculative
-    return TestVerdict(accepted, g.count - spec, found, partition, speculative=spec)
+    reason = None if len(found) <= k else "too_many_parts"
+    return TestVerdict(reason is None, g.count - spec, found, partition, failure_reason=reason, speculative=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,8 @@ def partially_symmetric_test(
     workspace; too small a workspace rejects immediately with
     ``failure_reason="workspace"``.  Each round permutes the coordinates
     outside the identified parts and attributes any value flip to a part;
-    more than k identified parts reject.  The verdict keeps the partition,
+    more than k identified parts reject with
+    ``failure_reason="too_many_parts"``.  The verdict keeps the partition,
     workspace, and parts for reuse by the core sampler.
     """
     cfg = cfg or TesterConfig()
@@ -484,7 +485,6 @@ def partially_symmetric_test(
     probe = _Probe(g, k, eps, cfg)
     found: list[int] = []
     jbar_mask = (1 << n) - 1
-    accepted = True
 
     # the partner reads jbar_mask at every block: identified parts stay fixed
     for x, y, fx in probe.hits(lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng):
@@ -494,7 +494,6 @@ def partially_symmetric_test(
         found.append(part)
         jbar_mask ^= partition.parts[part]
         if len(found) > k:
-            accepted = False
             break
 
     spec = probe.speculative
@@ -502,7 +501,10 @@ def partially_symmetric_test(
     bound = psym_query_bound(probe.rounds, partition.r, n, w_size)
     if queries > bound:
         raise RuntimeError(f"query count {queries} exceeds budget {bound}")
-    return TestVerdict(accepted, queries, found, partition, workspace, speculative=spec)
+    reason = None if len(found) <= k else "too_many_parts"
+    return TestVerdict(
+        reason is None, queries, found, partition, workspace, failure_reason=reason, speculative=spec
+    )
 
 
 __all__ = [

@@ -184,10 +184,12 @@ def test_leftover_rows_keep_the_law(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_permutation_apply_many_matches_apply(data):
-    n = data.draw(st.sampled_from([1, 8, 63, 64]))
+    n = data.draw(st.sampled_from([1, 8, 63, 64, 65, 130]))
+    width = (n + 63) // 64
     pi = pt.Permutation(data.draw(st.permutations(range(n))))
     xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    block = np.array([to_words(x, width) for x in xs], dtype=np.uint64).reshape(len(xs), width)
     for _ in range(2):  # the second call reads the cached tables
-        ys = pi.apply_many(np.array(xs, dtype=np.uint64))
-        assert ys.dtype == np.uint64
-        assert [int(y) for y in ys] == [pi.apply(x) for x in xs]
+        ys = pi.apply_many(block)
+        assert ys.dtype == np.uint64 and ys.shape == (len(xs), width)
+        assert [from_words(y) for y in ys] == [pi.apply(x) for x in xs]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psymtest as pt
+from psymtest._bits import from_words, random_masks_u64
 from psymtest.boolfn import MAX_DENSE_N
 
 from helpers import apply_perm_to_point
@@ -263,3 +264,70 @@ def test_eval_many_takes_every_uint64_at_n64():
     f = pt.KLinear(64, [0, 63])
     xs = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
     assert [int(v) for v in f.eval_many(xs)] == [f(int(x)) for x in xs] == [0, 1, 0]
+
+
+def _function_of_kind(kind: str, n: int, rng: np.random.Generator) -> pt.BooleanFunction:
+    if kind == "truth_table":
+        return pt.random_function(n, rng)
+    if kind == "k_linear":
+        return pt.KLinear(n, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    if kind == "symmetric_profile":
+        return pt.SymmetricProfile(n, rng.integers(0, 2, size=n + 1))
+    return pt.random_core_spec(n, int(rng.integers(0, min(n, 4))), rng)
+
+
+@st.composite
+def _batched(draw):
+    """A function of any kind, plain, permuted or counted, and a batch of
+    its points."""
+    kind = draw(st.sampled_from(["truth_table", "k_linear", "symmetric_profile", "psym_core"]))
+    if kind == "truth_table":
+        n = draw(st.integers(1, 12))
+    else:
+        n = draw(st.sampled_from([1, 63, 64, 65, 130, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = _function_of_kind(kind, n, rng)
+    if draw(st.booleans()):
+        f = pt.Permuted(f, pt.Permutation.random(n, rng))
+    if draw(st.booleans()):
+        f = pt.counting_oracle(f)
+    return f, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batched())
+def test_batch_and_scalar_evaluation_agree(case):
+    f, points = case
+    n = f.n
+    expected = [f(x) for x in points]
+    assert f.eval_many(points).tolist() == expected
+    if n <= 64:
+        assert f.eval_many(np.array(points, dtype=np.uint64)).tolist() == expected
+    for bad in (1 << n, -1):
+        with pytest.raises(ValueError):
+            f(bad)
+        with pytest.raises(ValueError):
+            f.eval_many(points + [bad])
+    # at n = 64 every uint64 is a point, so only smaller n has a bad array
+    if n < 64:
+        with pytest.raises(ValueError):
+            f.eval_many(np.array(points + [1 << n], dtype=np.uint64))
+        with pytest.raises(ValueError):
+            f.eval_many(np.array(points + [-1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["k_linear", "symmetric_profile", "psym_core", "permuted_core"])
+def test_eval_many_past_one_word_makes_no_scalar_call(kind, monkeypatch):
+    n = 130
+    rng = np.random.default_rng(31)
+    f = _function_of_kind(kind.removeprefix("permuted_"), n, rng)
+    if kind == "permuted_core":
+        f = pt.Permuted(f, pt.Permutation.random(n, rng))
+    points = [0, (1 << n) - 1] + [from_words(row) for row in random_masks_u64(n, 200, rng)]
+    expected = [f(x) for x in points]
+
+    def scalar_query(self, x):
+        raise AssertionError("eval_many made a scalar query")
+
+    monkeypatch.setattr(pt.BooleanFunction, "__call__", scalar_query)
+    assert f.eval_many(points).tolist() == expected

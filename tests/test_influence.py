@@ -303,8 +303,9 @@ def test_layer_sizes_are_binomial_counts():
     members = [1, 3, 4, 6]
     j_mask = mask_from_indices(members)
     keys = _layer_keys(n, j_mask)
-    sizes, ones = _layer_counts(f.truth_table(), keys)
+    inv, sizes, ones = _layer_counts(f.truth_table(), n, j_mask)
     uniq = np.unique(keys)
+    assert np.array_equal(uniq[inv], keys)
     for key, size, c in zip(uniq, sizes, ones):
         z = int(key) // (n + 1)
         w = int(key) % (n + 1)

@@ -111,11 +111,21 @@ def test_out_of_range_workspace_is_rejected(workspace):
 def test_unranking_every_rank_covers_each_pattern_once_per_fill(partition, workspace, infeasible):
     table = _SubsetSumTable(partition, workspace)
     w_size = partition.size(workspace)
+    w_mask = partition.parts[workspace]
     others = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
     for w in range(partition.n + 1):
         total = table.count(w)
         assert (total == 0) == (w in infeasible)
-        seen = Counter(table.unrank(w, u) for u in range(total))
+        ranked = [table.unrank(w, u) for u in range(total)]
+        # a bijection from the ranks onto the valid weight-w points
+        valid = {
+            y
+            for y in range(1 << partition.n)
+            if y.bit_count() == w and all(y & partition.parts[p] in (0, partition.parts[p]) for p in others)
+        }
+        assert len({y for y, _ in ranked}) == total
+        assert {y for y, _ in ranked} == valid
+        seen = Counter((chosen, y & ~w_mask) for y, chosen in ranked)
         expected = {}
         for bits in product((0, 1), repeat=len(others)):
             chosen = sum(b << p for p, b in zip(others, bits))

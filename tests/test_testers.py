@@ -58,10 +58,12 @@ def test_junta_accepts_juntas_always():
 
 def test_junta_rejects_far_parity():
     f = pt.KLinear(64, range(6))
-    rejected = sum(
-        not pt.junta_test(f, 2, 0.1, np.random.default_rng(s)).accepted for s in range(50)
-    )
-    assert rejected / 50 >= 0.6
+    verdicts = [pt.junta_test(f, 2, 0.1, np.random.default_rng(s)) for s in range(50)]
+    rejected = [v for v in verdicts if not v.accepted]
+    assert len(rejected) / 50 >= 0.6
+    # every rejection says why
+    assert all(v.failure_reason == "too_many_parts" for v in rejected)
+    assert all(v.failure_reason is None for v in verdicts if v.accepted)
 
 
 def test_junta_found_parts_contain_relevant_variables():
@@ -247,11 +249,13 @@ def test_psym_rejects_random_function():
     rng = np.random.default_rng(9)
     f = pt.random_function(12, rng)
     assert pt.dist_to_t_symmetric(f, 10) >= 0.05
-    rejected = sum(
-        not pt.partially_symmetric_test(f, 2, 0.05, np.random.default_rng(s)).accepted
-        for s in range(50)
-    )
-    assert rejected / 50 >= 0.6
+    verdicts = [pt.partially_symmetric_test(f, 2, 0.05, np.random.default_rng(s)) for s in range(50)]
+    rejected = [v for v in verdicts if not v.accepted]
+    assert len(rejected) / 50 >= 0.6
+    # every rejection says why
+    assert all(v.failure_reason in ("too_many_parts", "workspace") for v in rejected)
+    assert any(v.failure_reason == "too_many_parts" for v in rejected)
+    assert all(v.failure_reason is None for v in verdicts if v.accepted)
 
 
 def test_psym_found_parts_distinct_and_bounded():
