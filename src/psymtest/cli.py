@@ -18,13 +18,13 @@ import io
 import json
 import sys
 from itertools import permutations
-from math import ceil, comb, log2
+from math import ceil, comb, lcm, log2
 from typing import Sequence
 
 import numpy as np
 
 from . import boolfn, influence, isomorphism, oracle, sampling, testers
-from ._bits import block_points, random_masks_u64
+from ._bits import block_points, popcount_u64, random_masks_u64
 
 _EXACT_INFLUENCE_N = influence.MAX_EXACT_INFLUENCE_N
 _EXACT_SYMINF_N = influence.MAX_EXACT_SYMINF_N
@@ -189,8 +189,6 @@ def _exhaustive_monotonicity_violations(n: int) -> int:
     tables = (
         np.arange(count, dtype=np.uint32)[:, None] >> np.arange(size, dtype=np.uint32)[None, :]
     ) & 1
-    from math import lcm
-
     scale = lcm(*(comb(n, i) for i in range(n + 1))) * 4
     scores = {}
     for j_mask in range(1 << n):
@@ -234,8 +232,6 @@ def _xor_of_symmetric(n: int, rng: np.random.Generator):
         if not degenerate:
             break
     idx = np.arange(1 << n, dtype=np.uint64)
-    from ._bits import popcount_u64
-
     wj = popcount_u64(idx & np.uint64((1 << half) - 1)).astype(np.int64)
     wk = popcount_u64(idx >> np.uint64(half)).astype(np.int64)
     table = np.bitwise_xor(p1[wj], p2[wk])

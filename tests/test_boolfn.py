@@ -279,7 +279,7 @@ def _function_of_kind(kind: str, n: int, rng: np.random.Generator) -> pt.Boolean
 @st.composite
 def _batched(draw):
     """A function of any kind, plain, permuted or counted, and a batch of
-    its points."""
+    its points: drawn ones, then uniform ones."""
     kind = draw(st.sampled_from(["truth_table", "k_linear", "symmetric_profile", "psym_core"]))
     if kind == "truth_table":
         n = draw(st.integers(1, 12))
@@ -291,7 +291,8 @@ def _batched(draw):
         f = pt.Permuted(f, pt.Permutation.random(n, rng))
     if draw(st.booleans()):
         f = pt.counting_oracle(f)
-    return f, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    points = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    return f, points + [from_words(row) for row in random_masks_u64(n, 16, rng)]
 
 
 @settings(max_examples=150, deadline=None)
