@@ -27,11 +27,6 @@ _FULL64 = (1 << 64) - 1
 _POOL_MIN_ROWS = 192
 
 
-def popcount_u64(a: np.ndarray) -> np.ndarray:
-    """Per-element population count of a uint64 array, as uint64."""
-    return np.bitwise_count(a).astype(np.uint64)
-
-
 def mask_from_indices(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:

@@ -24,10 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boolfn, influence, isomorphism, oracle, sampling, testers
-from ._bits import block_points, popcount_u64, random_masks_u64
-
-_EXACT_INFLUENCE_N = influence.MAX_EXACT_INFLUENCE_N
-_EXACT_SYMINF_N = influence.MAX_EXACT_SYMINF_N
+from ._bits import block_points, random_masks_u64
 
 
 def _trial_rng(seed: int, trial: int) -> tuple[int, np.random.Generator]:
@@ -86,13 +83,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
     for spec in args.set:
         members = sorted(int(v) for v in spec.split(",") if v != "")
         entry: dict = {"members": members}
-        if f.n <= _EXACT_INFLUENCE_N:
+        if f.n <= influence.MAX_EXACT_INFLUENCE_N:
             entry["influence"] = float(influence.influence_exact(f, members))
             entry["influence_method"] = "exact"
         else:
             entry["influence"] = influence.influence_mc(f, members, args.mc_trials, rng)
             entry["influence_method"] = "mc"
-        if f.n <= _EXACT_SYMINF_N:
+        if f.n <= influence.MAX_EXACT_SYMINF_N:
             entry["symmetric_influence"] = float(influence.symmetric_influence_exact(f, members))
             entry["symmetric_influence_method"] = "exact"
         else:
@@ -130,7 +127,13 @@ def _run_trial(args, f, target, cfg, rng) -> testers.TestVerdict:
     raise ValueError(f"unknown tester {args.tester!r}")
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     cfg = testers.TesterConfig(c_parts=args.parts_mult, c_iters=args.iters_mult)
     gen_rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xF,)))
     f = resolve_function(args.fn, gen_rng)
@@ -192,14 +195,9 @@ def _exhaustive_monotonicity_violations(n: int) -> int:
     scale = lcm(*(comb(n, i) for i in range(n + 1))) * 4
     scores = {}
     for j_mask in range(1 << n):
-        keys = influence._layer_keys(n, j_mask)
-        _, inv = np.unique(keys, return_inverse=True)
-        sizes = np.bincount(inv)
-        ngroups = len(sizes)
-        ones = np.zeros((count, ngroups), dtype=np.int64)
-        np.add.at(ones.T, inv, tables.T.astype(np.int64))
-        weights = (scale // sizes).astype(np.int64)
-        scores[j_mask] = (2 * ones * (sizes[None, :] - ones) * weights[None, :]).sum(axis=1)
+        ones, sizes, _ = influence._layer_counts(tables.T, n, j_mask)
+        size = sizes[:, None]
+        scores[j_mask] = (2 * ones * (size - ones) * (scale // size)).sum(axis=(0, 1))
     violations = 0
     for k_mask in range(1 << n):
         sub = k_mask
@@ -231,9 +229,8 @@ def _xor_of_symmetric(n: int, rng: np.random.Generator):
         ) and (d1[0] == d2[0] if len(d1) and len(d2) else True)
         if not degenerate:
             break
-    idx = np.arange(1 << n, dtype=np.uint64)
-    wj = popcount_u64(idx & np.uint64((1 << half) - 1)).astype(np.int64)
-    wk = popcount_u64(idx >> np.uint64(half)).astype(np.int64)
+    idx = np.arange(1 << n)
+    wj, wk = np.bitwise_count(idx & ((1 << half) - 1)), np.bitwise_count(idx >> half)
     table = np.bitwise_xor(p1[wj], p2[wk])
     return boolfn.TruthTable(n, table), j, k
 
@@ -241,8 +238,8 @@ def _xor_of_symmetric(n: int, rng: np.random.Generator):
 def cmd_lemmas(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     n_max = args.n_max
-    if n_max > 12:
-        raise ValueError("lemma suites are sized for n_max <= 12")
+    if not 4 <= n_max <= 12:
+        raise ValueError(f"lemma suites need 4 <= --n-max <= 12, got {n_max}")
     report: dict = {}
 
     pairs = 0
@@ -390,6 +387,9 @@ def brute_iso_once(
 
 
 def cmd_brute_iso(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
+    if not 0 < args.eps < 1:
+        raise ValueError(f"--eps must lie strictly between 0 and 1, got {args.eps}")
     gen_rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xF,)))
     f = resolve_function(args.fn, gen_rng)
     g = resolve_function(args.g, gen_rng)

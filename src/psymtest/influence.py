@@ -3,7 +3,9 @@
 Influence of J: probability that rerandomizing the J-coordinates of a uniform
 point changes the output.  Symmetric influence of J: probability that a
 uniformly random permutation of the J-coordinates changes the output.  Exact
-variants enumerate the cube once, bucket points into layers, and return
+variants read the truth table as a (2^(n-j), 2^j) split, one row per
+assignment to the bits outside J and one column per assignment inside J,
+sum it over rows or over the columns of each weight in int64, and return
 rationals so that order relations between these quantities can be checked
 without float tolerances.
 """
@@ -13,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bits import mask_from_indices, popcount_u64, rearrange_bits_block
+from ._bits import indices_of, mask_from_indices, rearrange_bits_block
 from .boolfn import BooleanFunction, TruthTable
 from .testers import Partner, _pair_block, _rerandomized
 
@@ -36,32 +38,47 @@ def _as_mask(f: BooleanFunction, members: Iterable[int]) -> int:
     return mask
 
 
-def _layer_keys(n: int, j_mask: int) -> np.ndarray:
-    """Layer id of every point: the pair (bits outside J, Hamming weight)."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    w = popcount_u64(idx)
-    z = idx & np.uint64(((1 << n) - 1) ^ j_mask)
-    return (z * np.uint64(n + 1) + w).astype(np.int64)
+def _split(table: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
+    """View a table as a (2^(n-j), 2^j, ...) array, j = len(cols).
+
+    The table reshapes to (2,)*n with variable v on axis n-1-v.  Column bit c
+    of the split is variable ``cols[c]``; the row index holds the other
+    variables in ascending order, lowest bit first.  Axes past the first are
+    kept, so a stack of tables splits at once.
+    """
+    j = len(cols)
+    cube = table.reshape((2,) * n + table.shape[1:])
+    cube = np.moveaxis(cube, [n - 1 - v for v in reversed(cols)], range(n - j, n))
+    return cube.reshape((1 << (n - j), 1 << j) + table.shape[1:])
+
+
+def _unsplit(split: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
+    """Inverse of ``_split``: the table in point order."""
+    j = len(cols)
+    cube = split.reshape((2,) * n + split.shape[2:])
+    cube = np.moveaxis(cube, range(n - j, n), [n - 1 - v for v in reversed(cols)])
+    return cube.reshape((1 << n,) + split.shape[2:])
 
 
 def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer index of every point, then per-layer sizes and ones-counts,
-    for a 0/1 table."""
-    _, inv = np.unique(_layer_keys(n, j_mask), return_inverse=True)
-    sizes = np.bincount(inv)
-    ones = np.bincount(inv[table.astype(bool)], minlength=len(sizes))
-    return inv, sizes, ones
+    """Exact sums of a table over the layers of J.
+
+    A layer fixes the bits outside J (the row of the split) and the weight w
+    inside J.  Returns the (2^(n-j), j+1, ...) int64 sums, the layer sizes
+    C(j, w), and the weight of every column of the split.
+    """
+    cols = indices_of(j_mask)
+    j = len(cols)
+    weights = np.bitwise_count(np.arange(1 << j))
+    sizes = np.array([comb(j, w) for w in range(j + 1)], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    by_weight = _split(table, n, cols)[:, np.argsort(weights, kind="stable")]
+    return np.add.reduceat(by_weight, starts, axis=1, dtype=np.int64), sizes, weights
 
 
-def _pair_disagreement(sizes: np.ndarray, ones: np.ndarray, n: int) -> Fraction:
-    """(1/2^n) * sum over layers of 2 c (L - c) / L, computed exactly."""
-    total = Fraction(0)
-    for size in np.unique(sizes):
-        sel = sizes == size
-        num = int(np.sum(2 * ones[sel] * (int(size) - ones[sel])))
-        if num:
-            total += Fraction(num, int(size))
-    return total / (1 << n)
+def _over_sizes(nums: np.ndarray, sizes: np.ndarray) -> Fraction:
+    """sum over w of nums[w] / sizes[w], exact."""
+    return sum((Fraction(int(a), int(b)) for a, b in zip(nums, sizes)), Fraction(0))
 
 
 def _flip_rate(
@@ -89,13 +106,8 @@ def influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     j = j_mask.bit_count()
     if j == 0:
         return Fraction(0)
-    table = f.truth_table()
-    idx = np.arange(1 << f.n, dtype=np.int64)
-    keys = idx & ~np.int64(j_mask)
-    _, inv = np.unique(keys, return_inverse=True)
-    cube = 1 << j
-    ones = np.bincount(inv, weights=table).astype(np.int64)
-    num = int(np.sum(2 * ones * (cube - ones)))
+    ones = _split(f.truth_table(), f.n, indices_of(j_mask)).sum(axis=1, dtype=np.int64)
+    num = int(np.sum(2 * ones * ((1 << j) - ones)))
     return Fraction(num, 1 << (f.n + j))
 
 
@@ -123,9 +135,8 @@ def symmetric_influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fra
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:
         return Fraction(0)
-    table = f.truth_table()
-    _, sizes, ones = _layer_counts(table, f.n, j_mask)
-    return _pair_disagreement(sizes, ones, f.n)
+    ones, sizes, _ = _layer_counts(f.truth_table(), f.n, j_mask)
+    return _over_sizes(np.sum(2 * ones * (sizes - ones), axis=0), sizes) / (1 << f.n)
 
 
 def symmetric_influence_mc(
@@ -145,12 +156,11 @@ def symmetric_distance(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"exact symmetric distance is capped at n <= {MAX_EXACT_SYMINF_N}")
     j_mask = _as_mask(f, members)
-    table = f.truth_table()
-    return _symmetric_distance_table(table, f.n, j_mask)
+    return _symmetric_distance_table(f.truth_table(), f.n, j_mask)
 
 
 def _symmetric_distance_table(table: np.ndarray, n: int, j_mask: int) -> Fraction:
-    _, sizes, ones = _layer_counts(table, n, j_mask)
+    ones, sizes, _ = _layer_counts(table, n, j_mask)
     flips = int(np.sum(np.minimum(ones, sizes - ones)))
     return Fraction(flips, 1 << n)
 
@@ -164,9 +174,9 @@ def closest_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> TruthTabl
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"closest J-symmetric construction is capped at n <= {MAX_EXACT_SYMINF_N}")
     j_mask = _as_mask(f, members)
-    inv, sizes, ones = _layer_counts(f.truth_table(), f.n, j_mask)
+    ones, sizes, weights = _layer_counts(f.truth_table(), f.n, j_mask)
     majority = (2 * ones > sizes).astype(np.uint8)
-    return TruthTable(f.n, majority[inv])
+    return TruthTable(f.n, _unsplit(majority[:, weights], f.n, indices_of(j_mask)))
 
 
 @dataclass(frozen=True)
@@ -210,35 +220,22 @@ def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> F
     """Symmetric influence from the coefficient side.
 
     Permuting J acts on subset masks; the orbit of S is the class of sets
-    sharing S's bits outside J and |S & J|.  The symmetric influence equals
-    half the sum over orbits of orbit size times the population variance of
-    the coefficients in the orbit.  Computed in exact integer arithmetic.
+    sharing S's bits outside J and |S & J|, a layer of J over the coefficient
+    index.  The symmetric influence equals half the sum over orbits of orbit
+    size times the population variance of the coefficients in the orbit.
+    Computed in exact integer arithmetic; the orbits' squared coefficients
+    must sum to 1 (Parseval), which catches a lost or doubled orbit.
     """
     if f.n > MAX_FOURIER_N:
         raise ValueError(f"coefficient-side symmetric influence is capped at n <= {MAX_FOURIER_N}")
     j_mask = _as_mask(f, members)
     n = f.n
-    j = j_mask.bit_count()
     raw = _wht_signs(f.truth_table())
-    s_all = np.arange(1 << n, dtype=np.uint64)
-    in_j = popcount_u64(s_all & np.uint64(j_mask))
-    outside = s_all & np.uint64(((1 << n) - 1) ^ j_mask)
-    keys = (outside * np.uint64(j + 1) + in_j).astype(np.int64)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inv)
-    expected = np.array([comb(j, int(u % (j + 1))) for u in uniq])
-    if not np.array_equal(counts, expected):
-        raise RuntimeError("orbit sizes disagree with binomial counts")
-    sums = np.bincount(inv, weights=raw).astype(np.int64)
-    sums_sq = np.bincount(inv, weights=raw.astype(np.float64) ** 2).astype(np.int64)
-    total = Fraction(0)
-    for o in np.unique(counts):
-        sel = counts == o
-        dev = int(o) * sums_sq[sel] - sums[sel] ** 2
-        num = sum(int(v) for v in dev)
-        if num:
-            total += Fraction(num, int(o))
-    return total / (1 << (2 * n + 1))
+    sums, sizes, _ = _layer_counts(raw, n, j_mask)
+    sums_sq, _, _ = _layer_counts(raw * raw, n, j_mask)
+    if int(sums_sq.sum()) != 1 << (2 * n):
+        raise RuntimeError("orbit sums of squared coefficients break Parseval's identity")
+    return _over_sizes(np.sum(sizes * sums_sq - sums**2, axis=0), sizes) / (1 << (2 * n + 1))
 
 
 __all__ = [

@@ -1,7 +1,9 @@
 """Brute-force ground truths for certifying test instances at small n.
 
 Everything here enumerates, so the caps are tight; the point is exactness
-(rational arithmetic throughout), not speed.
+(rational arithmetic throughout), not speed.  Table routines read the truth
+table as the split of ``influence._split``: one column per assignment to a
+few chosen variables, one row per assignment to the rest.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._bits import mask_from_indices, popcount_u64
+from ._bits import mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _symmetric_distance_table
+from .influence import _split, _symmetric_distance_table
 
 MAX_DIST_N = 22
 MAX_TSYM_N = 14
@@ -61,15 +63,10 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("k outside 0..n")
     table = f.truth_table()
-    idx = np.arange(1 << n, dtype=np.int64)
     best = Fraction(1)
     for members in itertools.combinations(range(n), k):
-        key = np.zeros(1 << n, dtype=np.int64)
-        for j, s in enumerate(members):
-            key |= ((idx >> s) & 1) << j
-        ones = np.bincount(key[table.astype(bool)], minlength=1 << k)
-        cube = 1 << (n - k)
-        flips = int(np.sum(np.minimum(ones, cube - ones)))
+        ones = _split(table, n, members).sum(axis=0, dtype=np.int64)
+        flips = int(np.sum(np.minimum(ones, (1 << (n - k)) - ones)))
         d = Fraction(flips, 1 << n)
         if d < best:
             best = d
@@ -91,16 +88,11 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
         raise ValueError(f"isomorphism-class distance is capped at n <= {MAX_ISO_N}")
     k = f_spec.k
     g_table = g.truth_table()
-    idx = np.arange(1 << n, dtype=np.uint64)
+    # split rows are the symmetric block's assignments, columns the core's
+    core = f_spec.core.T[np.bitwise_count(np.arange(1 << (n - k)))]
     best = Fraction(1)
     for placement in itertools.permutations(range(n), k):
-        xc = np.zeros(1 << n, dtype=np.int64)
-        for c, p in enumerate(placement):
-            xc |= ((idx.astype(np.int64) >> p) & 1) << c
-        placed_mask = mask_from_indices(placement)
-        w_sym = popcount_u64(idx & np.uint64(((1 << n) - 1) ^ placed_mask)).astype(np.int64)
-        vals = f_spec.core[xc, w_sym]
-        diff = int(np.count_nonzero(vals != g_table))
+        diff = int(np.count_nonzero(_split(g_table, n, placement) != core))
         d = Fraction(diff, 1 << n)
         if d < best:
             best = d
@@ -110,12 +102,10 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
 
 
 def _invariant_transposition(table: np.ndarray, n: int, i: int, j: int) -> bool:
-    idx = np.arange(1 << n, dtype=np.int64)
-    bi = (idx >> i) & 1
-    bj = (idx >> j) & 1
-    sel = bi != bj
-    swapped = idx[sel] ^ ((1 << i) | (1 << j))
-    return bool(np.array_equal(table[sel], table[swapped]))
+    """Swapping x_i and x_j leaves the table unchanged: its (x_i, x_j) = 10
+    and 01 columns agree."""
+    pair = _split(table, n, (i, j))
+    return bool(np.array_equal(pair[:, 1], pair[:, 2]))
 
 
 def is_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> bool:
@@ -207,8 +197,7 @@ def mu_p(family: SetFamily, p) -> Fraction:
     for s in family.sets:
         m = mask_from_indices(s)
         member |= (js & m) == m
-    sizes = popcount_u64(js.astype(np.uint64)).astype(np.int64)
-    counts = np.bincount(sizes[member], minlength=n + 1)
+    counts = np.bincount(np.bitwise_count(js)[member], minlength=n + 1)
     total = Fraction(0)
     for s, c in enumerate(counts):
         if c:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import psymtest as pt
 from psymtest.cli import main
@@ -133,6 +134,29 @@ def test_lemmas_exhaustive_small_n(capsys):
     assert run_cli("lemmas", "--n-max", "4", "--trials", "20", "--seed", "3") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["monotonicity"]["exhaustive_all_functions_violations"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["experiment", "--tester", "psym", "--trials", "0"], "--trials"),
+        (["experiment", "--tester", "junta", "--trials", "-3"], "--trials"),
+        (["brute-iso", "--trials", "0"], "--trials"),
+        (["brute-iso", "--eps", "0"], "--eps"),
+        (["brute-iso", "--eps", "1"], "--eps"),
+        (["lemmas", "--n-max", "3"], "--n-max"),
+        (["lemmas", "--n-max", "13"], "--n-max"),
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, flag, capsys):
+    functions = {
+        "experiment": ["--fn", "profile:n=16", "--k", "2"],
+        "brute-iso": ["--fn", "core:n=8,k=2", "--g", "core:n=8,k=2"],
+        "lemmas": [],
+    }
+    assert run_cli(*argv, *functions[argv[0]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psymtest: error:") and flag in err
 
 
 def test_brute_iso_self_and_complement(tmp_path, capsys):

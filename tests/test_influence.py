@@ -295,22 +295,43 @@ def test_layer_sizes_are_binomial_counts():
     from math import comb
 
     from psymtest._bits import mask_from_indices
-    from psymtest.influence import _layer_counts, _layer_keys
+    from psymtest.influence import _layer_counts
 
     rng = np.random.default_rng(16)
     n = 8
     f = pt.random_function(n, rng)
     members = [1, 3, 4, 6]
+    rest = [v for v in range(n) if v not in members]
     j_mask = mask_from_indices(members)
-    keys = _layer_keys(n, j_mask)
-    inv, sizes, ones = _layer_counts(f.truth_table(), n, j_mask)
-    uniq = np.unique(keys)
-    assert np.array_equal(uniq[inv], keys)
-    for key, size, c in zip(uniq, sizes, ones):
-        z = int(key) // (n + 1)
-        w = int(key) % (n + 1)
-        assert size == comb(len(members), w - z.bit_count())
-        assert 2 * min(c, size - c) <= size  # minority fraction <= 1/2
+    ones, sizes, weights = _layer_counts(f.truth_table(), n, j_mask)
+    # per-point enumeration: row = the bits outside J packed in order, column = weight in J
+    want_ones = np.zeros((1 << len(rest), len(members) + 1), dtype=np.int64)
+    want_sizes = np.zeros_like(want_ones)
+    for x in range(1 << n):
+        row = sum(((x >> v) & 1) << i for i, v in enumerate(rest))
+        w = (x & j_mask).bit_count()
+        want_ones[row, w] += f(x)
+        want_sizes[row, w] += 1
+    assert ones.dtype == np.int64 and np.array_equal(ones, want_ones)
+    assert np.array_equal(want_sizes, np.broadcast_to(sizes, want_sizes.shape))
+    assert list(sizes) == [comb(len(members), w) for w in range(len(members) + 1)]
+    assert list(weights) == [c.bit_count() for c in range(1 << len(members))]
+    assert np.all(2 * np.minimum(ones, sizes - ones) <= sizes)  # minority fraction <= 1/2
+
+
+def test_fourier_parseval_check_fires_when_a_layer_is_lost(monkeypatch):
+    from psymtest import influence
+
+    real = influence._layer_counts
+
+    def drop_weight_zero(table, n, j_mask):
+        sums, sizes, weights = real(table, n, j_mask)
+        return sums[:, 1:], sizes[1:], weights
+
+    assert pt.symmetric_influence_fourier(X0_AND_NOT_X1, [0, 1]) == Fraction(1, 4)
+    monkeypatch.setattr(influence, "_layer_counts", drop_weight_zero)
+    with pytest.raises(RuntimeError, match="Parseval"):
+        pt.symmetric_influence_fourier(X0_AND_NOT_X1, [0, 1])
 
 
 def test_zero_syminf_characterizes_symmetric_sets():
