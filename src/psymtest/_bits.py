@@ -184,9 +184,15 @@ def hex_to_bits(hexstr: str, nbits: int) -> np.ndarray:
 
 
 def randrange_bigint(bound: int, rng: np.random.Generator) -> int:
-    """Uniform integer in [0, bound) for arbitrarily large bounds."""
+    """Uniform integer in [0, bound) for arbitrarily large bounds.
+
+    Bounds up to 2^63 take one ``rng.integers`` draw; larger ones draw bytes
+    and reject values past the bound.
+    """
     if bound <= 0:
         raise ValueError("bound must be positive")
+    if bound <= 1 << 63:
+        return int(rng.integers(0, bound))
     nbytes = (bound.bit_length() + 7) // 8
     shift = nbytes * 8 - bound.bit_length()
     while True:

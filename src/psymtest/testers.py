@@ -17,10 +17,17 @@ the oracle reads ``queries + speculative`` evaluations in all.  The psym
 partners come from ``rearrange_bits_block``, which matches rows to uniform
 pool words of equal weight (exact, integer-only) once a block reaches a few
 hundred rows.
+
+The psym localization binary-searches a weight-preserving chain from x to
+the permuted y.  Its schedule (the part settled at each step, the union of
+the settled chunks, the workspace weight) is integer bookkeeping made in
+one pass and checked at every step; a chain point, with its uniform
+workspace fill, is built only when the search reads it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import ceil, log2
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,6 +38,7 @@ from ._bits import (
     block_points,
     from_words,
     indices_of,
+    mask_from_indices,
     random_masks_u64,
     rearrange_bits,
     rearrange_bits_block,
@@ -101,12 +109,15 @@ class Partition:
         if workspace not in self._chunks:
             cap = max(1, -(-self.size(workspace) // 4))
             out = []
-            for p in range(self.r):
-                if p == workspace:
+            for p, mask in enumerate(self.parts):
+                if p == workspace or not mask:
+                    continue
+                if mask.bit_count() <= cap:
+                    out.append((p, mask))
                     continue
                 pos = self.positions(p)
                 for start in range(0, len(pos), cap):
-                    out.append((p, sum(1 << int(v) for v in pos[start : start + cap])))
+                    out.append((p, mask_from_indices(pos[start : start + cap])))
             self._chunks[workspace] = out
         return self._chunks[workspace]
 
@@ -278,112 +289,48 @@ def junta_test(
 # Partial-symmetry testing
 
 
-def _weight_preserving_chain(
-    x: int,
-    y: int,
-    partition: Partition,
-    workspace: int,
-    j_parts: Iterable[int],
-    rng: np.random.Generator,
-) -> tuple[list[int], list[int]]:
-    """Inputs x = x^0, ..., x^t = y, each step a permutation of one chunk + W.
+def _chain_schedule(
+    x: int, y: int, partition: Partition, workspace: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The weight-preserving chain x = x^0, ..., x^t = y as integers.
 
-    Every step settles one chunk to y's bits, parking the weight difference
-    in the workspace at uniformly random positions; the final step also
-    aligns the workspace itself.  All points keep the Hamming weight of x.
+    Step i settles the i-th chunk to y's bits and parks the weight difference
+    in the workspace; the final step also aligns the workspace itself.  The
+    order depends only on each differing chunk's ones deficit d: chunks with
+    d != 0 alternate between surplus (d < 0) and deficit (d > 0) while the
+    workspace can absorb them, each side first come first served, chunks
+    with d == 0 come when nothing else fits, and the last chunk is always
+    taken.  Returns the step owners, the
+    prefix unions ``cum[i]`` of the first i chunks, and the workspace weight
+    of every point.
     """
     if x.bit_count() != y.bit_count():
         raise ValueError("endpoints must have equal weight")
-    j_set = set(j_parts)
-    w_mask = partition.parts[workspace]
-    w_positions = partition.positions(workspace)
-    w_size = len(w_positions)
-    weight = x.bit_count()
-
-    pending: list[tuple[int, int, int]] = []  # (owner, chunk mask, ones deficit)
+    w_size = partition.size(workspace)
+    queues = (deque(), deque(), deque())  # surplus d < 0, deficit d > 0, zero d == 0
+    moved = x ^ y
     for owner, cmask in partition.chunks(workspace):
-        if (x ^ y) & cmask:
+        if moved & cmask:
             d = (y & cmask).bit_count() - (x & cmask).bit_count()
-            pending.append((owner, cmask, d))
-
-    points = [x]
+            queues[0 if d < 0 else 1 if d > 0 else 2].append((owner, cmask, d))
     owners: list[int] = []
-    cur = x
-    cur_w = (x & w_mask).bit_count()
-    prefer_surplus = True
-
-    while pending:
-        if len(pending) == 1:
-            pick = 0
+    cum = [0]
+    wts = [(x & partition.parts[workspace]).bit_count()]
+    orders = (queues, (queues[1], queues[0], queues[2]))
+    want = 0  # surplus first, then the other side after every nonzero step
+    for pending in range(sum(map(len, queues)), 0, -1):
+        for q in orders[want]:
+            if q and (pending == 1 or 0 <= wts[-1] - q[0][2] <= w_size):
+                break
         else:
-            pick = -1
-            for want_surplus in (prefer_surplus, not prefer_surplus):
-                for idx, (_, _, d) in enumerate(pending):
-                    if d == 0:
-                        continue
-                    if (d < 0) != want_surplus:
-                        continue
-                    if d > 0 and cur_w >= d:
-                        pick = idx
-                        break
-                    if d < 0 and w_size - cur_w >= -d:
-                        pick = idx
-                        break
-                if pick >= 0:
-                    break
-            if pick < 0:
-                for idx, (_, _, d) in enumerate(pending):
-                    if d == 0:
-                        pick = idx
-                        break
-            if pick < 0:
-                raise RuntimeError("no feasible chunk; cannot happen for |W| >= n/(2r)")
-        owner, cmask, d = pending.pop(pick)
-        cur = (cur & ~cmask) | (y & cmask)
-        cur_w -= d
-        if not 0 <= cur_w <= w_size:
-            raise RuntimeError(f"workspace weight {cur_w} outside 0..{w_size}")
-        if pending:
-            cur &= ~w_mask
-            if cur_w:
-                for p in rng.choice(w_positions, size=cur_w, replace=False):
-                    cur |= 1 << int(p)
-        else:
-            cur = (cur & ~w_mask) | (y & w_mask)
-            if cur != y:
-                raise RuntimeError("chain did not end at its endpoint")
-        if cur.bit_count() != weight:
-            raise RuntimeError("chain step changed the Hamming weight")
-        points.append(cur)
+            raise RuntimeError("no feasible chunk; cannot happen for |W| >= n/(2r)")
+        owner, cmask, d = q.popleft()
         owners.append(owner)
+        cum.append(cum[-1] | cmask)
+        wts.append(wts[-1] - d)
         if d:
-            prefer_surplus = d > 0
-
-    if cur != y:
-        # x and y agree outside W; a lone workspace-internal step remains and
-        # gets attributed to the lowest-indexed free part, if any exists.
-        if (cur ^ y) & ~w_mask:
-            raise RuntimeError("chain endpoints differ outside the workspace")
-        fallback = next(
-            (p for p in range(partition.r) if p != workspace and p not in j_set), None
-        )
-        if fallback is None:
-            return [], []
-        points.append(y)
-        owners.append(fallback)
-    return points, owners
-
-
-def _chain_search(g: BooleanFunction, points: list[int], f_first: int) -> int:
-    """Index of the step whose permutation flips the value of f."""
-    lo, hi = 0, len(points) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g(points[mid]) != f_first:
-            hi = mid
-        else:
-            lo = mid
-    return hi - 1
+            want = int(d < 0)
+    return owners, cum, wts
 
 
 def _locate_asymmetric_part(
@@ -396,11 +343,51 @@ def _locate_asymmetric_part(
     fx: int,
     rng: np.random.Generator,
 ) -> int | None:
-    points, owners = _weight_preserving_chain(x, y, partition, workspace, j_parts, rng)
+    """Binary-search the weight-preserving chain from x to y for the step
+    that flips f, and return the part that owns it.
+
+    Point i takes y's bits on ``cum[i]`` and x's bits elsewhere outside the
+    workspace W, and a fresh uniform fill of the scheduled weight inside W.
+    A point is built only when the search reads it, so a localization makes
+    at most ceil(log2 t) workspace fills; the fills do not depend on f, so
+    the points the search visits keep their joint law.  When x and y differ
+    only inside W, the step goes to the lowest-indexed free part, if any.
+    """
+    owners, cum, wts = _chain_schedule(x, y, partition, workspace)
+    w_mask = partition.parts[workspace]
+    w_size = partition.size(workspace)
+    weight = x.bit_count()
+    ox, diff = x & ~w_mask, (x ^ y) & ~w_mask
     if not owners:
-        return None
-    step = _chain_search(g, points, fx)
-    owner = owners[step]
+        if diff:
+            raise RuntimeError("chain endpoints differ outside the workspace")
+        owner = next((p for p in range(partition.r) if p != workspace and p not in j_parts), None)
+        if owner is None:
+            return None
+    else:
+        for c, w in zip(cum, wts):
+            if not 0 <= w <= w_size:
+                raise RuntimeError(f"workspace weight {w} outside 0..{w_size}")
+            if (ox ^ (diff & c)).bit_count() + w != weight:
+                raise RuntimeError("chain step changed the Hamming weight")
+        if diff & ~cum[-1] or wts[-1] != (y & w_mask).bit_count():
+            raise RuntimeError("chain did not end at its endpoint")
+        w_positions = partition.positions(workspace)
+        lo, hi = 0, len(owners)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            point = ox ^ (diff & cum[mid])
+            if wts[mid] == w_size:
+                point |= w_mask
+            elif wts[mid]:
+                point |= mask_from_indices(rng.choice(w_positions, size=wts[mid], replace=False))
+            if point.bit_count() != weight:
+                raise RuntimeError("chain step changed the Hamming weight")
+            if g(point) != fx:
+                hi = mid
+            else:
+                lo = mid
+        owner = owners[hi - 1]
     if owner == workspace or owner in j_parts:
         raise RuntimeError(f"step owner {owner} is the workspace or an identified part")
     return owner
@@ -416,8 +403,8 @@ def find_asymmetric_set(
     """One probe for a part holding an asymmetric variable.
 
     Draws x and a uniform permutation of the coordinates outside the
-    identified parts; on a value flip, walks the weight-preserving chain and
-    returns the part whose step flipped f.  Succeeds with probability equal
+    identified parts; on a value flip, binary-searches the weight-preserving
+    chain and returns the part whose step flipped f.  Succeeds with probability equal
     to the symmetric influence of the unidentified coordinates.
     """
     j_parts = list(j_parts)

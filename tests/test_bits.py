@@ -13,6 +13,7 @@ from psymtest._bits import (
     from_words,
     mask_from_indices,
     random_masks_u64,
+    randrange_bigint,
     rearrange_bits,
     rearrange_bits_block,
     to_words,
@@ -193,3 +194,22 @@ def test_permutation_apply_many_matches_apply(data):
         ys = pi.apply_many(block)
         assert ys.dtype == np.uint64 and ys.shape == (len(xs), width)
         assert [from_words(y) for y in ys] == [pi.apply(x) for x in xs]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 10])
+def test_small_bound_ranks_are_uniform(bound):
+    rng = np.random.default_rng(bound)
+    draws = [randrange_bigint(bound, rng) for _ in range(3000)]
+    counts = np.bincount(draws, minlength=bound)
+    assert len(counts) == bound
+    if bound > 1:
+        assert stats.chisquare(counts).pvalue > P_MIN
+
+
+@pytest.mark.parametrize("bound", [(1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) + 3, 3**100])
+def test_ranks_near_and_past_one_word_stay_in_range(bound):
+    rng = np.random.default_rng(0)
+    draws = [randrange_bigint(bound, rng) for _ in range(400)]
+    assert all(isinstance(u, int) and 0 <= u < bound for u in draws)
+    # a uniform draw's mean fraction of the bound is 1/2 with sd 0.29 / 20
+    assert abs(np.mean([u / bound for u in draws]) - 0.5) < 0.1

@@ -145,22 +145,154 @@ def test_find_asymmetric_set_rejects_bad_arguments():
         pt.find_asymmetric_set(f, tiny, [], 0, rng)
 
 
-def test_weight_preserved_along_chain():
+def _hit_pairs(n: int, r: int, count: int, rng):
+    """``count`` (partition, workspace, x, y) with y a uniform rearrangement
+    of x; the workspace is the largest part."""
     from psymtest._bits import from_words, random_masks_u64, rearrange_bits_block
-    from psymtest.testers import _weight_preserving_chain
+
+    for _ in range(count):
+        partition = pt.random_partition(n, r, rng)
+        w = max(range(partition.r), key=partition.size)
+        xs = random_masks_u64(n, 1, rng)
+        ys = rearrange_bits_block(xs, (1 << n) - 1, rng)
+        yield partition, w, from_words(xs[0]), from_words(ys[0])
+
+
+def test_weight_preserved_along_chain():
+    from psymtest.testers import _chain_schedule
 
     rng = np.random.default_rng(8)
-    for n in (24, 130):
-        for _ in range(50):
-            partition = pt.random_partition(n, 5, rng)
-            w = max(range(partition.r), key=partition.size)
-            xs = random_masks_u64(n, 1, rng)
-            ys = rearrange_bits_block(xs, (1 << n) - 1, rng)
-            x, y = from_words(xs[0]), from_words(ys[0])
-            points, owners = _weight_preserving_chain(x, y, partition, w, [], rng)
-            assert points[0] == x and points[-1] == y
-            assert all(p.bit_count() == x.bit_count() for p in points)
+    for n, r in ((24, 5), (130, 5), (64, 64)):
+        for partition, w, x, y in _hit_pairs(n, r, 50, rng):
+            w_mask = partition.parts[w]
+            owners, cum, wts = _chain_schedule(x, y, partition, w)
+            assert len(cum) == len(wts) == len(owners) + 1 and cum[0] == 0
+            assert wts[0] == (x & w_mask).bit_count()
+            for i, (c, wt) in enumerate(zip(cum, wts)):
+                outside = ((x & ~c) | (y & c)) & ~w_mask
+                assert outside.bit_count() + wt == x.bit_count()
+                assert 0 <= wt <= partition.size(w)
+                # step i settles one chunk of its owner's part
+                if i:
+                    step = c & ~cum[i - 1]
+                    assert step and step & ~partition.parts[owners[i - 1]] == 0
             assert all(o != w for o in owners)
+            # the last point is y
+            assert ((x & ~cum[-1]) | (y & cum[-1])) & ~w_mask == y & ~w_mask
+            assert wts[-1] == (y & w_mask).bit_count()
+
+
+class _CountingChoice:
+    """A generator whose ``choice`` calls are counted."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("n, r", [(24, 5), (130, 5), (256, 256)])
+def test_localization_fills_only_the_points_it_reads(n, r):
+    from psymtest.testers import _chain_schedule, _locate_asymmetric_part
+
+    rng = np.random.default_rng(n)
+    f = pt.random_core_spec(n, 3, rng)
+    located = 0
+    for partition, w, x, y in _hit_pairs(n, r, 60, rng):
+        fx = f(x)
+        if f(y) == fx:
+            continue
+        t = len(_chain_schedule(x, y, partition, w)[0])
+        counting = _CountingChoice(rng)
+        g = pt.counting_oracle(f)
+        part = _locate_asymmetric_part(g, x, y, partition, [], w, fx, counting)
+        assert part is not None and part != w
+        assert counting.choices <= ceil(log2(t)) + 1
+        assert pt.read_count(g) <= ceil(log2(t))
+        located += 1
+    assert located >= 10
+
+
+def test_difference_inside_the_workspace_goes_to_the_lowest_free_part():
+    from psymtest.testers import _locate_asymmetric_part
+
+    n = 12
+    partition = pt.Partition(n, [0b111100000000, 0b1111, 0b11110000])
+    f = pt.counting_oracle(pt.KLinear(n, [8]))
+    x, y = 1 << 8, 1 << 9  # equal outside the workspace part 0
+    rng = np.random.default_rng(0)
+    fx = f(x)
+    assert _locate_asymmetric_part(f, x, y, partition, [], 0, fx, rng) == 1
+    assert _locate_asymmetric_part(f, x, y, partition, [1], 0, fx, rng) == 2
+    assert _locate_asymmetric_part(f, x, y, partition, [1, 2], 0, fx, rng) is None
+    assert pt.read_count(f) == 1  # the fallback asks f nothing
+
+
+def _shift_one_weight(owners, cum, wts, w_size):
+    wts[1] += 1 if wts[1] < w_size else -1
+
+
+def _overfill(owners, cum, wts, w_size):
+    wts[1:-1] = [w_size + 1] * (len(wts) - 2)
+
+
+def _drop_last_step(owners, cum, wts, w_size):
+    del owners[-1], cum[-1], wts[-1]
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [
+        (_shift_one_weight, "changed the Hamming weight"),
+        (_overfill, "outside 0.."),
+        (_drop_last_step, "did not end at its endpoint"),
+    ],
+)
+def test_broken_schedule_bookkeeping_raises_before_any_query(monkeypatch, breakage, message):
+    rng = np.random.default_rng(14)
+    f = pt.random_core_spec(64, 3, rng)
+    schedule = testers._chain_schedule
+    for partition, w, x, y in _hit_pairs(64, 9, 200, rng):
+        owners, _, _ = schedule(x, y, partition, w)
+        if len(owners) >= 4 and partition.size(w) >= 2 and f(x) != f(y):
+            break
+    else:
+        pytest.fail("no chain of four steps drawn")
+
+    def broken(*args):
+        owners, cum, wts = schedule(*args)
+        breakage(owners, cum, wts, partition.size(w))
+        return owners, cum, wts
+
+    monkeypatch.setattr(testers, "_chain_schedule", broken)
+    g = pt.counting_oracle(f)
+    with pytest.raises(RuntimeError, match=message):
+        testers._locate_asymmetric_part(g, x, y, partition, [], w, f(x), rng)
+    assert pt.read_count(g) == 0
+
+
+@pytest.mark.parametrize("n", [24, 130, 256])
+def test_chunks_match_their_definition(n):
+    from psymtest._bits import indices_of
+
+    rng = np.random.default_rng(n)
+    for r in (5, n // 3, n, 2 * n):
+        for _ in range(3):
+            partition = pt.random_partition(n, r, rng)
+            for w in range(0, partition.r, max(1, partition.r // 8)):
+                cap = max(1, -(-partition.size(w) // 4))
+                expected = []
+                for p in range(partition.r):
+                    pos = indices_of(partition.parts[p]) if p != w else []
+                    for start in range(0, len(pos), cap):
+                        expected.append((p, sum(1 << v for v in pos[start : start + cap])))
+                assert partition.chunks(w) == expected
 
 
 @pytest.mark.parametrize("n", [65, 128, 256])
