@@ -7,7 +7,9 @@ variants read the truth table as a (2^(n-j), 2^j) split, one row per
 assignment to the bits outside J and one column per assignment inside J,
 sum it over rows or over the columns of each weight in int64, and return
 rationals so that order relations between these quantities can be checked
-without float tolerances.
+without float tolerances.  The Walsh-Hadamard transform is ``_kron``: three
+variables per float64 matrix product, exact because every value is an
+integer far below 2^53.
 """
 
 from __future__ import annotations
@@ -194,26 +196,63 @@ class FourierTable:
         return float(np.sum(self.coeffs.astype(np.float64) ** 2))
 
 
-def _wht_signs(table: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of (-1)^f, exact in int64."""
-    a = (1 - 2 * table.astype(np.int64)).copy()
-    h = 1
-    size = a.size
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((top, bot), axis=1).reshape(-1)
-        h *= 2
+# Columns per BLAS call in a ``_kron`` pass: an 8 x 8 x 4096 product is 2^18
+# multiply-adds, which OpenBLAS's gemm runs on one thread at its default
+# threshold.  Larger calls stalled for 30-40 ms each under 2 OpenBLAS threads
+# at n = 16 on a 2-vCPU guest.
+_KRON_COLS = 1 << 12
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _kron(a: np.ndarray, n: int, kernel: np.ndarray) -> np.ndarray:
+    """Apply the n-fold tensor power of a 2x2 kernel to every row of ``a``.
+
+    ``a`` is a (batch, 2^n) array whose column bit v is variable v;
+    along each variable an output bit o reads the input bits i with weights
+    ``kernel[o, i]``.  Yates's method: each pass multiplies the 8x8 kernel
+    (2x2 or 4x4 for the last one or two variables) against the three lowest
+    index bits and moves them to the top of the index, so ceil(n/3) passes
+    bring every bit back in place.  The kernels in use have integer entries;
+    float64 results are exact as long as every partial sum is an integer
+    below 2^53, which holds for every caller here (no value reaches 2^29).
+    The passes alternate between ``a`` and one spare array of its size, so a
+    C-contiguous float64 ``a`` is overwritten; any other is converted first.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    spare = np.empty_like(a)
+    batch = a.shape[0]
+    for done in range(0, n, 3):
+        b = min(3, n - done)
+        step = kernel
+        for _ in range(b - 1):
+            step = np.kron(step, kernel)
+        rest = 1 << (n - b)
+        cols = min(_KRON_COLS, rest)
+        np.matmul(
+            step,
+            a.reshape(batch, rest // cols, cols, 1 << b).transpose(0, 1, 3, 2),
+            out=spare.reshape(batch, 1 << b, rest // cols, cols).transpose(0, 2, 1, 3),
+        )
+        a, spare = spare, a
     return a
+
+
+def _wht_signs(table: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of (-1)^f in float64; every
+    value is an integer of absolute value at most 2^n, so it is exact."""
+    signs = table.astype(np.float64).reshape(1, -1)
+    signs *= -2.0
+    signs += 1.0
+    return _kron(signs, n, _HADAMARD)[0]
 
 
 def walsh_hadamard(f: BooleanFunction) -> FourierTable:
     """Fast transform of the whole table, O(n 2^n)."""
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"transform is capped at n <= {MAX_EXACT_SYMINF_N}")
-    raw = _wht_signs(f.truth_table())
-    return FourierTable(f.n, raw.astype(np.float64) / (1 << f.n))
+    coeffs = _wht_signs(f.truth_table(), f.n)
+    coeffs /= 1 << f.n
+    return FourierTable(f.n, coeffs)
 
 
 def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> Fraction:
@@ -230,7 +269,7 @@ def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> F
         raise ValueError(f"coefficient-side symmetric influence is capped at n <= {MAX_FOURIER_N}")
     j_mask = _as_mask(f, members)
     n = f.n
-    raw = _wht_signs(f.truth_table())
+    raw = _wht_signs(f.truth_table(), n).astype(np.int64)
     sums, sizes, _ = _layer_counts(raw, n, j_mask)
     sums_sq, _, _ = _layer_counts(raw * raw, n, j_mask)
     if int(sums_sq.sum()) != 1 << (2 * n):

@@ -1,9 +1,13 @@
 """Brute-force ground truths for certifying test instances at small n.
 
-Everything here enumerates, so the caps are tight; the point is exactness
-(rational arithmetic throughout), not speed.  Table routines read the truth
-table as the split of ``influence._split``: one column per assignment to a
-few chosen variables, one row per assignment to the rest.
+Everything here enumerates, so the caps are tight; results are exact
+(integer counts, rational results).  Table routines read the whole truth
+table with array operations, never point by point: the split of
+``influence._split`` (one column per assignment to a few chosen variables,
+one row per assignment to the rest), slices of the table viewed as (2,)*n
+(transpositions), or the tensor-power passes of ``influence._kron``
+(junta distance: superset sums over the table, then a Moebius inversion
+inside every k-subset at once).
 """
 
 from __future__ import annotations
@@ -18,13 +22,16 @@ import numpy as np
 
 from ._bits import mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _split, _symmetric_distance_table
+from .influence import _kron, _split, _symmetric_distance_table
 
 MAX_DIST_N = 22
 MAX_TSYM_N = 14
 MAX_ISO_N = 10
 MAX_CORE_N = 16
 MAX_MEASURE_N = 16
+
+_SUPERSET_SUMS = np.array([[1.0, 1.0], [0.0, 1.0]])
+_SUBSET_MOBIUS = np.array([[1.0, -1.0], [0.0, 1.0]])
 
 
 def dist_exact(f: BooleanFunction, g: BooleanFunction) -> Fraction:
@@ -62,17 +69,19 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
         raise ValueError(f"junta distance is capped at n <= {MAX_TSYM_N}")
     if not 0 <= k <= n:
         raise ValueError("k outside 0..n")
-    table = f.truth_table()
-    best = Fraction(1)
-    for members in itertools.combinations(range(n), k):
-        ones = _split(table, n, members).sum(axis=0, dtype=np.int64)
-        flips = int(np.sum(np.minimum(ones, (1 << (n - k)) - ones)))
-        d = Fraction(flips, 1 << n)
-        if d < best:
-            best = d
-            if best == 0:
-                break
-    return best
+    # above[T]: the ones of f among the points that contain T
+    above = _kron(f.truth_table().reshape(1, -1), n, _SUPERSET_SUMS)[0]
+    # one row per k-subset S, one column per T inside S: bit c of the column
+    # is S's c-th smallest member
+    members = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    bits = 1 << members.reshape(comb(n, k), k)
+    inside = np.zeros((comb(n, k), 1), dtype=np.int64)
+    for c in range(k):
+        inside = np.concatenate((inside, inside | bits[:, c : c + 1]), axis=1)
+    # Moebius inversion inside S: ones[S, c] counts the ones of f whose bits on S spell c
+    ones = _kron(above[inside], k, _SUBSET_MOBIUS)
+    flips = np.minimum(ones, (1 << (n - k)) - ones).sum(axis=1)
+    return Fraction(int(flips.min()), 1 << n)
 
 
 def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fraction:
@@ -101,15 +110,20 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
     return best
 
 
-def _invariant_transposition(table: np.ndarray, n: int, i: int, j: int) -> bool:
+def _invariant_transposition(table: np.ndarray, i: int, j: int) -> bool:
     """Swapping x_i and x_j leaves the table unchanged: its (x_i, x_j) = 10
-    and 01 columns agree."""
-    pair = _split(table, n, (i, j))
-    return bool(np.array_equal(pair[:, 1], pair[:, 2]))
+    and 01 slices agree.  Both are views of the table as (2,)*n, with the
+    axes of the other variables merged."""
+    lo, hi = sorted((i, j))
+    cube = table.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return bool(np.array_equal(cube[:, 1, :, 0], cube[:, 0, :, 1]))
 
 
 def is_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> bool:
-    """Exhaustive check that every transposition inside J leaves f unchanged."""
+    """Exhaustive check that f is unchanged by every permutation of J.
+
+    The transpositions of neighbours in sorted J generate all of them.
+    """
     n = f.n
     if n > MAX_CORE_N:
         raise ValueError(f"symmetry check is capped at n <= {MAX_CORE_N}")
@@ -117,9 +131,7 @@ def is_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> bool:
     if mem and not (0 <= mem[0] and mem[-1] < n):
         raise ValueError("set members outside range(n)")
     table = f.truth_table()
-    return all(
-        _invariant_transposition(table, n, a, b) for a, b in itertools.combinations(mem, 2)
-    )
+    return all(_invariant_transposition(table, a, b) for a, b in itertools.pairwise(mem))
 
 
 def find_core(f: BooleanFunction) -> tuple[int, ...]:
@@ -143,7 +155,7 @@ def find_core(f: BooleanFunction) -> tuple[int, ...]:
         return v
 
     for i, j in itertools.combinations(range(n), 2):
-        if _invariant_transposition(table, n, i, j):
+        if _invariant_transposition(table, i, j):
             parent[root(i)] = root(j)
     classes: dict[int, list[int]] = {}
     for v in range(n):

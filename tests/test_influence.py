@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest.influence import symmetric_distance, walsh_hadamard
+from psymtest.influence import _kron, symmetric_distance, walsh_hadamard
 
 from helpers import brute_dist, brute_influence, brute_syminf
 
@@ -205,6 +205,31 @@ def test_wht_constant_and_parity():
 def test_wht_parseval_on_random_function():
     f = pt.random_function(10, np.random.default_rng(10))
     assert abs(walsh_hadamard(f).parseval_sum() - 1.0) <= 1e-9
+
+
+def test_wht_at_n20_is_exact_and_parseval_sum_is_exactly_one():
+    n = 20
+    f = pt.random_function(n, np.random.default_rng(20))
+    raw = walsh_hadamard(f).coeffs * (1 << n)
+    ints = np.rint(raw).astype(np.int64)
+    assert np.array_equal(ints, raw)
+    assert int(np.sum(ints * ints)) == 1 << (2 * n)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [[[1, 1], [1, -1]], [[1, 1], [0, 1]], [[1, -1], [0, 1]]],
+    ids=["hadamard", "superset-sums", "subset-mobius"],
+)
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("n", range(10))
+def test_kron_matches_dense_tensor_power(kernel, batch, n):
+    kernel = np.array(kernel, dtype=np.float64)
+    dense = np.ones((1, 1))
+    for _ in range(n):
+        dense = np.kron(dense, kernel)
+    rows = np.random.default_rng(n).integers(-3, 4, size=(batch, 1 << n)).astype(np.float64)
+    assert np.array_equal(_kron(rows.copy(), n, kernel), rows @ dense.T)
 
 
 def test_syminf_fourier_trivial_and_hand_case():

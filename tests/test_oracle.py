@@ -46,6 +46,14 @@ def test_dist_to_k_junta_parity():
     assert pt.dist_to_k_junta(two_junta, 2) == 0
 
 
+def test_dist_to_k_junta_extreme_k_at_cap():
+    n = pt.oracle.MAX_TSYM_N
+    f = pt.random_function(n, np.random.default_rng(14))
+    ones = int(f.truth_table().sum())
+    assert pt.dist_to_k_junta(f, 0) == Fraction(min(ones, (1 << n) - ones), 1 << n)
+    assert pt.dist_to_k_junta(f, n) == 0
+
+
 def test_dist_to_iso_class():
     rng = np.random.default_rng(2)
     spec = pt.random_core_spec(8, 2, rng)
@@ -101,7 +109,7 @@ def test_swap_invariance_relation_is_transitive():
         f = pt.random_function(n, rng) if trial % 2 else pt.random_core_spec(n, 2, rng)
         table = f.truth_table()
         inv = {
-            (i, j): _invariant_transposition(table, n, i, j)
+            (i, j): _invariant_transposition(table, i, j)
             for i in range(n)
             for j in range(i + 1, n)
         }
