@@ -195,7 +195,7 @@ def _exhaustive_monotonicity_violations(n: int) -> int:
     scale = lcm(*(comb(n, i) for i in range(n + 1))) * 4
     scores = {}
     for j_mask in range(1 << n):
-        ones, sizes, _ = influence._layer_counts(tables.T, n, j_mask)
+        ones, sizes = influence._layer_counts(tables.T, n, j_mask)
         size = sizes[:, None]
         scores[j_mask] = (2 * ones * (size - ones) * (scale // size)).sum(axis=(0, 1))
     violations = 0

@@ -3,13 +3,15 @@
 Influence of J: probability that rerandomizing the J-coordinates of a uniform
 point changes the output.  Symmetric influence of J: probability that a
 uniformly random permutation of the J-coordinates changes the output.  Exact
-variants read the truth table as a (2^(n-j), 2^j) split, one row per
-assignment to the bits outside J and one column per assignment inside J,
-sum it over rows or over the columns of each weight in int64, and return
-rationals so that order relations between these quantities can be checked
-without float tolerances.  The Walsh-Hadamard transform is ``_kron``: three
-variables per float64 matrix product, exact because every value is an
-integer far below 2^53.
+variants return rationals so that order relations between these quantities
+can be checked without float tolerances.  Influence reads the truth table as
+a (2^(n-j), 2^j) split, one row per assignment to the bits outside J and one
+column per assignment inside J, and sums its rows.  Layer sums (fixed bits
+outside J, fixed weight inside J) fold J's variables out of the table one at
+a time, highest first (``_fold``), in int32 for 0/1 tables; the closest
+J-symmetric function maps each layer's majority back by the inverse steps.
+The Walsh-Hadamard transform is ``_kron``: three variables per float64
+matrix product, exact because every value is an integer far below 2^53.
 """
 
 from __future__ import annotations
@@ -54,28 +56,43 @@ def _split(table: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
     return cube.reshape((1 << (n - j), 1 << j) + table.shape[1:])
 
 
-def _unsplit(split: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
-    """Inverse of ``_split``: the table in point order."""
-    j = len(cols)
-    cube = split.reshape((2,) * n + split.shape[2:])
-    cube = np.moveaxis(cube, range(n - j, n), [n - 1 - v for v in reversed(cols)])
-    return cube.reshape((1 << n,) + split.shape[2:])
+def _fold(a: np.ndarray, v: int) -> np.ndarray:
+    """Sum variable v out of a weight-first array of layer sums.
+
+    ``a`` is (w+1, 2^m, ...): entry [u, x] sums the table over the points
+    whose already folded variables have weight u and whose other variables
+    spell x, and v is the highest variable x still holds.  Returns the
+    (w+2, 2^(m-1), ...) array in which the x_v = 0 half adds in at weight u
+    and the x_v = 1 half at weight u + 1.  Variables below v keep their bit
+    positions.  0/1 tables accumulate in int32 (every sum is at most 2^n),
+    wider inputs in int64; trailing axes are kept.
+    """
+    w = a.shape[0]
+    halves = a.reshape((w, -1, 2, 1 << v) + a.shape[2:])
+    zero, one = halves[:, :, 0], halves[:, :, 1]
+    dtype = a.dtype if w > 1 else np.int32 if a.dtype.itemsize == 1 else np.int64
+    out = np.empty((w + 1,) + zero.shape[1:], dtype)
+    out[0] = zero[0]
+    np.add(zero[1:], one[:-1], out=out[1:w])
+    out[w] = one[w - 1]
+    return out.reshape((w + 1, -1) + a.shape[2:])
 
 
-def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact sums of a table over the layers of J.
 
-    A layer fixes the bits outside J (the row of the split) and the weight w
-    inside J.  Returns the (2^(n-j), j+1, ...) int64 sums, the layer sizes
-    C(j, w), and the weight of every column of the split.
+    A layer fixes the bits outside J (the row: the other variables in
+    ascending order, lowest bit first) and the weight w inside J.  J's
+    variables are folded out one at a time, highest first (``_fold``), so no
+    copy of the table is sorted or gathered.  Returns the (2^(n-j), j+1, ...)
+    int64 sums and the layer sizes C(j, w).
     """
     cols = indices_of(j_mask)
-    j = len(cols)
-    weights = np.bitwise_count(np.arange(1 << j))
-    sizes = np.array([comb(j, w) for w in range(j + 1)], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    by_weight = _split(table, n, cols)[:, np.argsort(weights, kind="stable")]
-    return np.add.reduceat(by_weight, starts, axis=1, dtype=np.int64), sizes, weights
+    a = table.reshape((1, 1 << n) + table.shape[1:])
+    for v in reversed(cols):
+        a = _fold(a, v)
+    sizes = np.array([comb(len(cols), w) for w in range(len(cols) + 1)], dtype=np.int64)
+    return np.moveaxis(a, 0, 1).astype(np.int64), sizes
 
 
 def _over_sizes(nums: np.ndarray, sizes: np.ndarray) -> Fraction:
@@ -137,7 +154,7 @@ def symmetric_influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fra
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:
         return Fraction(0)
-    ones, sizes, _ = _layer_counts(f.truth_table(), f.n, j_mask)
+    ones, sizes = _layer_counts(f.truth_table(), f.n, j_mask)
     return _over_sizes(np.sum(2 * ones * (sizes - ones), axis=0), sizes) / (1 << f.n)
 
 
@@ -157,28 +174,31 @@ def symmetric_distance(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     """Exact distance from f to the closest J-symmetric function."""
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"exact symmetric distance is capped at n <= {MAX_EXACT_SYMINF_N}")
-    j_mask = _as_mask(f, members)
-    return _symmetric_distance_table(f.truth_table(), f.n, j_mask)
-
-
-def _symmetric_distance_table(table: np.ndarray, n: int, j_mask: int) -> Fraction:
-    ones, sizes, _ = _layer_counts(table, n, j_mask)
-    flips = int(np.sum(np.minimum(ones, sizes - ones)))
-    return Fraction(flips, 1 << n)
+    ones, sizes = _layer_counts(f.truth_table(), f.n, _as_mask(f, members))
+    return Fraction(int(np.sum(np.minimum(ones, sizes - ones))), 1 << f.n)
 
 
 def closest_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> TruthTable:
     """Closest J-symmetric function: each layer takes its majority value.
 
     Split layers (exactly half ones) resolve to 0 so the result is
-    deterministic; any tie-break attains the minimum distance.
+    deterministic; any tie-break attains the minimum distance.  The layer
+    values go back to the points by the inverse of ``_fold``, variables of J
+    from the lowest up: the x_v = 0 half of the output at weight u reads the
+    input at weight u, the x_v = 1 half the input at weight u + 1.
     """
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"closest J-symmetric construction is capped at n <= {MAX_EXACT_SYMINF_N}")
     j_mask = _as_mask(f, members)
-    ones, sizes, weights = _layer_counts(f.truth_table(), f.n, j_mask)
-    majority = (2 * ones > sizes).astype(np.uint8)
-    return TruthTable(f.n, _unsplit(majority[:, weights], f.n, indices_of(j_mask)))
+    ones, sizes = _layer_counts(f.truth_table(), f.n, j_mask)
+    a = (2 * ones > sizes).astype(np.uint8).T
+    for v in indices_of(j_mask):
+        w = a.shape[0] - 1
+        out = np.empty((w, a.shape[1] >> v, 2, 1 << v), np.uint8)
+        out[:, :, 0] = a[:w].reshape(w, -1, 1 << v)
+        out[:, :, 1] = a[1:].reshape(w, -1, 1 << v)
+        a = out.reshape(w, -1)
+    return TruthTable(f.n, a[0])
 
 
 @dataclass(frozen=True)
@@ -270,8 +290,8 @@ def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> F
     j_mask = _as_mask(f, members)
     n = f.n
     raw = _wht_signs(f.truth_table(), n).astype(np.int64)
-    sums, sizes, _ = _layer_counts(raw, n, j_mask)
-    sums_sq, _, _ = _layer_counts(raw * raw, n, j_mask)
+    sums, sizes = _layer_counts(raw, n, j_mask)
+    sums_sq, _ = _layer_counts(raw * raw, n, j_mask)
     if int(sums_sq.sum()) != 1 << (2 * n):
         raise RuntimeError("orbit sums of squared coefficients break Parseval's identity")
     return _over_sizes(np.sum(sizes * sums_sq - sums**2, axis=0), sizes) / (1 << (2 * n + 1))

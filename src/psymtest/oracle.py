@@ -4,8 +4,10 @@ Everything here enumerates, so the caps are tight; results are exact
 (integer counts, rational results).  Table routines read the whole truth
 table with array operations, never point by point: the split of
 ``influence._split`` (one column per assignment to a few chosen variables,
-one row per assignment to the rest), slices of the table viewed as (2,)*n
-(transpositions), or the tensor-power passes of ``influence._kron``
+one row per assignment to the rest; isomorphism-class distance), slices of
+the table viewed as (2,)*n (transpositions), the one-variable folds of
+``influence._fold`` (t-symmetric distance: the t-subsets share the folds of
+their common prefixes), or the tensor-power passes of ``influence._kron``
 (junta distance: superset sums over the table, then a Moebius inversion
 inside every k-subset at once).
 """
@@ -22,10 +24,10 @@ import numpy as np
 
 from ._bits import mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _kron, _split, _symmetric_distance_table
+from .influence import _fold, _kron, _split
 
 MAX_DIST_N = 22
-MAX_TSYM_N = 14
+MAX_TSYM_N = 16
 MAX_ISO_N = 10
 MAX_CORE_N = 16
 MAX_MEASURE_N = 16
@@ -45,21 +47,33 @@ def dist_exact(f: BooleanFunction, g: BooleanFunction) -> Fraction:
 
 
 def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
-    """Min over |J| = t of the distance to the closest J-symmetric function."""
+    """Min over |J| = t of the distance to the closest J-symmetric function.
+
+    The t-subsets come in descending order, each one listed highest member
+    first, and keep a stack of partial folds (``influence._fold``): a subset
+    folds only the members past the prefix it shares with the previous one,
+    and every layer then flips its minority, min(ones, C(t, w) - ones).
+    """
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"t-symmetric distance is capped at n <= {MAX_TSYM_N}")
     if not 0 <= t <= n:
         raise ValueError("t outside 0..n")
-    table = f.truth_table()
-    best = Fraction(1)
-    for members in itertools.combinations(range(n), t):
-        d = _symmetric_distance_table(table, n, mask_from_indices(members))
-        if d < best:
-            best = d
-            if best == 0:
-                break
-    return best
+    sizes = np.array([[comb(t, w)] for w in range(t + 1)], dtype=np.int32)
+    folds = [f.truth_table().reshape(1, -1)]
+    prev: tuple[int, ...] = ()
+    best = 1 << n
+    for members in itertools.combinations(range(n - 1, -1, -1), t):
+        shared = next((i for i, (a, b) in enumerate(zip(prev, members)) if a != b), len(prev))
+        del folds[shared + 1 :]
+        for v in members[shared:]:
+            folds.append(_fold(folds[-1], v))
+        prev = members
+        ones = folds[-1]
+        best = min(best, int(np.minimum(ones, sizes - ones).sum()))
+        if best == 0:
+            break
+    return Fraction(best, 1 << n)
 
 
 def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:

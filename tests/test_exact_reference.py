@@ -1,4 +1,6 @@
-"""Every exact routine against a plain per-point Python reference at n <= 6.
+"""Every exact routine against a plain per-point Python reference at n <= 6,
+and the layer routines that fold J (closest function, t-symmetric distance)
+at n = 7 and 8 as well.
 
 The references loop over points, pairs of points and subset masks in Python
 and group points with dicts, so they share nothing with the library's split
@@ -106,18 +108,20 @@ def mask_of(members) -> int:
     return sum(1 << v for v in members)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_layer_routines_match_reference_for_every_j(n):
     rng = np.random.default_rng(100 + n)
     for f in functions(n, rng):
         t = [int(v) for v in f.truth_table()]
         for j_mask in range(1 << n):
             members = [v for v in range(n) if j_mask >> v & 1]
-            assert pt.influence_exact(f, members) == ref_influence(t, n, j_mask)
-            assert pt.symmetric_influence_exact(f, members) == ref_syminf(t, n, j_mask)
-            assert pt.symmetric_distance(f, members) == ref_symdist(t, n, j_mask)
             closest = pt.closest_j_symmetric(f, members)
             assert [int(v) for v in closest.truth_table()] == ref_closest(t, n, j_mask)
+            assert pt.symmetric_distance(f, members) == ref_symdist(t, n, j_mask)
+            if n > 6:
+                continue  # the pair and coefficient references below grow as 4^n
+            assert pt.influence_exact(f, members) == ref_influence(t, n, j_mask)
+            assert pt.symmetric_influence_exact(f, members) == ref_syminf(t, n, j_mask)
             assert pt.symmetric_influence_fourier(f, members) == ref_fourier(t, n, j_mask)
             assert pt.is_j_symmetric(f, members) == ref_symmetric(t, n, j_mask)
 
@@ -131,7 +135,7 @@ def test_walsh_hadamard_matches_reference_coefficients(n):
         assert [Fraction(float(c)) for c in coeffs] == ref_coefficients(t, n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_subset_minimizers_match_reference_for_every_k(n):
     rng = np.random.default_rng(200 + n)
     for f in functions(n, rng):

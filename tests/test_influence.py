@@ -316,6 +316,69 @@ def test_character_orbit_identity():
         assert Fraction(total, count) == expected
 
 
+def reference_layer_counts(table, n, j_mask):
+    """The split's columns sorted by weight, each weight's run summed in int64
+    by ``np.add.reduceat``: (row, weight) sums, sizes and column weights."""
+    from math import comb
+
+    from psymtest._bits import indices_of
+    from psymtest.influence import _split
+
+    cols = indices_of(j_mask)
+    j = len(cols)
+    weights = np.bitwise_count(np.arange(1 << j))
+    sizes = np.array([comb(j, w) for w in range(j + 1)], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    by_weight = _split(table, n, cols)[:, np.argsort(weights, kind="stable")]
+    return np.add.reduceat(by_weight, starts, axis=1, dtype=np.int64), sizes, weights
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fold_matches_sorted_reduceat_sums_for_every_j(n):
+    from psymtest.influence import _layer_counts, _wht_signs
+
+    rng = np.random.default_rng(700 + n)
+    table = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+    raw = _wht_signs(table, n).astype(np.int64)
+    # the CLI's exhaustive sweep: one column per function, uint32
+    stacked = rng.integers(0, 2, size=(1 << n, 5), dtype=np.uint32)
+    for values in (table, raw, stacked):
+        for j_mask in range(1 << n):
+            sums, sizes = _layer_counts(values, n, j_mask)
+            want, want_sizes, _ = reference_layer_counts(values, n, j_mask)
+            assert sums.dtype == np.int64 and sums.shape == want.shape
+            assert np.array_equal(sums, want) and np.array_equal(sizes, want_sizes)
+
+
+@pytest.mark.parametrize("kind", ["dictator", "outside", "dense"])
+def test_layer_sums_past_int32_at_n20(kind):
+    """|J| = 18 at n = 20: layers of up to C(18, 9) = 48620 points.  The
+    dictator on a member of J has layer products 2 c (L - c) that add up past
+    2^31 over the rows; the dictator on a variable outside J fills whole
+    layers, so its sums pass 2^15."""
+    from psymtest.influence import _over_sizes, _split
+
+    n = 20
+    rng = np.random.default_rng(20)
+    members = sorted(int(v) for v in rng.choice(n, size=18, replace=False))
+    if kind == "dense":
+        f = pt.random_function(n, rng)
+    else:
+        v = members[5] if kind == "dictator" else min(set(range(n)) - set(members))
+        f = pt.TruthTable(n, (np.arange(1 << n) >> v) & 1)
+    j_mask = sum(1 << v for v in members)
+    ones, sizes, weights = reference_layer_counts(f.truth_table(), n, j_mask)
+    products = np.sum(2 * ones * (sizes - ones), axis=0)
+    if kind == "dictator":
+        assert int(products.sum()) > 2**31
+    assert pt.symmetric_influence_exact(f, members) == _over_sizes(products, sizes) / (1 << n)
+    flips = int(np.sum(np.minimum(ones, sizes - ones)))
+    assert pt.symmetric_distance(f, members) == Fraction(flips, 1 << n)
+    closest = pt.closest_j_symmetric(f, members).truth_table()
+    majority = (2 * ones > sizes).astype(np.uint8)
+    assert np.array_equal(_split(closest, n, members), majority[:, weights])
+
+
 def test_layer_sizes_are_binomial_counts():
     from math import comb
 
@@ -328,7 +391,7 @@ def test_layer_sizes_are_binomial_counts():
     members = [1, 3, 4, 6]
     rest = [v for v in range(n) if v not in members]
     j_mask = mask_from_indices(members)
-    ones, sizes, weights = _layer_counts(f.truth_table(), n, j_mask)
+    ones, sizes = _layer_counts(f.truth_table(), n, j_mask)
     # per-point enumeration: row = the bits outside J packed in order, column = weight in J
     want_ones = np.zeros((1 << len(rest), len(members) + 1), dtype=np.int64)
     want_sizes = np.zeros_like(want_ones)
@@ -340,7 +403,6 @@ def test_layer_sizes_are_binomial_counts():
     assert ones.dtype == np.int64 and np.array_equal(ones, want_ones)
     assert np.array_equal(want_sizes, np.broadcast_to(sizes, want_sizes.shape))
     assert list(sizes) == [comb(len(members), w) for w in range(len(members) + 1)]
-    assert list(weights) == [c.bit_count() for c in range(1 << len(members))]
     assert np.all(2 * np.minimum(ones, sizes - ones) <= sizes)  # minority fraction <= 1/2
 
 
@@ -350,8 +412,8 @@ def test_fourier_parseval_check_fires_when_a_layer_is_lost(monkeypatch):
     real = influence._layer_counts
 
     def drop_weight_zero(table, n, j_mask):
-        sums, sizes, weights = real(table, n, j_mask)
-        return sums[:, 1:], sizes[1:], weights
+        sums, sizes = real(table, n, j_mask)
+        return sums[:, 1:], sizes[1:]
 
     assert pt.symmetric_influence_fourier(X0_AND_NOT_X1, [0, 1]) == Fraction(1, 4)
     monkeypatch.setattr(influence, "_layer_counts", drop_weight_zero)

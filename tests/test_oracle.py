@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ def test_dist_to_t_symmetric():
     assert pt.dist_to_t_symmetric(spec, 8) == 0
     f = pt.random_function(12, rng)
     assert pt.dist_to_t_symmetric(f, 10) >= Fraction(1, 20)
+
+
+@pytest.mark.parametrize("t", [13, 14])
+def test_dist_to_t_symmetric_at_n15_matches_every_j(t):
+    n = 15
+    rng = np.random.default_rng(15)
+    near = pt.random_core_spec(n, n - t, rng).truth_table().copy()
+    near[rng.choice(1 << n, size=40, replace=False)] ^= 1
+    for f in (pt.TruthTable(n, near), pt.random_function(n, rng)):
+        want = min(pt.symmetric_distance(f, j) for j in combinations(range(n), t))
+        assert pt.dist_to_t_symmetric(f, t) == want
 
 
 def test_dist_to_k_junta_parity():
