@@ -38,6 +38,13 @@ def _check_assignment(assignment: Sequence[int], k: int) -> tuple[int, ...]:
     return a
 
 
+def _sample_arrays(samples: Sequence[CoreSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples' x, w and z as three int64 arrays."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    return tuple(np.array([getattr(s, name) for s in samples], dtype=np.int64) for name in "xwz")
+
+
 def _consistency_arrays(
     xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore, assignment
 ) -> int:
@@ -52,12 +59,8 @@ def consistency_fraction(
 ) -> Fraction:
     """Fraction of samples whose bit matches the core read through the
     assignment (sample bit ``assignment[c]`` feeds core coordinate c)."""
-    if not samples:
-        raise ValueError("need at least one sample")
+    xs, ws, zs = _sample_arrays(samples)
     a = _check_assignment(assignment, f_spec.k)
-    xs = np.array([s.x for s in samples], dtype=np.int64)
-    ws = np.array([s.w for s in samples], dtype=np.int64)
-    zs = np.array([s.z for s in samples], dtype=np.int64)
     return Fraction(_consistency_arrays(xs, ws, zs, f_spec, a), len(samples))
 
 
@@ -80,13 +83,9 @@ def best_assignment(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Maximizing assignment over all k! candidates, first in lexicographic
     order on ties."""
-    if not samples:
-        raise ValueError("need at least one sample")
+    xs, ws, zs = _sample_arrays(samples)
     if f_spec.k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
-    xs = np.array([s.x for s in samples], dtype=np.int64)
-    ws = np.array([s.w for s in samples], dtype=np.int64)
-    zs = np.array([s.z for s in samples], dtype=np.int64)
     return _best_assignment_arrays(xs, ws, zs, f_spec)
 
 

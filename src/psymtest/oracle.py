@@ -32,6 +32,9 @@ MAX_ISO_N = 10
 MAX_CORE_N = 16
 MAX_MEASURE_N = 16
 
+# subset moments gathered per batch of the junta distance
+_JUNTA_BATCH = 1 << 20
+
 _SUPERSET_SUMS = np.array([[1.0, 1.0], [0.0, 1.0]])
 _SUBSET_MOBIUS = np.array([[1.0, -1.0], [0.0, 1.0]])
 
@@ -86,16 +89,18 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     # above[T]: the ones of f among the points that contain T
     above = _kron(f.truth_table().reshape(1, -1), n, _SUPERSET_SUMS)[0]
     # one row per k-subset S, one column per T inside S: bit c of the column
-    # is S's c-th smallest member
-    members = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
-    bits = 1 << members.reshape(comb(n, k), k)
-    inside = np.zeros((comb(n, k), 1), dtype=np.int64)
-    for c in range(k):
-        inside = np.concatenate((inside, inside | bits[:, c : c + 1]), axis=1)
-    # Moebius inversion inside S: ones[S, c] counts the ones of f whose bits on S spell c
-    ones = _kron(above[inside], k, _SUBSET_MOBIUS)
-    flips = np.minimum(ones, (1 << (n - k)) - ones).sum(axis=1)
-    return Fraction(int(flips.min()), 1 << n)
+    # is S's c-th smallest member; at most _JUNTA_BATCH moments at a time
+    subsets = itertools.combinations(range(n), k)
+    best = 1 << n
+    while batch := list(itertools.islice(subsets, max(1, _JUNTA_BATCH >> k))):
+        bits = 1 << np.array(batch, dtype=np.int64).reshape(len(batch), k)
+        inside = np.zeros((len(batch), 1), dtype=np.int64)
+        for c in range(k):
+            inside = np.concatenate((inside, inside | bits[:, c : c + 1]), axis=1)
+        # Moebius inversion inside S: ones[S, c] counts the ones of f whose bits on S spell c
+        ones = _kron(above[inside], k, _SUBSET_MOBIUS)
+        best = min(best, int(np.minimum(ones, (1 << (n - k)) - ones).sum(axis=1).min()))
+    return Fraction(best, 1 << n)
 
 
 def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fraction:

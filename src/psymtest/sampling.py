@@ -11,11 +11,12 @@ it counts the valid points of each weight in at most |W| + 1 terms, and a
 draw unranks one uniform rank among them.  When every non-workspace part
 is a singleton the law is uniform on the cube, so a batch is one block of
 uniform words at any n.  Either way a batch is one ``eval_many`` call.
+The sampler's exact (x, w) law is counted from the same table, at every
+partition.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -26,8 +27,6 @@ import numpy as np
 from ._bits import block_points, block_weights, random_mask, random_masks_u64, randrange_bigint
 from .boolfn import BooleanFunction
 from .testers import Partition, TesterConfig, TestVerdict, partially_symmetric_test
-
-MAX_ENUMERATION_PARTS = 20
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,11 @@ class SamplerHandle:
     _table: _SubsetSumTable = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.n == self.partition.n == self.f.n:
+            raise ValueError("n, the partition's n and the function's n must agree")
         self._table = _SubsetSumTable(self.partition, self.workspace)
+        if any(not 0 <= p < self.partition.r for p in self.j_parts):
+            raise ValueError("asymmetric slots must be part indices")
         if len(set(self.j_parts)) != self.k:
             raise ValueError("j_parts must be k distinct parts")
         if self.workspace in self.j_parts:
@@ -366,40 +369,36 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
 
 
 def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction]:
-    """Exact (x, w) law of the handle's sampler by enumerating the part
-    constants; usable while the non-workspace part count stays small."""
-    partition, table = handle.partition, handle._table
-    n = handle.n
-    others = table.others
-    if len(others) > MAX_ENUMERATION_PARTS:
-        raise ValueError("too many parts to enumerate")
-    sizes = {p: partition.size(p) for p in others}
-    slot_of = {part: c for c, part in enumerate(handle.j_parts)}
-    w_size = partition.size(handle.workspace)
-    valid = [table.count(w) for w in range(n + 1)]
-
+    """Exact (x, w) law of the handle's sampler, counted from its table at
+    every partition: a weight-w draw lands on (x, w - |x|) with probability
+    p_w * rest[w - size(x)] / count(w), where size(x) is the total size of
+    the slots x sets and ``rest[t]`` counts the choices of the other parts
+    and the workspace fill of total size t.  When count(w) = 0 the
+    all-zeros fallback takes p_w whole.
+    """
+    table, n = handle._table, handle.n
+    # a weight-t workspace fill is a choice of t one-variable parts
+    free = [size for p, size in zip(table.others, table.sizes) if p not in handle.j_parts]
+    rest = _suffix_ways(free + [1] * (len(table.wcomb) - 1))[0]
+    slot_size = [0]
+    for part in handle.j_parts:
+        slot_size += [size + handle.partition.size(part) for size in slot_size]
     mass: dict[tuple[int, int], Fraction] = {}
-
-    def add(key: tuple[int, int], value: Fraction) -> None:
-        mass[key] = mass.get(key, Fraction(0)) + value
-
     for w in range(n + 1):
         p_w = Fraction(comb(n, w), 1 << n)
-        if valid[w] == 0:
-            # all-zeros fallback: every constant is 0
-            add((0, 0), p_w)
+        total = table.count(w)
+        if total == 0:
+            mass[(0, 0)] = mass.get((0, 0), 0) + p_w
             continue
-        for bits in itertools.product((0, 1), repeat=len(others)):
-            s = sum(sizes[p] for p, b in zip(others, bits) if b)
-            t = w - s
-            if not 0 <= t <= w_size:
-                continue
-            weight = p_w * Fraction(comb(w_size, t), valid[w])
-            x = 0
-            for part, b in zip(others, bits):
-                if b and part in slot_of:
-                    x |= 1 << slot_of[part]
-            add((x, w - x.bit_count()), weight)
+        counted = 0
+        for x, size in enumerate(slot_size):
+            cnt = rest[w - size] if 0 <= w - size < len(rest) else 0
+            if cnt:
+                counted += cnt
+                key = (x, w - x.bit_count())
+                mass[key] = mass.get(key, 0) + p_w * Fraction(cnt, total)
+        if counted != total:
+            raise RuntimeError(f"slot patterns count {counted} weight-{w} points, the table {total}")
     return mass
 
 

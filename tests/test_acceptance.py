@@ -204,6 +204,7 @@ def aligned_handle_64():
 def test_criterion_6_delta_sampler_contract(aligned_handle_64):
     f, handle = aligned_handle_64
     tv = pt.marginal_tv_estimate(handle, 100_000, np.random.default_rng(107))
+    exact_tv64 = float(pt.tv_exact(core_marginal_exact(handle), dstar_pmf(64, 2)))
 
     order = [handle.partition.parts[p].bit_length() - 1 for p in handle.j_parts]
     sigma = [order.index(a) for a in f.asym]
@@ -224,7 +225,7 @@ def test_criterion_6_delta_sampler_contract(aligned_handle_64):
 
     with criterion(
         6,
-        f"sampler marginal TV {tv:.4f}, core agreement {matches}/100000, "
+        f"sampler marginal TV {tv:.4f} (exact {exact_tv64:.4f}), core agreement {matches}/100000, "
         f"n=16 exact TV {exact_tv:.4f} vs estimate {est_tv:.4f}",
     ):
         assert tv <= 0.1

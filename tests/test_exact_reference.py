@@ -136,12 +136,17 @@ def test_walsh_hadamard_matches_reference_coefficients(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_subset_minimizers_match_reference_for_every_k(n):
+def test_subset_minimizers_match_reference_for_every_k(n, monkeypatch):
     rng = np.random.default_rng(200 + n)
     for f in functions(n, rng):
         t = [int(v) for v in f.truth_table()]
         for k in range(n + 1):
-            assert pt.dist_to_k_junta(f, k) == ref_junta(t, n, k)
+            want = ref_junta(t, n, k)
+            assert pt.dist_to_k_junta(f, k) == want
+            with monkeypatch.context() as m:
+                # batches of 8 moments: several subsets per batch below k = 3, one from there on
+                m.setattr(pt.oracle, "_JUNTA_BATCH", 8)
+                assert pt.dist_to_k_junta(f, k) == want
             want = min(ref_symdist(t, n, mask_of(m)) for m in combinations(range(n), k))
             assert pt.dist_to_t_symmetric(f, k) == want
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -64,6 +65,18 @@ def test_dist_to_k_junta_extreme_k_at_cap():
     ones = int(f.truth_table().sum())
     assert pt.dist_to_k_junta(f, 0) == Fraction(min(ones, (1 << n) - ones), 1 << n)
     assert pt.dist_to_k_junta(f, n) == 0
+
+
+def test_dist_to_k_junta_memory_is_bounded_by_its_batches():
+    # all C(16, 11) * 2^11 subset moments at once would trace about 275 MB
+    f = pt.random_function(16, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        pt.dist_to_k_junta(f, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 def test_dist_to_iso_class():

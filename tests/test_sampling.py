@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -97,6 +98,23 @@ def test_out_of_range_workspace_is_rejected(workspace):
         pt.SamplerHandle(f, partition, workspace, (0,), 1, 6)
     with pytest.raises(ValueError, match="workspace is not a part index"):
         pt.sample_diw(partition, workspace, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "f_n, part_n, n, j_parts, message",
+    [
+        (6, 6, 6, (-1,), "slots must be part indices"),
+        (6, 6, 6, (3,), "slots must be part indices"),
+        (12, 12, 20, (0,), "must agree"),
+        (8, 6, 6, (0,), "must agree"),
+        (6, 6, 8, (0,), "must agree"),
+    ],
+)
+def test_malformed_handle_is_rejected(f_n, part_n, n, j_parts, message):
+    partition = pt.Partition(part_n, [0b11, 0b1100, ((1 << part_n) - 1) ^ 0b1111])
+    f = pt.SymmetricProfile(f_n, np.zeros(f_n + 1, dtype=np.uint8))
+    with pytest.raises(ValueError, match=message):
+        pt.SamplerHandle(f, partition, 2, j_parts, 1, n)
 
 
 @pytest.mark.parametrize(
@@ -295,6 +313,103 @@ def test_core_marginal_exact_sums_to_one_and_matches_empirical():
     exact_tv = float(pt.tv_exact(exact, reference))
     est = pt.marginal_tv_estimate(handle, 200_000, np.random.default_rng(21))
     assert abs(est - exact_tv) <= 0.02
+
+
+def reference_core_marginal(handle):
+    """The sampler's (x, w) law by enumerating every choice of constants for
+    the nonempty non-workspace parts; 2^r terms, so only for r <= 12."""
+    partition, table = handle.partition, handle._table
+    n = handle.n
+    others = table.others
+    assert partition.r <= 12
+    sizes = {p: partition.size(p) for p in others}
+    slot_of = {part: c for c, part in enumerate(handle.j_parts)}
+    w_size = partition.size(handle.workspace)
+    mass = {}
+    for w in range(n + 1):
+        p_w = Fraction(comb(n, w), 1 << n)
+        valid = table.count(w)
+        if valid == 0:
+            # all-zeros fallback: every constant is 0
+            mass[(0, 0)] = mass.get((0, 0), 0) + p_w
+            continue
+        for bits in product((0, 1), repeat=len(others)):
+            t = w - sum(sizes[p] for p, b in zip(others, bits) if b)
+            if not 0 <= t <= w_size:
+                continue
+            x = sum(1 << slot_of[p] for p, b in zip(others, bits) if b and p in slot_of)
+            key = (x, w - x.bit_count())
+            mass[key] = mass.get(key, 0) + p_w * Fraction(comb(w_size, t), valid)
+    return mass
+
+
+def test_core_marginal_exact_matches_enumeration_on_random_handles():
+    rng = np.random.default_rng(26)
+    seen = Counter()
+    for _ in range(160):
+        n = int(rng.integers(3, 41))
+        r = int(rng.integers(2, 13))
+        assign = rng.integers(0, r, size=n)
+        partition = pt.Partition(n, [sum(1 << int(i) for i in np.flatnonzero(assign == p)) for p in range(r)])
+        workspace = int(rng.integers(0, r))
+        free = [p for p in range(r) if p != workspace and partition.parts[p]]
+        k = int(rng.integers(0, min(len(free), 3) + 1))
+        slots = tuple(int(p) for p in rng.permutation(free)[:k])
+        f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
+        handle = pt.SamplerHandle(f, partition, workspace, slots, k, n)
+        law = core_marginal_exact(handle)
+        assert law == reference_core_marginal(handle)
+        assert sum(law.values()) == 1
+        seen["empty workspace"] += not partition.parts[workspace]
+        seen["fallback weight"] += any(handle._table.count(w) == 0 for w in range(n + 1))
+        seen["wide slot"] += any(partition.size(p) > 1 for p in slots)
+        seen["k = 0"] += k == 0
+    assert min(seen[case] for case in ("empty workspace", "fallback weight", "wide slot", "k = 0")) >= 10, seen
+
+
+@pytest.mark.parametrize("n, k", [(64, 2), (256, 1)])
+def test_core_marginal_exact_on_singleton_handles_is_dstar(n, k):
+    # every non-workspace part a singleton: the law is exactly D*
+    partition = pt.random_partition(n, n, np.random.default_rng(27))
+    f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
+    handle = pt.SamplerHandle(f, partition, n // 3, tuple(range(n - k, n)), k, n)
+    law = core_marginal_exact(handle)
+    assert sum(law.values()) == 1
+    assert law == dstar_pmf(n, k)
+
+
+def test_core_marginal_exact_past_enumeration_at_n256_r200():
+    n = 256
+    partition = pt.random_partition(n, 200, np.random.default_rng(28))
+    w_part = max(range(partition.r), key=partition.size)
+    slots = tuple(p for p in range(partition.r) if p != w_part and partition.size(p) > 1)[:2]
+    f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
+    handle = pt.SamplerHandle(f, partition, w_part, slots, 2, n)
+    law = core_marginal_exact(handle)
+    assert sum(law.values()) == 1
+    # the point's weight |x| + w is binomial, with the all-zeros fallback at 0
+    by_weight = Counter()
+    for (x, w), p in law.items():
+        by_weight[x.bit_count() + w] += p
+    expected = Counter()
+    for w in range(n + 1):
+        expected[w if handle._table.count(w) else 0] += Fraction(comb(n, w), 1 << n)
+    assert by_weight == expected
+    assert {x for x, _ in law} == set(range(4))
+
+
+def test_core_marginal_check_fires_when_a_slot_is_counted_twice(monkeypatch):
+    from psymtest import sampling
+
+    partition = pt.Partition(9, [0b11, 0b11100, 0b111100000])
+    f = pt.SymmetricProfile(9, np.zeros(10, dtype=np.uint8))
+    handle = pt.SamplerHandle(f, partition, 2, (0,), 1, 9)
+    assert core_marginal_exact(handle) == reference_core_marginal(handle)
+    real = sampling._suffix_ways
+    # the slot part joins the free parts as well
+    monkeypatch.setattr(sampling, "_suffix_ways", lambda sizes: real([*sizes, partition.size(0)]))
+    with pytest.raises(RuntimeError, match="slot patterns count"):
+        core_marginal_exact(handle)
 
 
 def test_batch_draws_general_partition_path():
