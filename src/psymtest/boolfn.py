@@ -430,19 +430,32 @@ def function_to_json(f: BooleanFunction) -> dict:
     raise ValueError(f"kind {f.kind!r} has no file form")
 
 
+_JSON_TYPES = {int: "integer", str: "string", list: "array"}
+
+
+def _json_field(obj: dict, key: str, kind: type):
+    """``obj[key]`` if it is a JSON value of type ``kind`` (a bool is no integer)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
 def function_from_json(obj: dict) -> BooleanFunction:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a function spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    n = int(obj["n"])
+    n = _json_field(obj, "n", int)
     if kind == "truth_table":
-        return TruthTable(n, hex_to_bits(obj["table_hex"], 1 << n))
+        return TruthTable(n, hex_to_bits(_json_field(obj, "table_hex", str), 1 << n))
     if kind == "k_linear":
-        return KLinear(n, obj["indices"])
+        return KLinear(n, _json_field(obj, "indices", list))
     if kind == "symmetric_profile":
-        return SymmetricProfile(n, obj["profile"])
+        return SymmetricProfile(n, _json_field(obj, "profile", list))
     if kind == "psym_core":
-        k = int(obj["k"])
-        bits = hex_to_bits(obj["core_hex"], (1 << k) * (n - k + 1))
-        return PartiallySymmetricCore(n, k, obj["asym"], bits.reshape(1 << k, n - k + 1))
+        k = _json_field(obj, "k", int)
+        bits = hex_to_bits(_json_field(obj, "core_hex", str), (1 << k) * (n - k + 1))
+        return PartiallySymmetricCore(n, k, _json_field(obj, "asym", list), bits.reshape(1 << k, n - k + 1))
     raise ValueError(f"unknown function kind {kind!r}")
 
 

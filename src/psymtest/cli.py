@@ -236,6 +236,7 @@ def _xor_of_symmetric(n: int, rng: np.random.Generator):
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     n_max = args.n_max
     if not 4 <= n_max <= 12:

@@ -10,8 +10,11 @@ column per assignment inside J, and sums its rows.  Layer sums (fixed bits
 outside J, fixed weight inside J) fold J's variables out of the table one at
 a time, highest first (``_fold``), in int32 for 0/1 tables; the closest
 J-symmetric function maps each layer's majority back by the inverse steps.
-The Walsh-Hadamard transform is ``_kron``: three variables per float64
-matrix product, exact because every value is an integer far below 2^53.
+The Walsh-Hadamard transform is ``_kron``: three variables per float32
+matrix product on the 0/1 table, -2 folded into the first pass; exact
+because every value and partial sum is an integer of size at most
+2^(n+1) <= 2^21, below float32's 2^24.  The coefficients are returned in
+float64.
 """
 
 from __future__ import annotations
@@ -224,32 +227,39 @@ _KRON_COLS = 1 << 12
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _kron(a: np.ndarray, n: int, kernel: np.ndarray) -> np.ndarray:
-    """Apply the n-fold tensor power of a 2x2 kernel to every row of ``a``.
+def _kron(
+    a: np.ndarray, n: int, kernel: np.ndarray, dtype=np.float64, scale: float = 1.0
+) -> np.ndarray:
+    """Apply ``scale`` times the n-fold tensor power of a 2x2 kernel to every
+    row of ``a``, in floating-point ``dtype``.
 
     ``a`` is a (batch, 2^n) array whose column bit v is variable v;
     along each variable an output bit o reads the input bits i with weights
     ``kernel[o, i]``.  Yates's method: each pass multiplies the 8x8 kernel
     (2x2 or 4x4 for the last one or two variables) against the three lowest
     index bits and moves them to the top of the index, so ceil(n/3) passes
-    bring every bit back in place.  The kernels in use have integer entries;
-    float64 results are exact as long as every partial sum is an integer
-    below 2^53, which holds for every caller here (no value reaches 2^29).
-    The passes alternate between ``a`` and one spare array of its size, so a
-    C-contiguous float64 ``a`` is overwritten; any other is converted first.
+    bring every bit back in place; the first pass's kernel carries ``scale``.
+    The kernels in use have integer entries, and so do ``scale`` and the
+    inputs.  A result is then exact as long as every partial sum of every
+    pass is an integer below 2^53 in float64, or below 2^24 in float32, in
+    absolute value; each caller proves its own bound.  The passes alternate
+    between ``a`` and one spare array of its size, so a C-contiguous ``a`` of
+    ``dtype`` is overwritten; any other is converted first.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if n == 0:
+        a *= scale  # no pass to carry it
     spare = np.empty_like(a)
     batch = a.shape[0]
     for done in range(0, n, 3):
         b = min(3, n - done)
-        step = kernel
+        step = kernel * scale if done == 0 else kernel
         for _ in range(b - 1):
             step = np.kron(step, kernel)
         rest = 1 << (n - b)
         cols = min(_KRON_COLS, rest)
         np.matmul(
-            step,
+            step.astype(dtype),
             a.reshape(batch, rest // cols, cols, 1 << b).transpose(0, 1, 3, 2),
             out=spare.reshape(batch, 1 << b, rest // cols, cols).transpose(0, 2, 1, 3),
         )
@@ -258,21 +268,25 @@ def _kron(a: np.ndarray, n: int, kernel: np.ndarray) -> np.ndarray:
 
 
 def _wht_signs(table: np.ndarray, n: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of (-1)^f in float64; every
-    value is an integer of absolute value at most 2^n, so it is exact."""
-    signs = table.astype(np.float64).reshape(1, -1)
-    signs *= -2.0
-    signs += 1.0
-    return _kron(signs, n, _HADAMARD)[0]
+    """Unnormalized Walsh-Hadamard transform of (-1)^f, in float32.
+
+    WHT(1 - 2f) = 2^n e_0 - 2 WHT(f): the 0/1 table is transformed with -2
+    in the first pass's kernel, and 2^n is added at index 0.  Every value of
+    a pass is a signed sum of entries of -2f, so it and every partial sum
+    inside a pass's products is an integer of absolute value at most
+    2 * 2^n <= 2^21 for n <= 20, below float32's exact-integer limit 2^24.
+    """
+    raw = _kron(table.reshape(1, -1), n, _HADAMARD, np.float32, -2.0)[0]
+    raw[0] += 1 << n
+    return raw
 
 
 def walsh_hadamard(f: BooleanFunction) -> FourierTable:
-    """Fast transform of the whole table, O(n 2^n)."""
+    """Fast transform of the whole table, O(n 2^n); float64 coefficients."""
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"transform is capped at n <= {MAX_EXACT_SYMINF_N}")
-    coeffs = _wht_signs(f.truth_table(), f.n)
-    coeffs /= 1 << f.n
-    return FourierTable(f.n, coeffs)
+    raw = _wht_signs(f.truth_table(), f.n)
+    return FourierTable(f.n, np.multiply(raw, 2.0**-f.n, dtype=np.float64))
 
 
 def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> Fraction:

@@ -9,7 +9,8 @@ the table viewed as (2,)*n (transpositions), the one-variable folds of
 ``influence._fold`` (t-symmetric distance: the t-subsets share the folds of
 their common prefixes), or the tensor-power passes of ``influence._kron``
 (junta distance: superset sums over the table, then a Moebius inversion
-inside every k-subset at once).
+inside every k-subset at once; both in float64, exact below 2^53, while
+the Walsh-Hadamard transform runs in float32).
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
         raise ValueError(f"junta distance is capped at n <= {MAX_TSYM_N}")
     if not 0 <= k <= n:
         raise ValueError("k outside 0..n")
-    # above[T]: the ones of f among the points that contain T
+    # above[T]: the ones of f among the points that contain T.  Both passes
+    # stay in float64, exact below 2^53: every pass value counts ones of f,
+    # and no partial sum of an 8-term product passes 8 * 2^n
     above = _kron(f.truth_table().reshape(1, -1), n, _SUPERSET_SUMS)[0]
     # one row per k-subset S, one column per T inside S: bit c of the column
     # is S's c-th smallest member; at most _JUNTA_BATCH moments at a time
@@ -132,10 +135,13 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
 def _invariant_transposition(table: np.ndarray, i: int, j: int) -> bool:
     """Swapping x_i and x_j leaves the table unchanged: its (x_i, x_j) = 10
     and 01 slices agree.  Both are views of the table as (2,)*n, with the
-    axes of the other variables merged."""
+    axes of the other variables merged.  A leading block of at most 4^3
+    entries is compared first: most pairs of a dense table differ there."""
     lo, hi = sorted((i, j))
     cube = table.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    return bool(np.array_equal(cube[:, 1, :, 0], cube[:, 0, :, 1]))
+    ten, one = cube[:, 1, :, 0], cube[:, 0, :, 1]
+    lead = (slice(4),) * 3
+    return bool(np.array_equal(ten[lead], one[lead]) and np.array_equal(ten, one))
 
 
 def is_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> bool:
@@ -173,9 +179,11 @@ def find_core(f: BooleanFunction) -> tuple[int, ...]:
             v = parent[v]
         return v
 
+    # a pair already joined through others is invariant too: no test needed
     for i, j in itertools.combinations(range(n), 2):
-        if _invariant_transposition(table, i, j):
-            parent[root(i)] = root(j)
+        ri, rj = root(i), root(j)
+        if ri != rj and _invariant_transposition(table, i, j):
+            parent[ri] = rj
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(root(v), []).append(v)

@@ -113,6 +113,7 @@ class _SubsetSumTable:
         self.fill_bits = [1 << int(pos) for pos in partition.positions(workspace)]
         # binomial weight + uniform valid point collapses to a uniform point
         self.uniform = all(size == 1 for size in self.sizes)
+        self._counts: dict[int, int] = {}
 
     def _by_sum(self, w: int) -> Iterator[tuple[int, int]]:
         """(s, number of valid weight-w points whose choice sums to s)."""
@@ -121,7 +122,10 @@ class _SubsetSumTable:
             yield s, ways[s] * self.wcomb[w - s]
 
     def count(self, w: int) -> int:
-        return sum(c for _, c in self._by_sum(w))
+        """Number of valid weight-w points, summed once per weight."""
+        if w not in self._counts:
+            self._counts[w] = sum(c for _, c in self._by_sum(w))
+        return self._counts[w]
 
     def unrank(self, w: int, u: int) -> tuple[int, int]:
         """The u-th valid weight-w point, u in [0, count(w)), and its

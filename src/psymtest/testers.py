@@ -242,6 +242,12 @@ def _junta_locate(
     return order[hi - 1]
 
 
+def junta_query_bound(rounds: int, r: int, k: int) -> int:
+    """Worst-case query budget: every round costs two probes, and each of at
+    most k + 1 hits binary-searches at most r parts."""
+    return 2 * rounds + (k + 1) * ceil(log2(max(r, 2)))
+
+
 def junta_test(
     f: BooleanFunction,
     k: int,
@@ -281,8 +287,12 @@ def junta_test(
             break
 
     spec = probe.speculative
+    queries = g.count - spec
+    bound = junta_query_bound(probe.rounds, partition.r, k)
+    if queries > bound:
+        raise RuntimeError(f"query count {queries} exceeds budget {bound}")
     reason = None if len(found) <= k else "too_many_parts"
-    return TestVerdict(reason is None, g.count - spec, found, partition, failure_reason=reason, speculative=spec)
+    return TestVerdict(reason is None, queries, found, partition, failure_reason=reason, speculative=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +509,7 @@ __all__ = [
     "TesterConfig",
     "TestVerdict",
     "find_asymmetric_set",
+    "junta_query_bound",
     "junta_test",
     "partially_symmetric_test",
     "psym_partition_size",

@@ -146,6 +146,7 @@ def test_lemmas_exhaustive_small_n(capsys):
         (["brute-iso", "--eps", "1"], "--eps"),
         (["lemmas", "--n-max", "3"], "--n-max"),
         (["lemmas", "--n-max", "13"], "--n-max"),
+        (["lemmas", "--trials", "0"], "--trials"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, flag, capsys):
@@ -157,6 +158,29 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
     assert run_cli(*argv, *functions[argv[0]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("psymtest: error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ([1, 2], "must be a JSON object, got list"),
+        (None, "must be a JSON object, got NoneType"),
+        ({"kind": "k_linear", "n": 4, "indices": None}, "'indices' must be a JSON array"),
+        ({"kind": "k_linear", "n": 3.7, "indices": [0]}, "'n' must be a JSON integer"),
+        ({"kind": "k_linear", "n": True, "indices": [0]}, "'n' must be a JSON integer"),
+        ({"kind": "symmetric_profile", "n": 2, "profile": None}, "'profile' must be a JSON array"),
+        ({"kind": "truth_table", "n": 2, "table_hex": None}, "'table_hex' must be a JSON string"),
+        ({"kind": "psym_core", "n": 4, "k": 1, "asym": None, "core_hex": "00"}, "'asym' must be a JSON array"),
+    ],
+)
+def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=message):
+        pt.load_function(path)
+    assert run_cli("measure", "--fn", path, "--set", "0") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psymtest: error:") and message in err
 
 
 def test_brute_iso_self_and_complement(tmp_path, capsys):

@@ -118,11 +118,13 @@ def test_layer_routines_match_reference_for_every_j(n):
             closest = pt.closest_j_symmetric(f, members)
             assert [int(v) for v in closest.truth_table()] == ref_closest(t, n, j_mask)
             assert pt.symmetric_distance(f, members) == ref_symdist(t, n, j_mask)
+            fourier = pt.symmetric_influence_fourier(f, members)
+            assert fourier == pt.symmetric_influence_exact(f, members)
             if n > 6:
                 continue  # the pair and coefficient references below grow as 4^n
             assert pt.influence_exact(f, members) == ref_influence(t, n, j_mask)
             assert pt.symmetric_influence_exact(f, members) == ref_syminf(t, n, j_mask)
-            assert pt.symmetric_influence_fourier(f, members) == ref_fourier(t, n, j_mask)
+            assert fourier == ref_fourier(t, n, j_mask)
             assert pt.is_j_symmetric(f, members) == ref_symmetric(t, n, j_mask)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest.influence import _kron, symmetric_distance, walsh_hadamard
+from psymtest.influence import _HADAMARD, _kron, _wht_signs, symmetric_distance, walsh_hadamard
 
 from helpers import brute_dist, brute_influence, brute_syminf
 
@@ -207,6 +207,35 @@ def test_wht_parseval_on_random_function():
     assert abs(walsh_hadamard(f).parseval_sum() - 1.0) <= 1e-9
 
 
+def reference_walsh_hadamard(table: np.ndarray, n: int) -> np.ndarray:
+    """The float64 sign-table path: (-1)^f built as 1 - 2f, the Hadamard
+    passes in float64, then one division by 2^n."""
+    signs = table.astype(np.float64).reshape(1, -1)
+    signs *= -2.0
+    signs += 1.0
+    coeffs = _kron(signs, n, _HADAMARD)[0]
+    coeffs /= 1 << n
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20])
+def test_walsh_hadamard_is_byte_identical_to_the_float64_sign_path(n):
+    rng = np.random.default_rng(900 + n)
+    tables = [
+        rng.integers(0, 2, size=1 << n, dtype=np.uint8),
+        np.zeros(1 << n, dtype=np.uint8),
+        np.ones(1 << n, dtype=np.uint8),
+        pt.KLinear(n, range(0, n, 2)).truth_table(),
+    ]
+    for table in tables:
+        coeffs = walsh_hadamard(pt.TruthTable(n, table)).coeffs
+        want = reference_walsh_hadamard(table, n)
+        assert coeffs.dtype == np.float64
+        assert coeffs.tobytes() == want.tobytes()
+        raw = _wht_signs(table, n)
+        assert raw.dtype == np.float32 and np.array_equal(raw, want * (1 << n))
+
+
 def test_wht_at_n20_is_exact_and_parseval_sum_is_exactly_one():
     n = 20
     f = pt.random_function(n, np.random.default_rng(20))
@@ -229,7 +258,11 @@ def test_kron_matches_dense_tensor_power(kernel, batch, n):
     for _ in range(n):
         dense = np.kron(dense, kernel)
     rows = np.random.default_rng(n).integers(-3, 4, size=(batch, 1 << n)).astype(np.float64)
-    assert np.array_equal(_kron(rows.copy(), n, kernel), rows @ dense.T)
+    want = rows @ dense.T
+    for dtype in (np.float64, np.float32):
+        out = _kron(rows.astype(dtype), n, kernel, dtype)
+        assert out.dtype == dtype and np.array_equal(out, want)
+        assert np.array_equal(_kron(rows.astype(dtype), n, kernel, dtype, -2.0), -2.0 * want)
 
 
 def test_syminf_fourier_trivial_and_hand_case():

@@ -153,6 +153,51 @@ def test_swap_invariance_relation_is_transitive():
                         assert rel(i, k)
 
 
+def test_transposition_difference_past_the_leading_block():
+    from psymtest.oracle import _invariant_transposition
+
+    # a symmetric table with one point flipped where both slices are read last
+    n = 10
+    base = pt.SymmetricProfile(n, np.arange(n + 1) % 2).truth_table()
+    for i, j in combinations(range(n), 2):
+        assert _invariant_transposition(base, i, j)
+        table = base.copy()
+        table[((1 << n) - 1) ^ (1 << j)] ^= 1  # x_j = 0, every other bit 1
+        assert not _invariant_transposition(table, i, j)
+        assert not _invariant_transposition(table, j, i)
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_find_core_skips_pairs_already_joined(k, monkeypatch):
+    from psymtest import oracle
+
+    n = 16
+    f = pt.random_core_spec(n, k, np.random.default_rng(40 + k))
+    table = f.truth_table()
+    inv = {pair: oracle._invariant_transposition(table, *pair) for pair in combinations(range(n), 2)}
+    # the classes of the relation, from every pair
+    label = list(range(n))
+    for (i, j), same in inv.items():
+        if same:
+            label = [label[i] if v == label[j] else v for v in label]
+    classes = {c: [v for v in range(n) if label[v] == c] for c in set(label)}
+    want = max(classes.values(), key=lambda c: (len(c), -min(c)))
+    assert len(want) >= n - k
+    # a pair inside a class is tested only while its roots differ, and each
+    # such test joins two roots; a pair across classes is always tested
+    across = sum(label[i] != label[j] for i, j in inv)
+    calls = []
+
+    def counted(table, i, j):
+        calls.append((i, j))
+        return inv[(i, j)]
+
+    monkeypatch.setattr(oracle, "_invariant_transposition", counted)
+    assert pt.find_core(f) == tuple(want)
+    assert len(calls) == (n - len(classes)) + across
+    assert len(calls) == {0: 15, 2: 42, 3: 54}[k]
+
+
 def test_is_t_intersecting():
     fam = SetFamily.of(8, [{0, 1, 2}, {1, 2, 5}, {0, 1, 2, 7}])
     assert pt.is_t_intersecting(fam, 2)

@@ -157,6 +157,18 @@ def test_unranking_every_rank_covers_each_pattern_once_per_fill(partition, works
             table.unrank(w, total)
 
 
+def test_table_counts_each_weight_once(monkeypatch):
+    partition = pt.Partition(9, [0b1111, 0b11110000, 1 << 8])
+    table = _SubsetSumTable(partition, 2)
+    want = [sum(c for _, c in table._by_sum(w)) for w in range(10)]
+    sums = []
+    by_sum = table._by_sum
+    monkeypatch.setattr(table, "_by_sum", lambda w: sums.append(w) or by_sum(w))
+    for _ in range(3):
+        assert [table.count(w) for w in range(10)] == want
+    assert sums == list(range(10))
+
+
 def test_sample_diw_conditional_uniformity_chi_square():
     from scipy import stats
 

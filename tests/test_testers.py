@@ -416,6 +416,18 @@ def test_psym_query_budget_check_raises(monkeypatch):
         pt.partially_symmetric_test(f, 1, 0.3, np.random.default_rng(0))
 
 
+def test_junta_query_budget_holds_and_its_check_raises(monkeypatch):
+    # a far function: the tester finds k + 1 parts, each by a binary search
+    f = pt.random_function(12, np.random.default_rng(21))
+    cfg = pt.TesterConfig()
+    v = pt.junta_test(f, 2, 0.1, np.random.default_rng(4), cfg=cfg)
+    assert not v.accepted and len(v.found_parts) == 3
+    assert v.queries <= testers.junta_query_bound(ceil(cfg.c_iters * 2 / 0.1), v.partition.r, 2)
+    monkeypatch.setattr(testers, "junta_query_bound", lambda *args: 1)
+    with pytest.raises(RuntimeError, match="exceeds budget 1"):
+        pt.junta_test(f, 2, 0.1, np.random.default_rng(4))
+
+
 def test_psym_workspace_failure_reason():
     # 40 vars over 35 parts: some workspaces come out empty
     f = pt.SymmetricProfile(40, np.zeros(41, dtype=np.uint8))
