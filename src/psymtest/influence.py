@@ -227,11 +227,9 @@ _KRON_COLS = 1 << 12
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _kron(
-    a: np.ndarray, n: int, kernel: np.ndarray, dtype=np.float64, scale: float = 1.0
-) -> np.ndarray:
+def _kron(a: np.ndarray, n: int, kernel: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Apply ``scale`` times the n-fold tensor power of a 2x2 kernel to every
-    row of ``a``, in floating-point ``dtype``.
+    row of ``a``, in float32.
 
     ``a`` is a (batch, 2^n) array whose column bit v is variable v;
     along each variable an output bit o reads the input bits i with weights
@@ -241,12 +239,12 @@ def _kron(
     bring every bit back in place; the first pass's kernel carries ``scale``.
     The kernels in use have integer entries, and so do ``scale`` and the
     inputs.  A result is then exact as long as every partial sum of every
-    pass is an integer below 2^53 in float64, or below 2^24 in float32, in
-    absolute value; each caller proves its own bound.  The passes alternate
-    between ``a`` and one spare array of its size, so a C-contiguous ``a`` of
-    ``dtype`` is overwritten; any other is converted first.
+    pass is an integer below 2^24 in absolute value, float32's limit for
+    exact integers; each caller proves its own bound.  The passes alternate
+    between ``a`` and one spare array of its size, so a C-contiguous float32
+    ``a`` is overwritten; any other is converted first.
     """
-    a = np.ascontiguousarray(a, dtype=dtype)
+    a = np.ascontiguousarray(a, dtype=np.float32)
     if n == 0:
         a *= scale  # no pass to carry it
     spare = np.empty_like(a)
@@ -259,7 +257,7 @@ def _kron(
         rest = 1 << (n - b)
         cols = min(_KRON_COLS, rest)
         np.matmul(
-            step.astype(dtype),
+            step.astype(np.float32),
             a.reshape(batch, rest // cols, cols, 1 << b).transpose(0, 1, 3, 2),
             out=spare.reshape(batch, 1 << b, rest // cols, cols).transpose(0, 2, 1, 3),
         )
@@ -276,7 +274,7 @@ def _wht_signs(table: np.ndarray, n: int) -> np.ndarray:
     inside a pass's products is an integer of absolute value at most
     2 * 2^n <= 2^21 for n <= 20, below float32's exact-integer limit 2^24.
     """
-    raw = _kron(table.reshape(1, -1), n, _HADAMARD, np.float32, -2.0)[0]
+    raw = _kron(table.reshape(1, -1), n, _HADAMARD, -2.0)[0]
     raw[0] += 1 << n
     return raw
 

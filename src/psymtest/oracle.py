@@ -9,8 +9,8 @@ the table viewed as (2,)*n (transpositions), the one-variable folds of
 ``influence._fold`` (t-symmetric distance: the t-subsets share the folds of
 their common prefixes), or the tensor-power passes of ``influence._kron``
 (junta distance: superset sums over the table, then a Moebius inversion
-inside every k-subset at once; both in float64, exact below 2^53, while
-the Walsh-Hadamard transform runs in float32).
+inside every k-subset at once; in float32, exact because no partial sum
+passes 8 * 2^n <= 2^19 at n <= 16).
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("k outside 0..n")
     # above[T]: the ones of f among the points that contain T.  Both passes
-    # stay in float64, exact below 2^53: every pass value counts ones of f,
-    # and no partial sum of an 8-term product passes 8 * 2^n
+    # run in float32, exact below 2^24: every pass value counts ones of f,
+    # so no partial sum of an 8-term product passes 8 * 2^n <= 2^19 at n <= 16
     above = _kron(f.truth_table().reshape(1, -1), n, _SUPERSET_SUMS)[0]
     # one row per k-subset S, one column per T inside S: bit c of the column
     # is S's c-th smallest member; at most _JUNTA_BATCH moments at a time

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest.influence import _HADAMARD, _kron, _wht_signs, symmetric_distance, walsh_hadamard
+from psymtest.influence import _kron, _wht_signs, symmetric_distance, walsh_hadamard
 
 from helpers import brute_dist, brute_influence, brute_syminf
 
@@ -208,12 +208,16 @@ def test_wht_parseval_on_random_function():
 
 
 def reference_walsh_hadamard(table: np.ndarray, n: int) -> np.ndarray:
-    """The float64 sign-table path: (-1)^f built as 1 - 2f, the Hadamard
-    passes in float64, then one division by 2^n."""
-    signs = table.astype(np.float64).reshape(1, -1)
-    signs *= -2.0
-    signs += 1.0
-    coeffs = _kron(signs, n, _HADAMARD)[0]
+    """The float64 sign-table path: (-1)^f built as 1 - 2f, a plain
+    radix-2 butterfly in float64, then one division by 2^n."""
+    coeffs = table.astype(np.float64)
+    coeffs *= -2.0
+    coeffs += 1.0
+    for v in range(n):
+        pairs = coeffs.reshape(-1, 2, 1 << v)
+        low, high = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = low + high
+        pairs[:, 1] = low - high
     coeffs /= 1 << n
     return coeffs
 
@@ -259,10 +263,9 @@ def test_kron_matches_dense_tensor_power(kernel, batch, n):
         dense = np.kron(dense, kernel)
     rows = np.random.default_rng(n).integers(-3, 4, size=(batch, 1 << n)).astype(np.float64)
     want = rows @ dense.T
-    for dtype in (np.float64, np.float32):
-        out = _kron(rows.astype(dtype), n, kernel, dtype)
-        assert out.dtype == dtype and np.array_equal(out, want)
-        assert np.array_equal(_kron(rows.astype(dtype), n, kernel, dtype, -2.0), -2.0 * want)
+    out = _kron(rows, n, kernel)
+    assert out.dtype == np.float32 and np.array_equal(out, want)
+    assert np.array_equal(_kron(rows, n, kernel, -2.0), -2.0 * want)
 
 
 def test_syminf_fourier_trivial_and_hand_case():
