@@ -14,6 +14,7 @@ to an exact float-key sort.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +43,18 @@ def indices_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as an int if it is a Python or NumPy integer other than a
+    bool; anything else (a float, a string, a bool) raises ``ValueError``
+    naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
 def random_mask(n: int, rng: np.random.Generator) -> int:

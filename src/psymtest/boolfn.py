@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bits import (
+    as_index,
     bits_to_hex,
     block_points,
     block_weights,
@@ -57,7 +58,7 @@ class Permutation:
     __slots__ = ("mapping", "_tables")
 
     def __init__(self, mapping: Sequence[int]):
-        m = tuple(int(v) for v in mapping)
+        m = tuple(as_index(v, "permutation entry") for v in mapping)
         if sorted(m) != list(range(len(m))):
             raise ValueError("mapping is not a bijection on range(n)")
         self.mapping = m
@@ -229,7 +230,7 @@ class KLinear(BooleanFunction):
 
     def __init__(self, n: int, indices: Iterable[int]):
         super().__init__(n)
-        idx = tuple(sorted(int(i) for i in indices))
+        idx = tuple(sorted(as_index(i, "index") for i in indices))
         if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
             raise ValueError("indices must be distinct and in range(n)")
         self.indices = idx
@@ -287,7 +288,8 @@ class PartiallySymmetricCore(BooleanFunction):
 
     def __init__(self, n: int, k: int, asym: Iterable[int], core):
         super().__init__(n)
-        asym = tuple(int(a) for a in asym)
+        k = as_index(k, "k")
+        asym = tuple(as_index(a, "asym position") for a in asym)
         if not 0 <= k < n or len(asym) != k:
             raise ValueError("need 0 <= k < n and k asymmetric positions")
         if len(set(asym)) != k or any(not 0 <= a < n for a in asym):
@@ -454,6 +456,8 @@ def function_from_json(obj: dict) -> BooleanFunction:
         return SymmetricProfile(n, _json_field(obj, "profile", list))
     if kind == "psym_core":
         k = _json_field(obj, "k", int)
+        if not 0 <= k < n:
+            raise ValueError(f"field 'k' must satisfy 0 <= k < n = {n}, got {k}")
         bits = hex_to_bits(_json_field(obj, "core_hex", str), (1 << k) * (n - k + 1))
         return PartiallySymmetricCore(n, k, _json_field(obj, "asym", list), bits.reshape(1 << k, n - k + 1))
     raise ValueError(f"unknown function kind {kind!r}")

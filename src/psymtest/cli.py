@@ -32,12 +32,18 @@ def _trial_rng(seed: int, trial: int) -> tuple[int, np.random.Generator]:
     return int(ss.generate_state(1)[0]), np.random.default_rng(ss)
 
 
-def _parse_kv(body: str) -> dict[str, str]:
+_DESCRIPTOR_KEYS = {"random": {"n"}, "profile": {"n"}, "core": {"n", "k"}, "parity": {"n", "k", "vars"}}
+
+
+def _parse_kv(head: str, body: str) -> dict[str, str]:
     out = {}
     for piece in body.split(","):
         if piece:
             key, _, val = piece.partition("=")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _DESCRIPTOR_KEYS[head]:
+                raise ValueError(f"descriptor {head!r} takes no key {key!r}")
+            out[key] = val.strip()
     return out
 
 
@@ -49,8 +55,8 @@ def resolve_function(spec: str, rng: np.random.Generator) -> boolfn.BooleanFunct
     ``parity:n=64,k=6`` or ``parity:n=64,vars=0;3;7``.
     """
     head, sep, body = spec.partition(":")
-    if sep and head in {"random", "profile", "core", "parity"}:
-        kv = _parse_kv(body)
+    if sep and head in _DESCRIPTOR_KEYS:
+        kv = _parse_kv(head, body)
         n = int(kv["n"])
         if head == "random":
             return boolfn.random_function(n, rng)

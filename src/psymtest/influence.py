@@ -8,13 +8,15 @@ can be checked without float tolerances.  Influence reads the truth table as
 a (2^(n-j), 2^j) split, one row per assignment to the bits outside J and one
 column per assignment inside J, and sums its rows.  Layer sums (fixed bits
 outside J, fixed weight inside J) fold J's variables out of the table one at
-a time, highest first (``_fold``), in int32 for 0/1 tables; the closest
-J-symmetric function maps each layer's majority back by the inverse steps.
-The Walsh-Hadamard transform is ``_kron``: three variables per float32
-matrix product on the 0/1 table, -2 folded into the first pass; exact
-because every value and partial sum is an integer of size at most
-2^(n+1) <= 2^21, below float32's 2^24.  The coefficients are returned in
-float64.
+a time, highest first (``_fold``), a 0/1 table in the narrowest integer
+type that holds C(j, j // 2) after j folds (uint8, uint16, then int32); the
+closest J-symmetric function maps each layer's majority back by the inverse
+steps.  The Walsh-Hadamard transform is ``_kron``: three variables per
+float32 matrix product on the 0/1 table, -2 folded into the first pass;
+exact because every value and partial sum is an integer of size at most
+2^(n+1) <= 2^21, below float32's 2^24.  The passes run in the two float32
+halves of the float64 output, which is then widened in place, so a call
+allocates nothing else.
 """
 
 from __future__ import annotations
@@ -67,16 +69,22 @@ def _fold(a: np.ndarray, v: int) -> np.ndarray:
     spell x, and v is the highest variable x still holds.  Returns the
     (w+2, 2^(m-1), ...) array in which the x_v = 0 half adds in at weight u
     and the x_v = 1 half at weight u + 1.  Variables below v keep their bit
-    positions.  0/1 tables accumulate in int32 (every sum is at most 2^n),
-    wider inputs in int64; trailing axes are kept.
+    positions; trailing axes are kept.  A 0/1 table (uint8) accumulates in
+    the narrowest type that holds C(w, w // 2), the largest sum after these
+    w folded variables: uint8 through w = 10 (C(10, 5) = 252), uint16
+    through w = 18 (C(18, 9) = 48620), int32 beyond.  Wider inputs
+    accumulate in int64.
     """
     w = a.shape[0]
     halves = a.reshape((w, -1, 2, 1 << v) + a.shape[2:])
     zero, one = halves[:, :, 0], halves[:, :, 1]
-    dtype = a.dtype if w > 1 else np.int32 if a.dtype.itemsize == 1 else np.int64
+    if a.dtype == np.int64 or (w == 1 and a.dtype != np.uint8):
+        dtype = np.int64
+    else:
+        dtype = np.uint8 if w <= 10 else np.uint16 if w <= 18 else np.int32
     out = np.empty((w + 1,) + zero.shape[1:], dtype)
     out[0] = zero[0]
-    np.add(zero[1:], one[:-1], out=out[1:w])
+    np.add(zero[1:], one[:-1], out=out[1:w], dtype=dtype)
     out[w] = one[w - 1]
     return out.reshape((w + 1, -1) + a.shape[2:])
 
@@ -227,7 +235,9 @@ _KRON_COLS = 1 << 12
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _kron(a: np.ndarray, n: int, kernel: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _kron(
+    a: np.ndarray, n: int, kernel: np.ndarray, scale: float = 1.0, spare: np.ndarray | None = None
+) -> np.ndarray:
     """Apply ``scale`` times the n-fold tensor power of a 2x2 kernel to every
     row of ``a``, in float32.
 
@@ -241,13 +251,16 @@ def _kron(a: np.ndarray, n: int, kernel: np.ndarray, scale: float = 1.0) -> np.n
     inputs.  A result is then exact as long as every partial sum of every
     pass is an integer below 2^24 in absolute value, float32's limit for
     exact integers; each caller proves its own bound.  The passes alternate
-    between ``a`` and one spare array of its size, so a C-contiguous float32
-    ``a`` is overwritten; any other is converted first.
+    between ``a`` and ``spare``, a C-contiguous float32 array of its shape
+    (a fresh one if not given), and the result is whichever of the two the
+    last pass wrote: ``a`` after an even number of passes.  A C-contiguous
+    float32 ``a`` is overwritten; any other is converted first.
     """
     a = np.ascontiguousarray(a, dtype=np.float32)
     if n == 0:
         a *= scale  # no pass to carry it
-    spare = np.empty_like(a)
+    if spare is None:
+        spare = np.empty_like(a)
     batch = a.shape[0]
     for done in range(0, n, 3):
         b = min(3, n - done)
@@ -265,7 +278,7 @@ def _kron(a: np.ndarray, n: int, kernel: np.ndarray, scale: float = 1.0) -> np.n
     return a
 
 
-def _wht_signs(table: np.ndarray, n: int) -> np.ndarray:
+def _wht_signs(table: np.ndarray, n: int, halves: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of (-1)^f, in float32.
 
     WHT(1 - 2f) = 2^n e_0 - 2 WHT(f): the 0/1 table is transformed with -2
@@ -273,18 +286,41 @@ def _wht_signs(table: np.ndarray, n: int) -> np.ndarray:
     a pass is a signed sum of entries of -2f, so it and every partial sum
     inside a pass's products is an integer of absolute value at most
     2 * 2^n <= 2^21 for n <= 20, below float32's exact-integer limit 2^24.
+    The passes run in ``halves``, a (2, 2^n) float32 buffer (a fresh one if
+    not given): the table is copied into the half that makes the last of the
+    ceil(n/3) passes write ``halves[1]``, which is returned.
     """
-    raw = _kron(table.reshape(1, -1), n, _HADAMARD, -2.0)[0]
+    if halves is None:
+        halves = np.empty((2, 1 << n), np.float32)
+    start = 1 - (n + 2) // 3 % 2  # an even pass count ends where it starts
+    np.copyto(halves[start], table)
+    raw = _kron(halves[start : start + 1], n, _HADAMARD, -2.0, spare=halves[1 - start : 2 - start])[0]
     raw[0] += 1 << n
     return raw
 
 
 def walsh_hadamard(f: BooleanFunction) -> FourierTable:
-    """Fast transform of the whole table, O(n 2^n); float64 coefficients."""
-    if f.n > MAX_EXACT_SYMINF_N:
+    """Fast transform of the whole table, O(n 2^n); float64 coefficients.
+
+    The float32 passes run in the two halves of the float64 output and end
+    in the upper half, float32 slots [N, 2N) of N = 2^n coefficients.  It is
+    widened in place over the chunks [0, N/2), [N/2, 3N/4), ..., [N-1, N):
+    float64 chunk [lo, hi) writes the slots [2 lo, 2 hi), and 2 hi <= N + lo
+    keeps them below its own source, slots N + lo onwards, so no chunk
+    overwrites a value not yet read (the last one-entry chunk overlaps only
+    its own source, which numpy reads before writing).
+    """
+    n = f.n
+    if n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"transform is capped at n <= {MAX_EXACT_SYMINF_N}")
-    raw = _wht_signs(f.truth_table(), f.n)
-    return FourierTable(f.n, np.multiply(raw, 2.0**-f.n, dtype=np.float64))
+    coeffs = np.empty(1 << n)
+    raw = _wht_signs(f.truth_table(), n, coeffs.view(np.float32).reshape(2, -1))
+    lo = 0
+    while lo < 1 << n:
+        hi = ((1 << n) + lo + 1) // 2
+        np.multiply(raw[lo:hi], 2.0**-n, out=coeffs[lo:hi], dtype=np.float64)
+        lo = hi
+    return FourierTable(n, coeffs)
 
 
 def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> Fraction:

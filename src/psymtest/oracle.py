@@ -7,10 +7,11 @@ table with array operations, never point by point: the split of
 one row per assignment to the rest; isomorphism-class distance), slices of
 the table viewed as (2,)*n (transpositions), the one-variable folds of
 ``influence._fold`` (t-symmetric distance: the t-subsets share the folds of
-their common prefixes), or the tensor-power passes of ``influence._kron``
-(junta distance: superset sums over the table, then a Moebius inversion
-inside every k-subset at once; in float32, exact because no partial sum
-passes 8 * 2^n <= 2^19 at n <= 16).
+their common prefixes, which hold uint8 sums through t = 10 and uint16 up to
+the cap t = 16, and each is scored in that type), or the tensor-power passes
+of ``influence._kron`` (junta distance: superset sums over the table, then a
+Moebius inversion inside every k-subset at once; in float32, exact because
+no partial sum passes 8 * 2^n <= 2^19 at n <= 16).
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
         raise ValueError(f"t-symmetric distance is capped at n <= {MAX_TSYM_N}")
     if not 0 <= t <= n:
         raise ValueError("t outside 0..n")
-    sizes = np.array([[comb(t, w)] for w in range(t + 1)], dtype=np.int32)
+    # the layer sizes in the folds' own type (see ``_fold``), so that scoring casts nothing
+    sizes = np.array([[comb(t, w)] for w in range(t + 1)], dtype=np.min_scalar_type(comb(t, t // 2)))
     folds = [f.truth_table().reshape(1, -1)]
     prev: tuple[int, ...] = ()
     best = 1 << n

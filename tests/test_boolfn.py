@@ -69,6 +69,36 @@ def test_core_eval_range_errors():
         spec.core_eval(4, 0)
 
 
+CORE_K1_N4 = np.zeros((2, 4), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        pytest.param(lambda: pt.KLinear(8, [0.5]), "index", id="klinear-float"),
+        pytest.param(lambda: pt.KLinear(8, [np.float64(3.0)]), "index", id="klinear-numpy-float"),
+        pytest.param(lambda: pt.KLinear(8, [True]), "index", id="klinear-bool"),
+        pytest.param(lambda: pt.KLinear(8, ["3"]), "index", id="klinear-str"),
+        pytest.param(lambda: pt.PartiallySymmetricCore(4, 1, [0.0], CORE_K1_N4), "asym position", id="asym-float"),
+        pytest.param(
+            lambda: pt.PartiallySymmetricCore(4, 1, [np.True_], CORE_K1_N4), "asym position", id="asym-numpy-bool"
+        ),
+        pytest.param(lambda: pt.PartiallySymmetricCore(4, 1.0, [0], CORE_K1_N4), "k", id="core-float-k"),
+        pytest.param(lambda: pt.Permutation([0.0, 1.0]), "permutation entry", id="permutation-float"),
+        pytest.param(lambda: pt.Permutation([False, True]), "permutation entry", id="permutation-bool"),
+    ],
+)
+def test_non_integer_indices_are_rejected(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build()
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert pt.KLinear(8, np.array([3, 0], dtype=np.uint8)).indices == (0, 3)
+    assert pt.Permutation(np.arange(3)[::-1]).mapping == (2, 1, 0)
+    assert pt.PartiallySymmetricCore(4, np.int64(1), [np.int32(2)], CORE_K1_N4).asym == (2,)
+
+
 def test_eval_rejects_out_of_range_points():
     f = pt.KLinear(4, [0])
     with pytest.raises(ValueError):

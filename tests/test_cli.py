@@ -147,6 +147,8 @@ def test_lemmas_exhaustive_small_n(capsys):
         (["lemmas", "--n-max", "3"], "--n-max"),
         (["lemmas", "--n-max", "13"], "--n-max"),
         (["lemmas", "--trials", "0"], "--trials"),
+        (["measure", "--fn", "core:n=8,k=2,z=1"], "descriptor 'core' takes no key 'z'"),
+        (["measure", "--fn", "random:n=8,k=2"], "descriptor 'random' takes no key 'k'"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, flag, capsys):
@@ -154,6 +156,7 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
         "experiment": ["--fn", "profile:n=16", "--k", "2"],
         "brute-iso": ["--fn", "core:n=8,k=2", "--g", "core:n=8,k=2"],
         "lemmas": [],
+        "measure": ["--set", "0"],
     }
     assert run_cli(*argv, *functions[argv[0]]) == 2
     err = capsys.readouterr().err
@@ -171,6 +174,11 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
         ({"kind": "symmetric_profile", "n": 2, "profile": None}, "'profile' must be a JSON array"),
         ({"kind": "truth_table", "n": 2, "table_hex": None}, "'table_hex' must be a JSON string"),
         ({"kind": "psym_core", "n": 4, "k": 1, "asym": None, "core_hex": "00"}, "'asym' must be a JSON array"),
+        ({"kind": "k_linear", "n": 8, "indices": [0.5]}, "index must be an integer, got float"),
+        ({"kind": "k_linear", "n": 8, "indices": [2, "3"]}, "index must be an integer, got str"),
+        ({"kind": "psym_core", "n": 4, "k": 1, "asym": [True], "core_hex": "00"}, "asym position must be an integer"),
+        ({"kind": "psym_core", "n": 4, "k": 5, "asym": [], "core_hex": "01"}, "'k' must satisfy 0 <= k < n = 4, got 5"),
+        ({"kind": "psym_core", "n": 4, "k": -1, "asym": [], "core_hex": "01"}, "'k' must satisfy 0 <= k < n = 4, got -1"),
     ],
 )
 def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):

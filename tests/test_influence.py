@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -222,7 +224,7 @@ def reference_walsh_hadamard(table: np.ndarray, n: int) -> np.ndarray:
     return coeffs
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 20])
+@pytest.mark.parametrize("n", range(1, 21))
 def test_walsh_hadamard_is_byte_identical_to_the_float64_sign_path(n):
     rng = np.random.default_rng(900 + n)
     tables = [
@@ -238,6 +240,28 @@ def test_walsh_hadamard_is_byte_identical_to_the_float64_sign_path(n):
         assert coeffs.tobytes() == want.tobytes()
         raw = _wht_signs(table, n)
         assert raw.dtype == np.float32 and np.array_equal(raw, want * (1 << n))
+
+
+@pytest.mark.parametrize(
+    "routine, bound_mb",
+    [("walsh_hadamard", 8.5), ("symmetric_influence_exact", 3), ("closest_j_symmetric", 3)],
+)
+def test_exact_routines_at_n20_allocate_little_past_their_output(routine, bound_mb):
+    """The transform's passes run inside its 8 MB float64 output, and 0/1
+    layer folds at |J| = 18 hold uint8 and uint16 sums, not int32 (which
+    traced 12.1 MB and 7.0 MB)."""
+    n = 20
+    rng = np.random.default_rng(2020)
+    f = pt.random_function(n, rng)
+    members = sorted(int(v) for v in rng.choice(n, size=18, replace=False))
+    args = (f,) if routine == "walsh_hadamard" else (f, members)
+    tracemalloc.start()
+    try:
+        getattr(pt.influence, routine)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * (1 << 20)
 
 
 def test_wht_at_n20_is_exact_and_parseval_sum_is_exactly_one():
@@ -413,6 +437,28 @@ def test_layer_sums_past_int32_at_n20(kind):
     closest = pt.closest_j_symmetric(f, members).truth_table()
     majority = (2 * ones > sizes).astype(np.uint8)
     assert np.array_equal(_split(closest, n, members), majority[:, weights])
+
+
+def test_fold_types_hold_full_layers():
+    """On the constant-one table every layer sum is its size C(|J|, w), the
+    largest a fold type must hold: uint8 ends after 10 folded variables and
+    uint16 after 18."""
+    from psymtest.influence import _layer_counts
+
+    rng = np.random.default_rng(1011)
+    n = 20
+    one = pt.TruthTable(n, np.ones(1 << n, dtype=np.uint8))
+    for j in (10, 11, 18, 19, 20):
+        members = sorted(int(v) for v in rng.choice(n, size=j, replace=False))
+        ones, sizes = _layer_counts(one.truth_table(), n, sum(1 << v for v in members))
+        assert list(sizes) == [comb(j, w) for w in range(j + 1)]
+        assert ones.dtype == np.int64 and ones.shape == (1 << (n - j), j + 1)
+        assert np.array_equal(ones, np.broadcast_to(sizes, ones.shape))
+        assert symmetric_distance(one, members) == 0
+        assert np.array_equal(pt.closest_j_symmetric(one, members).truth_table(), one.table)
+    one16 = pt.TruthTable(16, np.ones(1 << 16, dtype=np.uint8))
+    for t in (10, 11, 16):
+        assert pt.dist_to_t_symmetric(one16, t) == 0
 
 
 def test_layer_sizes_are_binomial_counts():
