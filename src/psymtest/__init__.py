@@ -20,8 +20,6 @@ from .boolfn import (
     function_from_json,
     function_to_json,
     load_function,
-    point_bits,
-    point_from_bits,
     random_core_spec,
     random_function,
     read_count,
@@ -57,10 +55,8 @@ from .sampling import (
     SamplerHandle,
     SamplerRejected,
     build_sampler,
-    count_valid,
     draw_core_sample,
     marginal_tv_estimate,
-    sample_diw,
     sample_dstar,
 )
 from .testers import (

@@ -57,6 +57,20 @@ def as_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
 
 
+def as_bits(values, name: str) -> np.ndarray:
+    """``values`` as a uint8 array (no copy when it already is one) if its
+    dtype is integer or bool and every entry is 0 or 1; anything else (a
+    float or string entry, a 2, a -1) raises ``ValueError`` naming ``name``."""
+    a = np.asarray(values)
+    kind = a.dtype.kind
+    if a.size and kind != "b":
+        if kind not in "iu":
+            raise ValueError(f"{name} entries must be bits, got an array of {a.dtype}")
+        if a.max() > 1 or (kind == "i" and a.min() < 0):
+            raise ValueError(f"{name} entries must be bits, got entries from {a.min()} to {a.max()}")
+    return np.asarray(a, dtype=np.uint8)
+
+
 def random_mask(n: int, rng: np.random.Generator) -> int:
     """Uniform n-bit mask (any n)."""
     if n == 0:

@@ -3,9 +3,10 @@
 Every function is a total map {0,1}^n -> {0,1} queried at integer masks
 (variable i is bit i, variable 0 least significant, so a mask is also the
 truth-table index of the point).  ``eval_many`` takes a batch of points in
-one of two forms: a 1-D uint64 array at n <= 64, or a sequence of ints at
-any n.  It range-checks the batch as ``__call__`` does and turns it into a
-(b, ceil(n/64)) uint64 word block, and every structured kind evaluates that
+one of two forms: a 1-D integer array at n <= 64, or a sequence of ints at
+any n.  It rejects a bad point with ``ValueError`` as ``__call__`` does (a
+point outside the cube, a float, a bool scalar or array) and turns the
+batch into a (b, ceil(n/64)) uint64 word block, and every structured kind evaluates that
 block with array operations at every n.  Dense truth tables are capped at
 n <= 25; larger n must use one of the structured kinds.  All functions are
 immutable after construction and safe to query concurrently; the counting
@@ -16,36 +17,23 @@ synchronization if shared across threads.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._bits import (
+    as_bits,
     as_index,
     bits_to_hex,
     block_points,
     block_weights,
     hex_to_bits,
-    indices_of,
     mask_from_indices,
     to_words,
 )
 
 MAX_DENSE_N = 25
-
-
-def point_from_bits(bits: Iterable[int]) -> int:
-    """Mask of a point given as a bit sequence (bits[i] = variable i)."""
-    x = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        x |= b << i
-    return x
-
-
-def point_bits(x: int, n: int) -> tuple[int, ...]:
-    return tuple((x >> i) & 1 for i in range(n))
 
 
 class Permutation:
@@ -142,6 +130,7 @@ class BooleanFunction:
         self.n = int(n)
 
     def __call__(self, x: int) -> int:
+        x = as_index(x, "point")
         if not 0 <= x < (1 << self.n):
             raise ValueError(f"point {x} outside {{0,1}}^{self.n}")
         return self._eval(x)
@@ -152,33 +141,43 @@ class BooleanFunction:
     def eval_many(self, xs) -> np.ndarray:
         """Evaluate a batch of points, a uint64 array (n <= 64) or a sequence
         of ints (any n); one query is counted per element."""
-        return np.fromiter((self(int(v)) for v in xs), dtype=np.uint8, count=len(xs))
+        return np.fromiter((self(v) for v in xs), dtype=np.uint8, count=len(xs))
 
     def _block(self, xs) -> np.ndarray:
-        """``xs`` as a (b, ceil(n/64)) uint64 word block, range-checked as
-        in ``__call__``.
+        """``xs`` as a (b, ceil(n/64)) uint64 word block, checked as in
+        ``__call__``: a bad point raises ``ValueError``.
 
-        At n <= 64 the block is a view of the uint64 array, checked by one
-        ``max`` pass (none at n = 64, where every uint64 is a point).  Above,
-        the ints go through one bytes pass and the top word is checked
-        against n % 64.
+        An array must have an integer dtype (one check per batch, plus a
+        ``min`` pass when it is signed); a sequence's elements go through
+        ``operator.index``, so a float among them is rejected.  At n <= 64
+        the block is a view of the uint64 array, range-checked by one
+        ``max`` pass (none at n = 64, where every uint64 is a point).
+        Above, the ints go through one bytes pass and the top word is
+        checked against n % 64.
         """
         n = self.n
-        if n <= 64:
-            try:
-                xs = np.asarray(xs, dtype=np.uint64)
-            except OverflowError:
-                raise ValueError(f"points outside {{0,1}}^{n}") from None
-            if n < 64 and len(xs):
-                top = int(xs.max())
-                if top >> n:
-                    raise ValueError(f"point {top} outside {{0,1}}^{n}")
-            return xs[:, None]
-        width = (n + 63) // 64
+        if isinstance(xs, np.ndarray):
+            if xs.dtype.kind not in "iu":
+                raise ValueError(f"points must be integers, got an array of {xs.dtype}")
+            if xs.dtype.kind == "i" and len(xs) and xs.min() < 0:
+                raise ValueError(f"point {xs.min()} outside {{0,1}}^{n}")
         try:
-            raw = b"".join([x.to_bytes(8 * width, "little") for x in map(int, xs)])
+            if n <= 64:
+                if isinstance(xs, np.ndarray):
+                    xs = xs.astype(np.uint64, copy=False)
+                else:
+                    xs = np.fromiter(map(operator.index, xs), dtype=np.uint64, count=len(xs))
+                if n < 64 and len(xs):
+                    top = int(xs.max())
+                    if top >> n:
+                        raise ValueError(f"point {top} outside {{0,1}}^{n}")
+                return xs[:, None]
+            width = (n + 63) // 64
+            raw = b"".join([x.to_bytes(8 * width, "little") for x in map(operator.index, xs)])
         except OverflowError:
             raise ValueError(f"points outside {{0,1}}^{n}") from None
+        except TypeError as exc:
+            raise ValueError(f"points must be integers: {exc}") from None
         block = np.frombuffer(raw, dtype="<u8").reshape(len(xs), width)
         if n % 64 and len(xs):
             top = int(block[:, -1].max())
@@ -205,11 +204,9 @@ class TruthTable(BooleanFunction):
         super().__init__(n)
         if n > MAX_DENSE_N:
             raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}")
-        t = np.asarray(table, dtype=np.uint8)
+        t = as_bits(table, "table")
         if t.shape != (1 << n,):
             raise ValueError(f"table must have 2^{n} entries")
-        if t.max(initial=0) > 1:
-            raise ValueError("table entries must be bits")
         self.table = t
         self.table.flags.writeable = False
 
@@ -255,11 +252,9 @@ class SymmetricProfile(BooleanFunction):
 
     def __init__(self, n: int, profile):
         super().__init__(n)
-        p = np.asarray(profile, dtype=np.uint8)
+        p = as_bits(profile, "profile")
         if p.shape != (n + 1,):
             raise ValueError("profile needs n + 1 entries")
-        if p.max(initial=0) > 1:
-            raise ValueError("profile entries must be bits")
         self.profile = p
         self.profile.flags.writeable = False
 
@@ -294,11 +289,9 @@ class PartiallySymmetricCore(BooleanFunction):
             raise ValueError("need 0 <= k < n and k asymmetric positions")
         if len(set(asym)) != k or any(not 0 <= a < n for a in asym):
             raise ValueError("asym positions must be distinct and in range(n)")
-        c = np.asarray(core, dtype=np.uint8)
+        c = as_bits(core, "core")
         if c.shape != (1 << k, n - k + 1):
             raise ValueError(f"core must have shape (2^{k}, {n - k + 1})")
-        if c.max(initial=0) > 1:
-            raise ValueError("core entries must be bits")
         self.k = k
         self.asym = asym
         self.core = c
@@ -488,11 +481,7 @@ __all__ = [
     "counting_oracle",
     "function_from_json",
     "function_to_json",
-    "indices_of",
     "load_function",
-    "mask_from_indices",
-    "point_bits",
-    "point_from_bits",
     "random_core_spec",
     "random_function",
     "read_count",

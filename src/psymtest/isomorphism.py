@@ -5,7 +5,8 @@ finer accuracy; stage two draws core samples through the frozen handle and
 accepts when some assignment of core coordinates to identified parts agrees
 with a large enough fraction of them.  Only the k! part assignments matter:
 sampled points are constant on parts, so positions inside a part are
-interchangeable.
+interchangeable.  The vote reads the samples as the x, w and z arrays that
+``draw_core_samples_batch`` returns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._bits import as_index
 from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
-from .sampling import CoreSample, draw_core_samples_batch, handle_from_verdict
+from .sampling import draw_core_samples_batch, handle_from_verdict
 from .testers import (
     TesterConfig,
     TestVerdict,
@@ -31,62 +33,33 @@ from .testers import (
 MAX_ASSIGNMENT_K = 10
 
 
-def _check_assignment(assignment: Sequence[int], k: int) -> tuple[int, ...]:
-    a = tuple(int(v) for v in assignment)
-    if sorted(a) != list(range(k)):
-        raise ValueError("assignment must be a bijection on range(k)")
-    return a
-
-
-def _sample_arrays(samples: Sequence[CoreSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The samples' x, w and z as three int64 arrays."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    return tuple(np.array([getattr(s, name) for s in samples], dtype=np.int64) for name in "xwz")
-
-
-def _consistency_arrays(
-    xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore, assignment
-) -> int:
-    xc = np.zeros(len(xs), dtype=np.int64)
-    for c, slot in enumerate(assignment):
-        xc |= ((xs >> slot) & 1) << c
-    return int(np.count_nonzero(f_spec.core[xc, ws] == zs))
-
-
 def consistency_fraction(
-    samples: Sequence[CoreSample], f_spec: PartiallySymmetricCore, assignment: Sequence[int]
+    xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore, assignment: Sequence[int]
 ) -> Fraction:
-    """Fraction of samples whose bit matches the core read through the
-    assignment (sample bit ``assignment[c]`` feeds core coordinate c)."""
-    xs, ws, zs = _sample_arrays(samples)
-    a = _check_assignment(assignment, f_spec.k)
-    return Fraction(_consistency_arrays(xs, ws, zs, f_spec, a), len(samples))
-
-
-def _best_assignment_arrays(
-    xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore
-) -> tuple[tuple[int, ...], Fraction]:
-    best_a: tuple[int, ...] | None = None
-    best_hits = -1
-    for a in permutations(range(f_spec.k)):
-        hits = _consistency_arrays(xs, ws, zs, f_spec, a)
-        if hits > best_hits:
-            best_a, best_hits = a, hits
-    if best_a is None:
-        raise RuntimeError("no assignment scored; k! candidates expected")
-    return best_a, Fraction(best_hits, len(xs))
+    """Fraction of the samples (x, w, z), given as the int64 arrays that
+    ``draw_core_samples_batch`` returns, whose bit z matches the core read
+    through the assignment (sample bit ``assignment[c]`` feeds core
+    coordinate c)."""
+    if len(xs) == 0 or not len(xs) == len(ws) == len(zs):
+        raise ValueError("need x, w and z arrays of one nonzero length")
+    a = [as_index(v, "assignment entry") for v in assignment]
+    if sorted(a) != list(range(f_spec.k)):
+        raise ValueError("assignment must be a bijection on range(k)")
+    xc = np.zeros(len(xs), dtype=np.int64)
+    for c, slot in enumerate(a):
+        xc |= ((xs >> slot) & 1) << c
+    return Fraction(int(np.count_nonzero(f_spec.core[xc, ws] == zs)), len(xs))
 
 
 def best_assignment(
-    samples: Sequence[CoreSample], f_spec: PartiallySymmetricCore
+    xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore
 ) -> tuple[tuple[int, ...], Fraction]:
-    """Maximizing assignment over all k! candidates, first in lexicographic
-    order on ties."""
-    xs, ws, zs = _sample_arrays(samples)
+    """Maximizing assignment of ``consistency_fraction`` over all k!
+    candidates, first in lexicographic order on ties."""
     if f_spec.k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
-    return _best_assignment_arrays(xs, ws, zs, f_spec)
+    scored = ((a, consistency_fraction(xs, ws, zs, f_spec, a)) for a in permutations(range(f_spec.k)))
+    return max(scored, key=lambda pair: pair[1])
 
 
 def iso_sample_budget(k: int, eps: float, cfg: TesterConfig) -> int:
@@ -126,7 +99,7 @@ def iso_test(
     handle = handle_from_verdict(gg, inner, k)
     q = iso_sample_budget(k, eps, cfg)
     xs, ws, zs = draw_core_samples_batch(handle, q, rng)
-    _, frac = _best_assignment_arrays(xs, ws, zs, f_spec)
+    _, frac = best_assignment(xs, ws, zs, f_spec)
     accepted = frac >= 1 - Fraction(eps) / 2
 
     # every evaluation of g but the psym stage's speculative ones

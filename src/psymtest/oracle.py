@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -265,22 +265,13 @@ def binomial_pmf(k: int, p) -> list[Fraction]:
 def tv_exact(p, q) -> Fraction:
     """Total variation distance between two finite-support distributions.
 
-    Accepts mappings keyed by outcome or sequences aligned by index; values
+    Accepts mappings keyed by outcome or sequences aligned by index (a
+    sequence is read as the mapping from each index to its value); values
     must be exact (int or Fraction).
     """
-    if isinstance(p, Mapping) or isinstance(q, Mapping):
-        pm = dict(p) if isinstance(p, Mapping) else dict(enumerate(p))
-        qm = dict(q) if isinstance(q, Mapping) else dict(enumerate(q))
-        keys = set(pm) | set(qm)
-        total = sum(abs(Fraction(pm.get(key, 0)) - Fraction(qm.get(key, 0))) for key in keys)
-    else:
-        ps: Sequence = list(p)
-        qs: Sequence = list(q)
-        length = max(len(ps), len(qs))
-        ps = ps + [0] * (length - len(ps))
-        qs = qs + [0] * (length - len(qs))
-        total = sum(abs(Fraction(a) - Fraction(b)) for a, b in zip(ps, qs))
-    return total / 2
+    pm = dict(p) if isinstance(p, Mapping) else dict(enumerate(p))
+    qm = dict(q) if isinstance(q, Mapping) else dict(enumerate(q))
+    return sum(abs(Fraction(pm.get(key, 0)) - Fraction(qm.get(key, 0))) for key in pm.keys() | qm.keys()) / 2
 
 
 def tv_hypergeometric_binomial(n: int, m: int, k: int) -> Fraction:

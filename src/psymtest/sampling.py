@@ -6,13 +6,16 @@ binomial Hamming weight and then a uniform point among those whose
 non-workspace parts are each constant; one query at such a point yields a
 core triplet whose marginal approaches the reference law.
 
-A handle keeps one exact subset-sum table for its (partition, workspace):
-it counts the valid points of each weight in at most |W| + 1 terms, and a
-draw unranks one uniform rank among them.  When every non-workspace part
-is a singleton the law is uniform on the cube, so a batch is one block of
-uniform words at any n.  Either way a batch is one ``eval_many`` call.
-The sampler's exact (x, w) law is counted from the same table, at every
-partition.
+A handle holds the function, the partition, the workspace and the parts
+acting as asymmetric slots; its n is the partition's and its k the number
+of slots.  It keeps one exact subset-sum table for its (partition,
+workspace): the table counts the valid points of each weight in at most
+|W| + 1 terms, and a draw unranks one uniform rank among them.  When every
+non-workspace part is a singleton the law is uniform on the cube, so a
+batch is one block of uniform words at any n.  Either way a batch is one
+``eval_many`` call, and it comes back as the x, w and z int64 arrays that
+the isomorphism vote reads.  The sampler's exact (x, w) law is counted
+from the same table, at every partition.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,18 +40,6 @@ class CoreSample:
     x: int
     w: int
     z: int
-
-
-def format_core_sample(sample: CoreSample, k: int) -> str:
-    """CSV row: x as a bitstring (coordinate 0 first), then w, then z."""
-    bitstring = "".join(str((sample.x >> c) & 1) for c in range(k))
-    return f"{bitstring},{sample.w},{sample.z}"
-
-
-def write_core_samples(samples: Iterable[CoreSample], k: int, out: IO[str]) -> None:
-    out.write("x,w,z\n")
-    for s in samples:
-        out.write(format_core_sample(s, k) + "\n")
 
 
 class SamplerRejected(Exception):
@@ -178,48 +169,43 @@ class _SubsetSumTable:
         return self.unrank(w, randrange_bigint(total, rng))
 
 
-def count_valid(partition: Partition, workspace: int, w: int) -> int:
-    """Number of weight-w points whose non-workspace parts are all constant."""
-    if not 0 <= w <= partition.n:
-        raise ValueError("weight outside 0..n")
-    return _SubsetSumTable(partition, workspace).count(w)
-
-
-def sample_diw(partition: Partition, workspace: int, rng: np.random.Generator) -> int:
-    """Draw a point with binomial weight, uniform among the valid points of
-    that weight; the all-zeros point stands in when none exists."""
-    return _SubsetSumTable(partition, workspace).draw(rng)[0]
-
-
 @dataclass
 class SamplerHandle:
     """Frozen outcome of the preprocessing test, ready to draw core samples.
 
-    ``j_parts`` lists the k parts acting as asymmetric slots, in order; the
-    sample's bit c is the constant of part ``j_parts[c]``.
+    ``j_parts`` lists the distinct parts acting as asymmetric slots, in
+    order; the sample's bit c is the constant of part ``j_parts[c]``.  The
+    core size ``k`` is ``len(j_parts)`` and ``n`` is the partition's, which
+    must be the function's.
     """
 
     f: BooleanFunction
     partition: Partition
     workspace: int
     j_parts: tuple[int, ...]
-    k: int
-    n: int
     preprocessing_queries: int = 0
     _table: _SubsetSumTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.n == self.partition.n == self.f.n:
-            raise ValueError("n, the partition's n and the function's n must agree")
+        if self.partition.n != self.f.n:
+            raise ValueError("the partition's n and the function's n must agree")
         self._table = _SubsetSumTable(self.partition, self.workspace)
         if any(not 0 <= p < self.partition.r for p in self.j_parts):
             raise ValueError("asymmetric slots must be part indices")
-        if len(set(self.j_parts)) != self.k:
-            raise ValueError("j_parts must be k distinct parts")
+        if len(set(self.j_parts)) != len(self.j_parts):
+            raise ValueError("asymmetric slots must be distinct parts")
         if self.workspace in self.j_parts:
             raise ValueError("workspace cannot be an asymmetric slot")
         if any(not self.partition.parts[p] for p in self.j_parts):
             raise ValueError("asymmetric slots must be nonempty parts")
+
+    @property
+    def k(self) -> int:
+        return len(self.j_parts)
+
+    @property
+    def n(self) -> int:
+        return self.partition.n
 
 
 def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> SamplerHandle:
@@ -247,15 +233,7 @@ def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> Sam
         j_parts.append(p)
     if len(j_parts) < k:
         raise ValueError("not enough nonempty parts to pad the handle")
-    return SamplerHandle(
-        f,
-        partition,
-        verdict.workspace,
-        tuple(j_parts),
-        k,
-        partition.n,
-        preprocessing_queries=verdict.queries,
-    )
+    return SamplerHandle(f, partition, verdict.workspace, tuple(j_parts), preprocessing_queries=verdict.queries)
 
 
 def build_sampler(
@@ -412,14 +390,10 @@ __all__ = [
     "SamplerRejected",
     "build_sampler",
     "core_marginal_exact",
-    "count_valid",
     "draw_core_sample",
     "draw_core_samples_batch",
     "dstar_pmf",
-    "format_core_sample",
     "handle_from_verdict",
     "marginal_tv_estimate",
-    "sample_diw",
     "sample_dstar",
-    "write_core_samples",
 ]

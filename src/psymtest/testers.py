@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ._bits import (
+    as_index,
     block_points,
     from_words,
     indices_of,
@@ -263,6 +264,7 @@ def junta_test(
     ``failure_reason="too_many_parts"``.
     """
     cfg = cfg or TesterConfig()
+    k = as_index(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     _check_eps(eps)
@@ -466,6 +468,7 @@ def partially_symmetric_test(
     """
     cfg = cfg or TesterConfig()
     n = f.n
+    k = as_index(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k >= n / 2:

@@ -219,7 +219,7 @@ def test_criterion_6_delta_sampler_contract(aligned_handle_64):
     w_part = max(range(partition.r), key=partition.size)
     slots = [p for p in range(partition.r) if p != w_part and partition.parts[p]][:2]
     f16 = pt.SymmetricProfile(n16, np.zeros(n16 + 1, dtype=np.uint8))
-    handle16 = pt.SamplerHandle(f16, partition, w_part, tuple(slots), 2, n16)
+    handle16 = pt.SamplerHandle(f16, partition, w_part, tuple(slots))
     exact_tv = float(pt.tv_exact(core_marginal_exact(handle16), dstar_pmf(n16, 2)))
     est_tv = pt.marginal_tv_estimate(handle16, 200_000, np.random.default_rng(110))
 

@@ -99,6 +99,47 @@ def test_numpy_integer_indices_are_accepted():
     assert pt.PartiallySymmetricCore(4, np.int64(1), [np.int32(2)], CORE_K1_N4).asym == (2,)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: pt.TruthTable(2, [0, 1, 0.7, 1]), id="table-float"),
+        pytest.param(lambda: pt.TruthTable(2, [0, 1, -1, 1]), id="table-negative"),
+        pytest.param(lambda: pt.TruthTable(2, [0, 1, 2, 1]), id="table-two"),
+        pytest.param(lambda: pt.TruthTable(2, np.array([0, 1, 1, 0], dtype=np.float32)), id="table-float-array"),
+        pytest.param(lambda: pt.TruthTable(2, ["0", "1", "1", "0"]), id="table-str"),
+        pytest.param(lambda: pt.SymmetricProfile(3, [0, 0.5, 1, 0]), id="profile-half"),
+        pytest.param(lambda: pt.SymmetricProfile(3, [0, -1, 1, 0]), id="profile-negative"),
+        pytest.param(lambda: pt.PartiallySymmetricCore(4, 1, [0], CORE_K1_N4 + 0.5), id="core-half"),
+        pytest.param(lambda: pt.PartiallySymmetricCore(4, 1, [0], CORE_K1_N4.astype(np.int8) - 1), id="core-negative"),
+    ],
+)
+def test_non_bit_table_entries_are_rejected(build):
+    with pytest.raises(ValueError, match="entries must be bits"):
+        build()
+
+
+def test_bool_and_integer_tables_are_accepted():
+    bits = [0, 1, 1, 0]
+    for table in (bits, np.array(bits, dtype=bool), np.array(bits, dtype=np.int64), np.array(bits, dtype=np.uint16)):
+        assert pt.TruthTable(2, table).table.tolist() == bits
+    assert pt.SymmetricProfile(3, np.array([1, 0, 0, 1], dtype=bool)).profile.tolist() == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: pt.KLinear(8, [0])(True), id="scalar-bool"),
+        pytest.param(lambda: pt.KLinear(8, [0])(3.0), id="scalar-float"),
+        pytest.param(lambda: pt.KLinear(8, [0]).eval_many(np.array([1.5, 2.0])), id="float-array"),
+        pytest.param(lambda: pt.KLinear(8, [0]).eval_many(np.array([True, False])), id="bool-array"),
+        pytest.param(lambda: pt.KLinear(100, [0]).eval_many([1.5]), id="wide-float-element"),
+    ],
+)
+def test_non_integer_points_are_rejected(call):
+    with pytest.raises(ValueError, match="must be an integer|must be integers"):
+        call()
+
+
 def test_eval_rejects_out_of_range_points():
     f = pt.KLinear(4, [0])
     with pytest.raises(ValueError):
@@ -258,11 +299,6 @@ def test_dense_table_cap():
         pt.TruthTable(MAX_DENSE_N + 1, np.zeros(2 ** (MAX_DENSE_N + 1), dtype=np.uint8))
 
 
-def test_point_bits_roundtrip():
-    assert pt.point_from_bits((1, 0, 1, 1)) == 0b1101
-    assert pt.point_bits(0b1101, 4) == (1, 0, 1, 1)
-
-
 @pytest.mark.parametrize(
     "f",
     [
@@ -345,6 +381,13 @@ def test_batch_and_scalar_evaluation_agree(case):
             f.eval_many(np.array(points + [1 << n], dtype=np.uint64))
         with pytest.raises(ValueError):
             f.eval_many(np.array(points + [-1], dtype=np.int64))
+    # a non-integer point is rejected alike by the scalar and both batch forms
+    with pytest.raises(ValueError):
+        f(0.0)
+    with pytest.raises(ValueError):
+        f.eval_many(points + [0.0])
+    with pytest.raises(ValueError):
+        f.eval_many(np.array(points + [0], dtype=np.float64))
 
 
 @pytest.mark.parametrize("kind", ["k_linear", "symmetric_profile", "psym_core", "permuted_core"])

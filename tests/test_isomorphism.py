@@ -12,8 +12,11 @@ from helpers import strong_core_spec
 
 
 def _samples_from(handle, count, seed):
+    """``count`` scalar draws from one generator, as the x, w and z arrays
+    that ``draw_core_samples_batch`` returns."""
     rng = np.random.default_rng(seed)
-    return [pt.draw_core_sample(handle, rng) for _ in range(count)]
+    samples = [pt.draw_core_sample(handle, rng) for _ in range(count)]
+    return tuple(np.array([getattr(s, name) for s in samples], dtype=np.int64) for name in "xwz")
 
 
 def _aligned_handle(f, seed0=0, tries=30):
@@ -42,7 +45,7 @@ def test_consistency_fraction_aligned_is_one():
     handle = _aligned_handle(f)
     samples = _samples_from(handle, 500, seed=1)
     sigma = _alignment(handle, f)
-    assert pt.consistency_fraction(samples, f, sigma) == 1
+    assert pt.consistency_fraction(*samples, f, sigma) == 1
 
 
 def test_consistency_fraction_complemented_core_is_zero_for_every_assignment():
@@ -57,19 +60,17 @@ def test_consistency_fraction_complemented_core_is_zero_for_every_assignment():
     samples = _samples_from(handle, 300, seed=2)
     neg = pt.PartiallySymmetricCore(n, 2, f.asym, 1 - f.core)
     for sigma in permutations(range(2)):
-        assert pt.consistency_fraction(samples, neg, sigma) == 0
-        assert pt.consistency_fraction(samples, f, sigma) == 1
+        assert pt.consistency_fraction(*samples, neg, sigma) == 0
+        assert pt.consistency_fraction(*samples, f, sigma) == 1
 
 
 def test_consistency_fraction_random_bits_near_half():
     f = strong_core_spec(64)
     handle = _aligned_handle(f)
     rng = np.random.default_rng(3)
-    samples = [
-        pt.CoreSample(s.x, s.w, int(rng.integers(0, 2)))
-        for s in _samples_from(handle, 1000, seed=4)
-    ]
-    frac = pt.consistency_fraction(samples, f, _alignment(handle, f))
+    xs, ws, _ = _samples_from(handle, 1000, seed=4)
+    zs = np.array([int(rng.integers(0, 2)) for _ in xs], dtype=np.int64)
+    frac = pt.consistency_fraction(xs, ws, zs, f, _alignment(handle, f))
     assert abs(float(frac) - 0.5) < 0.05
 
 
@@ -79,9 +80,9 @@ def test_best_assignment_k1_and_exact_fraction():
     f = pt.PartiallySymmetricCore(n, 1, (11,), core)
     handle = _aligned_handle(f)
     samples = _samples_from(handle, 200, seed=5)
-    sigma, frac = pt.best_assignment(samples, f)
+    sigma, frac = pt.best_assignment(*samples, f)
     assert sigma == (0,)
-    assert frac == pt.consistency_fraction(samples, f, sigma)
+    assert frac == pt.consistency_fraction(*samples, f, sigma)
 
 
 def test_best_assignment_recovers_true_matching_k3():
@@ -95,11 +96,11 @@ def test_best_assignment_recovers_true_matching_k3():
     f = pt.PartiallySymmetricCore(n, k, (4, 17, 29), core)
     handle = _aligned_handle(f)
     samples = _samples_from(handle, 1000, seed=6)
-    sigma, frac = pt.best_assignment(samples, f)
+    sigma, frac = pt.best_assignment(*samples, f)
     assert frac == 1
     assert sigma == _alignment(handle, f)
     for other in permutations(range(k)):
-        assert pt.consistency_fraction(samples, f, other) <= frac
+        assert pt.consistency_fraction(*samples, f, other) <= frac
 
 
 def test_iso_test_accepts_isomorphic_pair():
@@ -198,7 +199,9 @@ def test_iso_test_validates_arguments():
 
 def test_consistency_fraction_validates():
     f = strong_core_spec(32)
+    empty = np.zeros(0, dtype=np.int64)
+    one = np.zeros(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        pt.consistency_fraction([], f, (0, 1))
+        pt.consistency_fraction(empty, empty, empty, f, (0, 1))
     with pytest.raises(ValueError):
-        pt.consistency_fraction([pt.CoreSample(0, 0, 0)], f, (0, 0))
+        pt.consistency_fraction(one, one, one, f, (0, 0))

@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -15,9 +14,7 @@ from psymtest.sampling import (
     core_marginal_exact,
     draw_core_samples_batch,
     dstar_pmf,
-    format_core_sample,
     handle_from_verdict,
-    write_core_samples,
 )
 
 from helpers import strong_core_spec
@@ -42,12 +39,12 @@ def test_count_valid_singletons_and_single_big_part():
     rng = np.random.default_rng(2)
     p = pt.random_partition(12, 12, rng)
     for w in range(13):
-        assert pt.count_valid(p, 3, w) == comb(12, w)
+        assert _SubsetSumTable(p, 3).count(w) == comb(12, w)
     # one giant part plus a workspace of size 4
     big = pt.Partition(12, [(1 << 8) - 1, ((1 << 12) - 1) ^ ((1 << 8) - 1)])
     for w in range(13):
         expected = (comb(4, w) if w <= 4 else 0) + (comb(4, w - 8) if 0 <= w - 8 <= 4 else 0)
-        assert pt.count_valid(big, 1, w) == expected
+        assert _SubsetSumTable(big, 1).count(w) == expected
 
 
 def test_count_valid_matches_enumeration():
@@ -62,7 +59,7 @@ def test_count_valid_matches_enumeration():
         if ok:
             by_weight[x.bit_count()] += 1
     for w in range(n + 1):
-        assert pt.count_valid(partition, w_part, w) == by_weight[w]
+        assert _SubsetSumTable(partition, w_part).count(w) == by_weight[w]
 
 
 def test_sample_diw_parts_constant_every_draw():
@@ -73,7 +70,7 @@ def test_sample_diw_parts_constant_every_draw():
         partition = pt.random_partition(n, r, rng)
         w_part = int(rng.integers(0, partition.r))
         for _ in range(50):
-            y = pt.sample_diw(partition, w_part, rng)
+            y = _SubsetSumTable(partition, w_part).draw(rng)[0]
             for p in range(partition.r):
                 if p == w_part:
                     continue
@@ -93,28 +90,26 @@ def test_out_of_range_workspace_is_rejected(workspace):
     partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
     f = pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8))
     with pytest.raises(ValueError, match="workspace is not a part index"):
-        pt.count_valid(partition, workspace, 6)
+        _SubsetSumTable(partition, workspace)
     with pytest.raises(ValueError, match="workspace is not a part index"):
-        pt.SamplerHandle(f, partition, workspace, (0,), 1, 6)
-    with pytest.raises(ValueError, match="workspace is not a part index"):
-        pt.sample_diw(partition, workspace, np.random.default_rng(0))
+        pt.SamplerHandle(f, partition, workspace, (0,))
 
 
 @pytest.mark.parametrize(
-    "f_n, part_n, n, j_parts, message",
+    "f_n, part_n, j_parts, message",
     [
-        (6, 6, 6, (-1,), "slots must be part indices"),
-        (6, 6, 6, (3,), "slots must be part indices"),
-        (12, 12, 20, (0,), "must agree"),
-        (8, 6, 6, (0,), "must agree"),
-        (6, 6, 8, (0,), "must agree"),
+        (6, 6, (-1,), "slots must be part indices"),
+        (6, 6, (3,), "slots must be part indices"),
+        (8, 6, (0,), "must agree"),
+        (6, 8, (0,), "must agree"),
+        (6, 6, (0, 0), "slots must be distinct parts"),
     ],
 )
-def test_malformed_handle_is_rejected(f_n, part_n, n, j_parts, message):
+def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
     partition = pt.Partition(part_n, [0b11, 0b1100, ((1 << part_n) - 1) ^ 0b1111])
     f = pt.SymmetricProfile(f_n, np.zeros(f_n + 1, dtype=np.uint8))
     with pytest.raises(ValueError, match=message):
-        pt.SamplerHandle(f, partition, 2, j_parts, 1, n)
+        pt.SamplerHandle(f, partition, 2, j_parts)
 
 
 @pytest.mark.parametrize(
@@ -317,7 +312,7 @@ def test_core_marginal_exact_sums_to_one_and_matches_empirical():
     w_part = max(range(partition.r), key=partition.size)
     slots = [p for p in range(partition.r) if p != w_part and partition.parts[p]][:2]
     f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
-    handle = pt.SamplerHandle(f, partition, w_part, tuple(slots), 2, n)
+    handle = pt.SamplerHandle(f, partition, w_part, tuple(slots))
     exact = core_marginal_exact(handle)
     assert sum(exact.values()) == 1
 
@@ -368,7 +363,7 @@ def test_core_marginal_exact_matches_enumeration_on_random_handles():
         k = int(rng.integers(0, min(len(free), 3) + 1))
         slots = tuple(int(p) for p in rng.permutation(free)[:k])
         f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
-        handle = pt.SamplerHandle(f, partition, workspace, slots, k, n)
+        handle = pt.SamplerHandle(f, partition, workspace, slots)
         law = core_marginal_exact(handle)
         assert law == reference_core_marginal(handle)
         assert sum(law.values()) == 1
@@ -384,7 +379,7 @@ def test_core_marginal_exact_on_singleton_handles_is_dstar(n, k):
     # every non-workspace part a singleton: the law is exactly D*
     partition = pt.random_partition(n, n, np.random.default_rng(27))
     f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
-    handle = pt.SamplerHandle(f, partition, n // 3, tuple(range(n - k, n)), k, n)
+    handle = pt.SamplerHandle(f, partition, n // 3, tuple(range(n - k, n)))
     law = core_marginal_exact(handle)
     assert sum(law.values()) == 1
     assert law == dstar_pmf(n, k)
@@ -396,7 +391,7 @@ def test_core_marginal_exact_past_enumeration_at_n256_r200():
     w_part = max(range(partition.r), key=partition.size)
     slots = tuple(p for p in range(partition.r) if p != w_part and partition.size(p) > 1)[:2]
     f = pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8))
-    handle = pt.SamplerHandle(f, partition, w_part, slots, 2, n)
+    handle = pt.SamplerHandle(f, partition, w_part, slots)
     law = core_marginal_exact(handle)
     assert sum(law.values()) == 1
     # the point's weight |x| + w is binomial, with the all-zeros fallback at 0
@@ -415,7 +410,7 @@ def test_core_marginal_check_fires_when_a_slot_is_counted_twice(monkeypatch):
 
     partition = pt.Partition(9, [0b11, 0b11100, 0b111100000])
     f = pt.SymmetricProfile(9, np.zeros(10, dtype=np.uint8))
-    handle = pt.SamplerHandle(f, partition, 2, (0,), 1, 9)
+    handle = pt.SamplerHandle(f, partition, 2, (0,))
     assert core_marginal_exact(handle) == reference_core_marginal(handle)
     real = sampling._suffix_ways
     # the slot part joins the free parts as well
@@ -431,21 +426,13 @@ def test_batch_draws_general_partition_path():
     w_part = max(range(partition.r), key=partition.size)
     slots = [p for p in range(partition.r) if p != w_part and partition.parts[p]][:2]
     f = pt.counting_oracle(pt.SymmetricProfile(n, (np.arange(n + 1) % 2).astype(np.uint8)))
-    handle = pt.SamplerHandle(f, partition, w_part, tuple(slots), 2, n)
+    handle = pt.SamplerHandle(f, partition, w_part, tuple(slots))
     xs, ws, zs = draw_core_samples_batch(handle, 500, rng)
     assert pt.read_count(f) == 500
     assert ((0 <= ws) & (ws <= n - 2)).all()
     profile = np.arange(n + 1) % 2
     for x, w, z in zip(xs, ws, zs):
         assert z == profile[int(x).bit_count() + w]
-
-
-def test_core_sample_csv_format():
-    s = pt.CoreSample(x=0b01, w=5, z=1)
-    assert format_core_sample(s, 2) == "10,5,1"
-    buf = io.StringIO()
-    write_core_samples([s, pt.CoreSample(3, 0, 0)], 2, buf)
-    assert buf.getvalue() == "x,w,z\n10,5,1\n11,0,0\n"
 
 
 def test_build_sampler_validates_parameters():
@@ -458,7 +445,7 @@ def test_core_reading_checks_the_weight_it_reports():
     # slot constants of 1 on an all-zeros point would give a negative weight
     f = strong_core_spec(12)
     partition = pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16])
-    handle = pt.SamplerHandle(f, partition, 2, (0, 1), 2, 12)
+    handle = pt.SamplerHandle(f, partition, 2, (0, 1))
     assert _sample_to_core(handle, 0b0011, 0b01) == (1, 1)
     with pytest.raises(RuntimeError, match="symmetric weight -2"):
         _sample_to_core(handle, 0, 0b11)
@@ -488,7 +475,7 @@ def test_singleton_batches_past_one_word_read_off_their_queries(n):
     parts = slots + [0, ((1 << n) - 1) ^ sum(slots)]
     partition = pt.Partition(n, parts)
     rec = _BatchRecorder(pt.KLinear(n, [0, n - 1, 63]))
-    handle = pt.SamplerHandle(rec, partition, 4, (0, 1, 2), 3, n)
+    handle = pt.SamplerHandle(rec, partition, 4, (0, 1, 2))
     xs, ws, zs = draw_core_samples_batch(handle, 2000, np.random.default_rng(23))
     assert len(rec.batches) == 1 and len(rec.batches[0]) == 2000
     for y, x, w, z in zip(rec.batches[0], xs, ws, zs):
@@ -503,7 +490,7 @@ def test_singleton_batches_past_one_word_read_off_their_queries(n):
 def test_singleton_batch_at_one_word_is_the_uniform_mask_stream():
     f = strong_core_spec(64)
     partition = pt.Partition(64, [1 << 5, 1 << 11, ((1 << 64) - 1) ^ (1 << 5) ^ (1 << 11)])
-    handle = pt.SamplerHandle(f, partition, 2, (1, 0), 2, 64)
+    handle = pt.SamplerHandle(f, partition, 2, (1, 0))
     xs, ws, zs = draw_core_samples_batch(handle, 3000, np.random.default_rng(24))
     ys = random_masks_u64(64, 3000, np.random.default_rng(24))[:, 0]
     # slot 0 is the part at bit 11, slot 1 the part at bit 5
@@ -520,7 +507,7 @@ def test_general_batch_is_one_query_call():
     w_part = max(range(partition.r), key=partition.size)
     slots = [p for p in range(partition.r) if p != w_part and partition.parts[p]][:1]
     rec = _BatchRecorder(pt.SymmetricProfile(64, (np.arange(65) % 3 == 0).astype(np.uint8)))
-    handle = pt.SamplerHandle(rec, partition, w_part, tuple(slots), 1, 64)
+    handle = pt.SamplerHandle(rec, partition, w_part, tuple(slots))
     xs, ws, zs = draw_core_samples_batch(handle, 300, rng)
     assert len(rec.batches) == 1 and len(rec.batches[0]) == 300
     for y, x, w, z in zip(rec.batches[0], xs, ws, zs):

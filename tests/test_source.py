@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import importlib
+import inspect
+import io
 from pathlib import Path
 
 import psymtest
@@ -16,3 +20,44 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def _modules():
+    return {
+        path.stem: importlib.import_module(f"psymtest.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def test_every_exported_name_is_defined_where_it_is_exported():
+    # a class or function in __all__ belongs to its module, not a re-export
+    strays = []
+    for name, module in _modules().items():
+        for attr in getattr(module, "__all__", []):
+            value = getattr(module, attr)
+            if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != module.__name__:
+                strays.append(f"{name}.{attr} (from {value.__module__})")
+    assert not strays, f"__all__ re-exports: {strays}"
+
+
+def test_package_imports_only_exported_names():
+    modules = _modules()
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in modules[node.module].__all__
+    ]
+    assert not unlisted, f"psymtest imports names its modules do not export: {unlisted}"
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue()

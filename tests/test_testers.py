@@ -487,3 +487,11 @@ def test_psym_partition_size_is_odd():
 def test_tester_config_validation():
     with pytest.raises(ValueError):
         pt.TesterConfig(c_parts=0.5)
+
+
+@pytest.mark.parametrize("tester", [pt.junta_test, pt.partially_symmetric_test])
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_non_integer_k_is_rejected(tester, k):
+    f = pt.KLinear(16, [0, 1])
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        tester(f, k, 0.1, np.random.default_rng(0))
