@@ -202,6 +202,8 @@ def bits_to_hex(bits: np.ndarray) -> str:
 
 def hex_to_bits(hexstr: str, nbits: int) -> np.ndarray:
     raw = bytes.fromhex(hexstr)
+    if raw.hex() != hexstr:
+        raise ValueError("hex must be lowercase digit pairs with no separators")
     if len(raw) != (nbits + 7) // 8:
         raise ValueError(f"expected {(nbits + 7) // 8} bytes for {nbits} bits, got {len(raw)}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")

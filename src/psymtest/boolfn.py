@@ -149,11 +149,12 @@ class BooleanFunction:
 
         An array must have an integer dtype (one check per batch, plus a
         ``min`` pass when it is signed); a sequence's elements go through
-        ``operator.index``, so a float among them is rejected.  At n <= 64
-        the block is a view of the uint64 array, range-checked by one
-        ``max`` pass (none at n = 64, where every uint64 is a point).
-        Above, the ints go through one bytes pass and the top word is
-        checked against n % 64.
+        ``operator.index`` in the pass that converts them, which skips a
+        bool and then raises on the short result, so a float or a bool is
+        rejected.  At n <= 64 the block is a view of the uint64 array,
+        range-checked by one ``max`` pass (none at n = 64, where every
+        uint64 is a point).  Above, the ints go through one bytes pass and
+        the top word is checked against n % 64.
         """
         n = self.n
         if isinstance(xs, np.ndarray):
@@ -166,14 +167,20 @@ class BooleanFunction:
                 if isinstance(xs, np.ndarray):
                     xs = xs.astype(np.uint64, copy=False)
                 else:
-                    xs = np.fromiter(map(operator.index, xs), dtype=np.uint64, count=len(xs))
+                    ints = [operator.index(x) for x in xs if x.__class__ is not bool]
+                    if len(ints) != len(xs):
+                        raise TypeError("a bool is not a point")
+                    xs = np.fromiter(ints, dtype=np.uint64, count=len(xs))
                 if n < 64 and len(xs):
                     top = int(xs.max())
                     if top >> n:
                         raise ValueError(f"point {top} outside {{0,1}}^{n}")
                 return xs[:, None]
             width = (n + 63) // 64
-            raw = b"".join([x.to_bytes(8 * width, "little") for x in map(operator.index, xs)])
+            words = [operator.index(x).to_bytes(8 * width, "little") for x in xs if x.__class__ is not bool]
+            if len(words) != len(xs):
+                raise TypeError("a bool is not a point")
+            raw = b"".join(words)
         except OverflowError:
             raise ValueError(f"points outside {{0,1}}^{n}") from None
         except TypeError as exc:
@@ -428,31 +435,43 @@ def function_to_json(f: BooleanFunction) -> dict:
 _JSON_TYPES = {int: "integer", str: "string", list: "array"}
 
 
-def _json_field(obj: dict, key: str, kind: type):
-    """``obj[key]`` if it is a JSON value of type ``kind`` (a bool is no integer)."""
-    value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
-    return value
+def _json_fields(obj: dict, **types: type) -> list:
+    """The values of ``obj``'s fields other than "kind", which must be
+    exactly the keys of ``types``, each a JSON value of its type (a bool is
+    no integer)."""
+    extra = obj.keys() - types.keys() - {"kind"}
+    if extra:
+        raise ValueError(f"a {obj['kind']} spec takes no field {', '.join(sorted(map(repr, extra)))}")
+    values = []
+    for key, kind in types.items():
+        if key not in obj:
+            raise ValueError(f"a {obj['kind']} spec needs field {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"field {key!r} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+        values.append(value)
+    return values
 
 
 def function_from_json(obj: dict) -> BooleanFunction:
+    """The function that a spec in ``function_to_json``'s form describes;
+    any other key set, JSON type or value raises ``ValueError``."""
     if not isinstance(obj, dict):
         raise ValueError(f"a function spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    n = _json_field(obj, "n", int)
     if kind == "truth_table":
-        return TruthTable(n, hex_to_bits(_json_field(obj, "table_hex", str), 1 << n))
+        n, table_hex = _json_fields(obj, n=int, table_hex=str)
+        return TruthTable(n, hex_to_bits(table_hex, 1 << n))
     if kind == "k_linear":
-        return KLinear(n, _json_field(obj, "indices", list))
+        return KLinear(*_json_fields(obj, n=int, indices=list))
     if kind == "symmetric_profile":
-        return SymmetricProfile(n, _json_field(obj, "profile", list))
+        return SymmetricProfile(*_json_fields(obj, n=int, profile=list))
     if kind == "psym_core":
-        k = _json_field(obj, "k", int)
+        n, k, asym, core_hex = _json_fields(obj, n=int, k=int, asym=list, core_hex=str)
         if not 0 <= k < n:
             raise ValueError(f"field 'k' must satisfy 0 <= k < n = {n}, got {k}")
-        bits = hex_to_bits(_json_field(obj, "core_hex", str), (1 << k) * (n - k + 1))
-        return PartiallySymmetricCore(n, k, _json_field(obj, "asym", list), bits.reshape(1 << k, n - k + 1))
+        bits = hex_to_bits(core_hex, (1 << k) * (n - k + 1))
+        return PartiallySymmetricCore(n, k, asym, bits.reshape(1 << k, n - k + 1))
     raise ValueError(f"unknown function kind {kind!r}")
 
 

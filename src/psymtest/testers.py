@@ -5,24 +5,28 @@ variables; ``partially_symmetric_test`` looks for parts containing asymmetric
 variables, using weight-preserving permutations so the workspace part absorbs
 the surplus.  Both accept when at most k parts are identified.
 
-Both testers run one probe loop: draw a block of uniform points as a word
-array (any n), draw each point's partner, evaluate both ends, and on the
-first value flip hand the pair to the tester's localization; the Monte Carlo
-estimators in ``influence`` draw their pairs with the same step.  Verdicts
-report logical queries, the evaluations a pair-at-a-time tester makes: a
+Both testers run one probe loop, ``_Probe.find_parts``: draw a block of
+uniform points as a word array (any n), draw each point's partner on the
+unidentified parts (rerandomized or permuted bits), evaluate both ends, and
+hand the first value flip to the tester's localization, which names a part;
+more than k parts end the loop.  The Monte Carlo estimators in
+``influence`` draw their pairs with the same step.  ``_Probe.verdict``
+reports logical queries, the evaluations a pair-at-a-time tester makes: a
 block whose first flip is at row h costs 2(h + 1), a block with no flip
 costs two per row, and localization queries come on top.  The evaluations
 past a block's first flip are reported separately as ``speculative``, so
-the oracle reads ``queries + speculative`` evaluations in all.  The psym
-partners come from ``rearrange_bits_block``, which matches rows to uniform
-pool words of equal weight (exact, integer-only) once a block reaches a few
-hundred rows.
+the oracle reads ``queries + speculative`` evaluations in all.
 
-The psym localization binary-searches a weight-preserving chain from x to
-the permuted y.  Its schedule (the part settled at each step, the union of
-the settled chunks, the workspace weight) is integer bookkeeping made in
-one pass and checked at every step; a chain point, with its uniform
-workspace fill, is built only when the search reads it.
+Both localizations binary-search a chain from x to its partner with
+``_bisect``, which builds a point only when it reads it.  The junta chain
+takes the partner's bits on a growing prefix of the unidentified parts.  The
+psym chain is weight-preserving: its schedule (the part settled at each
+step, the union of the settled chunks, the workspace weight) is integer
+bookkeeping made in one pass and checked at every step, and each point read
+gets a uniform workspace fill and a Hamming-weight check.  The psym partners
+come from ``rearrange_bits_block``, which matches rows to uniform pool words
+of equal weight (exact, integer-only) once a block reaches a few hundred
+rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -158,11 +162,6 @@ def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
     return ceil(cfg.c_iters * max(k, 1) / eps)
 
 
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-
-
 # ---------------------------------------------------------------------------
 # The probe loop
 
@@ -185,29 +184,37 @@ def _pair_block(f: BooleanFunction, b: int, partner: Partner, rng: np.random.Gen
 
 
 class _Probe:
-    """The testers' probe loop over doubling blocks of query pairs.
+    """The testers' probe loop over doubling blocks of query pairs, with its
+    counting oracle ``f`` and its verdict.
 
     A block starts at ``_BLOCK_START`` rows and doubles, up to a cap set by
     the round count and k, while no pair flips f.  The first flip ends its
-    block and is yielded as (x, y, f(x)); the caller localizes it before the
-    next block is drawn, and that block starts small again.  ``partner`` is
-    called once per block, so the law it reads may change between hits.  The
-    rows after a flip were evaluated but are not queries of the
-    pair-at-a-time tester; ``speculative`` counts them.
+    block and is handed to the tester's localization before the next block
+    is drawn, and that block starts small again.  The rows after a flip were
+    evaluated but are not queries of the pair-at-a-time tester;
+    ``speculative`` counts them.
     """
 
     def __init__(self, f: BooleanFunction, k: int, eps: float, cfg: TesterConfig):
-        self.f = f
+        self.f = CountingFunction(f)
+        self.k = k
         self.rounds = _rounds(cfg, k, eps)
         self.max_block = min(_BLOCK_CAP, max(_BLOCK_START, self.rounds // (8 * (k + 1))))
         self.speculative = 0
 
-    def hits(self, partner: Partner, rng: np.random.Generator) -> Iterator[tuple[int, int, int]]:
+    def find_parts(self, partition: Partition, partner, locate, rng: np.random.Generator) -> list[int]:
+        """Identified parts, in order, once the rounds run out or more than k
+        are found.  ``partner(xs, jbar_mask)`` draws a block's partners from
+        the bits of the unidentified parts; ``locate(x, y, f(x), found)``
+        names the part a flipping pair points to, or None.
+        """
+        found: list[int] = []
+        jbar_mask = (1 << partition.n) - 1
         consumed = 0
         block = _BLOCK_START
-        while consumed < self.rounds:
+        while consumed < self.rounds and len(found) <= self.k:
             b = min(block, self.rounds - consumed)
-            xs, ys, fx, fy = _pair_block(self.f, b, partner, rng)
+            xs, ys, fx, fy = _pair_block(self.f, b, lambda xs: partner(xs, jbar_mask), rng)
             flips = np.flatnonzero(fx != fy)
             if not len(flips):
                 consumed += b
@@ -216,31 +223,52 @@ class _Probe:
             h = int(flips[0])
             consumed += h + 1
             self.speculative += 2 * (b - h - 1)
-            yield from_words(xs[h]), from_words(ys[h]), int(fx[h])
             block = _BLOCK_START
+            part = locate(from_words(xs[h]), from_words(ys[h]), int(fx[h]), found)
+            if part is not None:
+                found.append(part)
+                jbar_mask ^= partition.parts[part]
+        return found
+
+    def verdict(self, found: list[int], partition: Partition, bound: int, workspace=None) -> TestVerdict:
+        """The verdict on ``found``; logical queries past ``bound`` raise."""
+        queries = self.f.count - self.speculative
+        if queries > bound:
+            raise RuntimeError(f"query count {queries} exceeds budget {bound}")
+        reason = None if len(found) <= self.k else "too_many_parts"
+        return TestVerdict(reason is None, queries, found, partition, workspace, reason, self.speculative)
+
+
+def _bisect(g: BooleanFunction, fx: int, t: int, point: Callable[[int], int]) -> int:
+    """Binary-search a chain of t steps for one that flips g.
+
+    Chain point 0 reads ``fx`` and point t does not; ``point(i)`` builds the
+    point i (0 < i < t) and is called only for the points the search reads,
+    at most ceil(log2 t) of them.  Returns the step i (0 <= i < t) such that
+    g reads ``fx`` at point i and not at point i + 1.
+    """
+    lo, hi = 0, t
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(point(mid)) != fx:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _check_k(k, eps: float) -> int:
+    """``k`` as an int, once it and ``eps`` are checked."""
+    k = as_index(k, "k")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    return k
 
 
 # ---------------------------------------------------------------------------
 # Junta testing
-
-
-def _junta_locate(
-    g: BooleanFunction, x: int, z: int, order: Sequence[int], cum: Sequence[int], fx: int
-) -> int:
-    """Binary-search the hybrid path from x to z for a part that flips f.
-
-    ``cum[i]`` is the union mask of the first i parts in ``order``; the
-    hybrid point i takes z's bits there and x's bits elsewhere.
-    """
-    lo, hi = 0, len(order)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        point = (x & ~cum[mid]) | (z & cum[mid])
-        if g(point) != fx:
-            hi = mid
-        else:
-            lo = mid
-    return order[hi - 1]
 
 
 def junta_query_bound(rounds: int, r: int, k: int) -> int:
@@ -264,37 +292,22 @@ def junta_test(
     ``failure_reason="too_many_parts"``.
     """
     cfg = cfg or TesterConfig()
-    k = as_index(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _check_eps(eps)
+    k = _check_k(k, eps)
     n = f.n
     r = max(1, ceil(cfg.c_parts * k * k))
     partition = random_partition(n, r, rng)
-    g = CountingFunction(f)
-    probe = _Probe(g, k, eps, cfg)
-    found: list[int] = []
-    jbar_mask = (1 << n) - 1
+    probe = _Probe(f, k, eps, cfg)
 
-    # the partner reads jbar_mask at every block: identified parts stay fixed
-    for x, z, fx in probe.hits(lambda xs: _rerandomized(xs, n, jbar_mask, rng), rng):
+    def locate(x: int, z: int, fx: int, found: list[int]) -> int:
+        # hybrid point i takes z's bits on the first i unidentified parts
         order = [p for p in range(partition.r) if p not in found and partition.parts[p]]
         cum = [0]
         for p in order:
             cum.append(cum[-1] | partition.parts[p])
-        part = _junta_locate(g, x, z, order, cum, fx)
-        found.append(part)
-        jbar_mask ^= partition.parts[part]
-        if len(found) > k:
-            break
+        return order[_bisect(probe.f, fx, len(order), lambda i: (x & ~cum[i]) | (z & cum[i]))]
 
-    spec = probe.speculative
-    queries = g.count - spec
-    bound = junta_query_bound(probe.rounds, partition.r, k)
-    if queries > bound:
-        raise RuntimeError(f"query count {queries} exceeds budget {bound}")
-    reason = None if len(found) <= k else "too_many_parts"
-    return TestVerdict(reason is None, queries, found, partition, failure_reason=reason, speculative=spec)
+    found = probe.find_parts(partition, lambda xs, jbar: _rerandomized(xs, n, jbar, rng), locate, rng)
+    return probe.verdict(found, partition, junta_query_bound(probe.rounds, partition.r, k))
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +398,18 @@ def _locate_asymmetric_part(
         if diff & ~cum[-1] or wts[-1] != (y & w_mask).bit_count():
             raise RuntimeError("chain did not end at its endpoint")
         w_positions = partition.positions(workspace)
-        lo, hi = 0, len(owners)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            point = ox ^ (diff & cum[mid])
-            if wts[mid] == w_size:
+
+        def chain_point(i: int) -> int:
+            point = ox ^ (diff & cum[i])
+            if wts[i] == w_size:
                 point |= w_mask
-            elif wts[mid]:
-                point |= mask_from_indices(rng.choice(w_positions, size=wts[mid], replace=False))
+            elif wts[i]:
+                point |= mask_from_indices(rng.choice(w_positions, size=wts[i], replace=False))
             if point.bit_count() != weight:
                 raise RuntimeError("chain step changed the Hamming weight")
-            if g(point) != fx:
-                hi = mid
-            else:
-                lo = mid
-        owner = owners[hi - 1]
+            return point
+
+        owner = owners[_bisect(g, fx, len(owners), chain_point)]
     if owner == workspace or owner in j_parts:
         raise RuntimeError(f"step owner {owner} is the workspace or an identified part")
     return owner
@@ -468,12 +478,9 @@ def partially_symmetric_test(
     """
     cfg = cfg or TesterConfig()
     n = f.n
-    k = as_index(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _check_k(k, eps)
     if k >= n / 2:
         raise ValueError(f"k = {k} too large for n = {n} (need k < n/2)")
-    _check_eps(eps)
     r = psym_partition_size(n, k, eps, cfg)
     partition = random_partition(n, r, rng)
     workspace = int(rng.integers(0, partition.r))
@@ -481,30 +488,15 @@ def partially_symmetric_test(
     if 2 * partition.r * w_size < n:
         return TestVerdict(False, 0, [], partition, workspace, failure_reason="workspace")
 
-    g = CountingFunction(f)
-    probe = _Probe(g, k, eps, cfg)
-    found: list[int] = []
-    jbar_mask = (1 << n) - 1
-
-    # the partner reads jbar_mask at every block: identified parts stay fixed
-    for x, y, fx in probe.hits(lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng):
-        part = _locate_asymmetric_part(g, x, y, partition, found, workspace, fx, rng)
-        if part is None:
-            continue
-        found.append(part)
-        jbar_mask ^= partition.parts[part]
-        if len(found) > k:
-            break
-
-    spec = probe.speculative
-    queries = g.count - spec
-    bound = psym_query_bound(probe.rounds, partition.r, n, w_size)
-    if queries > bound:
-        raise RuntimeError(f"query count {queries} exceeds budget {bound}")
-    reason = None if len(found) <= k else "too_many_parts"
-    return TestVerdict(
-        reason is None, queries, found, partition, workspace, failure_reason=reason, speculative=spec
+    probe = _Probe(f, k, eps, cfg)
+    found = probe.find_parts(
+        partition,
+        lambda xs, jbar: rearrange_bits_block(xs, jbar, rng),
+        lambda x, y, fx, found: _locate_asymmetric_part(probe.f, x, y, partition, found, workspace, fx, rng),
+        rng,
     )
+    bound = psym_query_bound(probe.rounds, partition.r, n, w_size)
+    return probe.verdict(found, partition, bound, workspace)
 
 
 __all__ = [

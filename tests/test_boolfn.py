@@ -133,6 +133,8 @@ def test_bool_and_integer_tables_are_accepted():
         pytest.param(lambda: pt.KLinear(8, [0]).eval_many(np.array([1.5, 2.0])), id="float-array"),
         pytest.param(lambda: pt.KLinear(8, [0]).eval_many(np.array([True, False])), id="bool-array"),
         pytest.param(lambda: pt.KLinear(100, [0]).eval_many([1.5]), id="wide-float-element"),
+        pytest.param(lambda: pt.KLinear(8, [0]).eval_many([True, 0]), id="bool-element"),
+        pytest.param(lambda: pt.KLinear(100, [0]).eval_many([True]), id="wide-bool-element"),
     ],
 )
 def test_non_integer_points_are_rejected(call):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psymtest as pt
 from psymtest.cli import main
@@ -179,6 +185,10 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
         ({"kind": "psym_core", "n": 4, "k": 1, "asym": [True], "core_hex": "00"}, "asym position must be an integer"),
         ({"kind": "psym_core", "n": 4, "k": 5, "asym": [], "core_hex": "01"}, "'k' must satisfy 0 <= k < n = 4, got 5"),
         ({"kind": "psym_core", "n": 4, "k": -1, "asym": [], "core_hex": "01"}, "'k' must satisfy 0 <= k < n = 4, got -1"),
+        ({"kind": "k_linear", "n": 4, "indices": [0], "extra": 1}, "a k_linear spec takes no field 'extra'"),
+        ({"kind": "truth_table", "n": 2, "table_hex": "06", "profile": [0]}, "a truth_table spec takes no field 'profile'"),
+        ({"kind": "k_linear", "n": 4}, "a k_linear spec needs field 'indices'"),
+        ({"kind": "truth_table", "n": 2, "table_hex": "0F"}, "hex must be lowercase"),
     ],
 )
 def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):
@@ -189,6 +199,48 @@ def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):
     assert run_cli("measure", "--fn", path, "--set", "0") == 2
     err = capsys.readouterr().err
     assert err.startswith("psymtest: error:") and message in err
+
+
+# small integers keep every accepted function cheap to measure
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_VALID_SPECS = [
+    {"kind": "truth_table", "n": 3, "table_hex": "96"},
+    {"kind": "k_linear", "n": 8, "indices": [5, 0]},
+    {"kind": "symmetric_profile", "n": 3, "profile": [0, 1, 1, 0]},
+    {"kind": "psym_core", "n": 4, "k": 1, "asym": [2], "core_hex": "a5"},
+]
+
+
+@st.composite
+def _function_files(draw):
+    if draw(st.booleans()):
+        return draw(_JSON)
+    spec = dict(draw(st.sampled_from(_VALID_SPECS)))
+    key = draw(st.sampled_from(sorted(spec) + ["extra", None]))  # None keeps the spec valid
+    if key is not None:
+        valid_values = st.sampled_from([value for other in _VALID_SPECS for value in other.values()])
+        spec[key] = draw(_JSON | valid_values)
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_function_files())
+def test_function_files_load_exactly_or_exit_2(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["measure", "--fn", path, "--set", "0", "--mc-trials", "10"])
+        assert code in (0, 2)
+        if code == 0:
+            if blob["kind"] == "k_linear":
+                blob = dict(blob, indices=sorted(blob["indices"]))
+            assert pt.function_to_json(pt.load_function(path)) == blob
 
 
 def test_brute_iso_self_and_complement(tmp_path, capsys):

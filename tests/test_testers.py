@@ -219,6 +219,23 @@ def test_localization_fills_only_the_points_it_reads(n, r):
     assert located >= 10
 
 
+def test_bisection_returns_the_first_flip_and_builds_only_the_points_it_reads():
+    for t in range(1, 65):
+        for step in range(t):
+            built, read = [], []
+
+            def point(i):
+                built.append(i)
+                return i
+
+            def g(i):
+                read.append(i)
+                return int(i > step)
+
+            assert testers._bisect(g, 0, t, point) == step
+            assert built == read and len(read) <= ceil(log2(t))
+
+
 def test_difference_inside_the_workspace_goes_to_the_lowest_free_part():
     from psymtest.testers import _locate_asymmetric_part
 
