@@ -17,7 +17,6 @@ synchronization if shared across threads.
 from __future__ import annotations
 
 import json
-import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -148,9 +147,9 @@ class BooleanFunction:
         ``__call__``: a bad point raises ``ValueError``.
 
         An array must have an integer dtype (one check per batch, plus a
-        ``min`` pass when it is signed); a sequence's elements go through
-        ``operator.index`` in the pass that converts them, which skips a
-        bool and then raises on the short result, so a float or a bool is
+        ``min`` pass when it is signed).  A sequence becomes a list of ints
+        in one pass, in which an element other than an exact int goes
+        through ``as_index`` as in ``__call__``, so a float or a bool is
         rejected.  At n <= 64 the block is a view of the uint64 array,
         range-checked by one ``max`` pass (none at n = 64, where every
         uint64 is a point).  Above, the ints go through one bytes pass and
@@ -162,29 +161,25 @@ class BooleanFunction:
                 raise ValueError(f"points must be integers, got an array of {xs.dtype}")
             if xs.dtype.kind == "i" and len(xs) and xs.min() < 0:
                 raise ValueError(f"point {xs.min()} outside {{0,1}}^{n}")
+            if n > 64:
+                xs = xs.tolist()
+        else:
+            xs = [x if x.__class__ is int else as_index(x, "point") for x in xs]
         try:
             if n <= 64:
                 if isinstance(xs, np.ndarray):
                     xs = xs.astype(np.uint64, copy=False)
                 else:
-                    ints = [operator.index(x) for x in xs if x.__class__ is not bool]
-                    if len(ints) != len(xs):
-                        raise TypeError("a bool is not a point")
-                    xs = np.fromiter(ints, dtype=np.uint64, count=len(xs))
+                    xs = np.fromiter(xs, dtype=np.uint64, count=len(xs))
                 if n < 64 and len(xs):
                     top = int(xs.max())
                     if top >> n:
                         raise ValueError(f"point {top} outside {{0,1}}^{n}")
                 return xs[:, None]
             width = (n + 63) // 64
-            words = [operator.index(x).to_bytes(8 * width, "little") for x in xs if x.__class__ is not bool]
-            if len(words) != len(xs):
-                raise TypeError("a bool is not a point")
-            raw = b"".join(words)
+            raw = b"".join([x.to_bytes(8 * width, "little") for x in xs])
         except OverflowError:
             raise ValueError(f"points outside {{0,1}}^{n}") from None
-        except TypeError as exc:
-            raise ValueError(f"points must be integers: {exc}") from None
         block = np.frombuffer(raw, dtype="<u8").reshape(len(xs), width)
         if n % 64 and len(xs):
             top = int(block[:, -1].max())
@@ -465,7 +460,10 @@ def function_from_json(obj: dict) -> BooleanFunction:
     if kind == "k_linear":
         return KLinear(*_json_fields(obj, n=int, indices=list))
     if kind == "symmetric_profile":
-        return SymmetricProfile(*_json_fields(obj, n=int, profile=list))
+        n, profile = _json_fields(obj, n=int, profile=list)
+        if any(isinstance(bit, bool) for bit in profile):
+            raise ValueError("field 'profile' must hold JSON integers 0 or 1, got a bool")
+        return SymmetricProfile(n, profile)
     if kind == "psym_core":
         n, k, asym, core_hex = _json_fields(obj, n=int, k=int, asym=list, core_hex=str)
         if not 0 <= k < n:
