@@ -19,8 +19,6 @@ from typing import Iterable
 
 import numpy as np
 
-_FULL64 = (1 << 64) - 1
-
 # Smallest block that rearrange_bits_block matches against a word pool.  At
 # 64 masked slots the pool path breaks even with the key sort near 110 rows
 # and at 36 slots near 190; the testers' doubling blocks of 64 and 128 rows
@@ -79,8 +77,9 @@ def random_mask(n: int, rng: np.random.Generator) -> int:
 
 
 def to_words(mask: int, width: int) -> np.ndarray:
-    """``mask`` as ``width`` little-endian uint64 words."""
-    return np.array([(mask >> (64 * i)) & _FULL64 for i in range(width)], dtype=np.uint64)
+    """``mask`` as ``width`` little-endian uint64 words, a read-only array
+    over the mask's bytes; ``OverflowError`` if it does not fit."""
+    return np.frombuffer(mask.to_bytes(8 * width, "little"), dtype="<u8")
 
 
 def from_words(row: np.ndarray) -> int:

@@ -8,22 +8,26 @@ core triplet whose marginal approaches the reference law.
 
 A handle holds the function, the partition, the workspace and the parts
 acting as asymmetric slots; its n is the partition's and its k the number
-of slots.  It keeps one exact subset-sum table for its (partition,
-workspace): the table counts the valid points of each weight in at most
-|W| + 1 terms, and a draw unranks one uniform rank among them.  When every
-non-workspace part is a singleton the law is uniform on the cube, so a
-batch is one block of uniform words at any n.  Either way a batch is one
-``eval_many`` call, and it comes back as the x, w and z int64 arrays that
-the isomorphism vote reads.  The sampler's exact (x, w) law is counted
-from the same table, at every partition.
+of slots.  It keeps one exact subset-sum table over items: the slot parts,
+the other nonempty non-workspace parts, and each workspace variable on its
+own, so a valid point is a set of items.  One suffix count over the item
+sizes gives the number of valid points of each weight, a draw walks one
+uniform rank through the items to a point and its slot bits, and the
+sampler's exact (x, w) law is read from the counts of the items after the
+slots.  When every non-workspace part is a singleton the law is uniform on
+the cube, so a batch is one block of uniform words at any n and the
+table's counts are never built.  Either way a batch is one ``eval_many``
+call, and it comes back as the x, w and z int64 arrays that the
+isomorphism vote reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,107 +73,82 @@ def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
 
 
 def _suffix_ways(sizes: Sequence[int]) -> list[list[int]]:
-    """suffix[i][s] counts 0/1 choices for parts i.. with total size s."""
-    total = sum(sizes)
-    suffix = [[0] * (total + 1) for _ in range(len(sizes) + 1)]
-    suffix[len(sizes)][0] = 1
-    for i in range(len(sizes) - 1, -1, -1):
-        s_i = sizes[i]
-        nxt = suffix[i + 1]
-        row = suffix[i]
-        for s in range(total + 1):
-            row[s] = nxt[s] + (nxt[s - s_i] if s >= s_i else 0)
-    return suffix
+    """suffix[i][s] counts the subsets of items i.. with total size s."""
+    row = [1] + [0] * sum(sizes)
+    suffix = [row]
+    for size in reversed(sizes):
+        row = [a + b for a, b in zip(row, [0] * size + row)]
+        suffix.append(row)
+    return suffix[::-1]
 
 
 class _SubsetSumTable:
     """Exact counts, by weight, of the points whose non-workspace parts are
-    each constant, for one (partition, workspace), and the walk that turns
-    a rank among them back into a point.
+    each constant, for one (partition, workspace, slots), and the walk that
+    turns a rank among them back into a point.
 
-    A weight-w valid point is a choice of nonempty non-workspace parts set
-    to 1, of total size s, plus a weight-(w - s) fill of the workspace W:
-    ``suffix`` counts the choices and ``wcomb[t]`` = C(|W|, t) the fills.
+    The items are the slot parts in order, the other nonempty non-workspace
+    parts, then each workspace variable on its own, so a valid point is a
+    set of items and its weight their total size.  ``suffix`` counts the
+    sets by item and total size; it is built on first use, which a handle
+    whose non-workspace parts are singletons never makes.
     """
 
-    def __init__(self, partition: Partition, workspace: int):
+    def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
         if not 0 <= workspace < partition.r:
             raise ValueError("workspace is not a part index")
-        self.partition = partition
-        self.others = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
-        self.sizes = [partition.size(p) for p in self.others]
-        self.suffix = _suffix_ways(self.sizes)
-        w_size = partition.size(workspace)
-        self.wcomb = [comb(w_size, t) for t in range(w_size + 1)]
-        self.fill_bits = [1 << int(pos) for pos in partition.positions(workspace)]
+        others = (p for p in range(partition.r) if p != workspace and partition.parts[p] and p not in slots)
+        self.items = [partition.parts[p] for p in (*slots, *others)]
+        self.items += [1 << int(pos) for pos in partition.positions(workspace)]
+        self.sizes = [item.bit_count() for item in self.items]
         # binomial weight + uniform valid point collapses to a uniform point
         self.uniform = all(size == 1 for size in self.sizes)
-        self._counts: dict[int, int] = {}
+        self.slots = len(slots)
+        self.n = partition.n
 
-    def _by_sum(self, w: int) -> Iterator[tuple[int, int]]:
-        """(s, number of valid weight-w points whose choice sums to s)."""
-        ways = self.suffix[0]
-        for s in range(max(0, w - len(self.wcomb) + 1), min(w, len(ways) - 1) + 1):
-            yield s, ways[s] * self.wcomb[w - s]
+    @cached_property
+    def suffix(self) -> list[list[int]]:
+        return _suffix_ways(self.sizes)
 
     def count(self, w: int) -> int:
-        """Number of valid weight-w points, summed once per weight."""
-        if w not in self._counts:
-            self._counts[w] = sum(c for _, c in self._by_sum(w))
-        return self._counts[w]
+        """Number of valid weight-w points."""
+        return self.suffix[0][w]
 
     def unrank(self, w: int, u: int) -> tuple[int, int]:
-        """The u-th valid weight-w point, u in [0, count(w)), and its
-        chosen-part mask.
+        """The u-th valid weight-w point, u in [0, count(w)), and its slot
+        bits x (bit c set when slot c is taken).
 
-        Ranks run through the sums s in order, each choice of sum s taking
-        C(|W|, w - s) consecutive ranks, one per workspace fill: the quotient
-        walks the suffix table to the choice, and the remainder is the fill,
-        a (w - s)-subset of W in the combinatorial number system.
+        At item i with weight w left, the ranks below suffix[i + 1][w]
+        leave the item out and the rest take it.
         """
-        for s, c in self._by_sum(w):
-            if u < c:
-                break
-            u -= c
-        else:
-            raise ValueError(f"rank outside 0..count({w}) - 1")
-        t = w - s
-        v, fill = divmod(u, self.wcomb[t])
-        chosen = y = 0
-        for i, part in enumerate(self.others):
-            skip = self.suffix[i + 1][s]
-            if v >= skip:
-                v -= skip
-                s -= self.sizes[i]
-                chosen |= 1 << part
-                y |= self.partition.parts[part]
-        # fill = sum of C(i, j) over the j-th lowest chosen slot i of W
-        i = len(self.fill_bits)
-        while t:
-            i -= 1
-            c = comb(i, t)
-            if fill >= c:
-                fill -= c
-                t -= 1
-                y |= self.fill_bits[i]
-        if s or v or fill:
+        suffix = self.suffix
+        y = x = 0
+        for i, item in enumerate(self.items):
+            skip = suffix[i + 1][w]
+            if u >= skip:
+                u -= skip
+                w -= self.sizes[i]
+                y |= item
+                if i < self.slots:
+                    x |= 1 << i
+        if w or u:
             raise RuntimeError("rank walk ended off its rank")
-        return y, chosen
+        return y, x
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
-        """A point of the constrained law and its chosen-part mask."""
-        return self.point(int(rng.binomial(self.partition.n, 0.5)), rng)
+        """A point of the constrained law and its slot bits."""
+        return self.point(int(rng.binomial(self.n, 0.5)), rng)
 
     def point(self, w: int, rng: np.random.Generator) -> tuple[int, int]:
         """Uniform valid weight-w point from one uniform rank (the all-zeros
-        point when there is none) and its chosen-part mask."""
+        point when there is none) and its slot bits."""
         total = self.count(w)
         if total == 0:
             return 0, 0
         return self.unrank(w, randrange_bigint(total, rng))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerHandle:
     """Frozen outcome of the preprocessing test, ready to draw core samples.
 
@@ -189,7 +168,6 @@ class SamplerHandle:
     def __post_init__(self):
         if self.partition.n != self.f.n:
             raise ValueError("the partition's n and the function's n must agree")
-        self._table = _SubsetSumTable(self.partition, self.workspace)
         if any(not 0 <= p < self.partition.r for p in self.j_parts):
             raise ValueError("asymmetric slots must be part indices")
         if len(set(self.j_parts)) != len(self.j_parts):
@@ -198,6 +176,7 @@ class SamplerHandle:
             raise ValueError("workspace cannot be an asymmetric slot")
         if any(not self.partition.parts[p] for p in self.j_parts):
             raise ValueError("asymmetric slots must be nonempty parts")
+        object.__setattr__(self, "_table", _SubsetSumTable(self.partition, self.workspace, self.j_parts))
 
     @property
     def k(self) -> int:
@@ -257,25 +236,19 @@ def build_sampler(
     return handle_from_verdict(f, verdict, k)
 
 
-def _sample_to_core(handle: SamplerHandle, y: int, chosen: int) -> tuple[int, int]:
-    """Slot bits x (bit c is part ``j_parts[c]``'s constant, read off the
-    chosen-part mask) and the symmetric weight |y| - |x|."""
-    x = 0
-    for c, part in enumerate(handle.j_parts):
-        x |= ((chosen >> part) & 1) << c
+def _core_weight(handle: SamplerHandle, y: int, x: int) -> int:
+    """The symmetric weight |y| - |x| of a point y with slot bits x."""
     w = y.bit_count() - x.bit_count()
     if not 0 <= w <= handle.n - handle.k:
         raise RuntimeError(f"symmetric weight {w} outside 0..{handle.n - handle.k}")
-    return x, w
+    return w
 
 
 def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSample:
-    """One core triplet for one query: draw a constrained point y by the
-    table walk, read off the slot constants as x, report w = |y| - |x| and
-    z = f(y)."""
-    y, chosen = handle._table.draw(rng)
-    x, w = _sample_to_core(handle, y, chosen)
-    return CoreSample(x, w, int(handle.f(y)))
+    """One core triplet for one query: draw a constrained point y and its
+    slot bits x by the table walk, report w = |y| - |x| and z = f(y)."""
+    y, x = handle._table.draw(rng)
+    return CoreSample(x, _core_weight(handle, y, x), int(handle.f(y)))
 
 
 def _draw(
@@ -299,11 +272,10 @@ def _draw(
         return block_points(block), xs, ws
     ys, xs, ws = [], [], []
     for _ in range(count):
-        y, chosen = table.draw(rng)
-        x, w = _sample_to_core(handle, y, chosen)
+        y, x = table.draw(rng)
         ys.append(y)
         xs.append(x)
-        ws.append(w)
+        ws.append(_core_weight(handle, y, x))
     return ys, np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)
 
 
@@ -354,14 +326,12 @@ def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction
     """Exact (x, w) law of the handle's sampler, counted from its table at
     every partition: a weight-w draw lands on (x, w - |x|) with probability
     p_w * rest[w - size(x)] / count(w), where size(x) is the total size of
-    the slots x sets and ``rest[t]`` counts the choices of the other parts
-    and the workspace fill of total size t.  When count(w) = 0 the
-    all-zeros fallback takes p_w whole.
+    the slots x sets and ``rest`` = ``suffix[k]`` counts the sets of the
+    items after the slots by total size.  When count(w) = 0 the all-zeros
+    fallback takes p_w whole.
     """
     table, n = handle._table, handle.n
-    # a weight-t workspace fill is a choice of t one-variable parts
-    free = [size for p, size in zip(table.others, table.sizes) if p not in handle.j_parts]
-    rest = _suffix_ways(free + [1] * (len(table.wcomb) - 1))[0]
+    rest = table.suffix[handle.k]
     slot_size = [0]
     for part in handle.j_parts:
         slot_size += [size + handle.partition.size(part) for size in slot_size]
@@ -374,7 +344,7 @@ def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction
             continue
         counted = 0
         for x, size in enumerate(slot_size):
-            cnt = rest[w - size] if 0 <= w - size < len(rest) else 0
+            cnt = rest[w - size] if size <= w else 0
             if cnt:
                 counted += cnt
                 key = (x, w - x.bit_count())

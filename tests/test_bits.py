@@ -196,6 +196,19 @@ def test_permutation_apply_many_matches_apply(data):
         assert [from_words(y) for y in ys] == [pi.apply(x) for x in xs]
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 64])
+def test_to_words_matches_one_shift_per_word(width):
+    rng = np.random.default_rng(33)
+    top = 1 << (64 * width - 1)
+    randoms = [int.from_bytes(rng.bytes(8 * width), "little") for _ in range(20)]
+    for mask in [0, 1, top, 2 * top - 1, *randoms, *(x | top for x in randoms)]:
+        words = to_words(mask, width)
+        assert words.dtype == np.uint64 and words.shape == (width,)
+        assert words.tolist() == [(mask >> (64 * i)) & FULL for i in range(width)]
+    with pytest.raises(OverflowError):
+        to_words(2 * top, width)
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3, 7, 10])
 def test_small_bound_ranks_are_uniform(bound):
     rng = np.random.default_rng(bound)

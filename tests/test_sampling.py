@@ -1,4 +1,6 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -10,7 +12,7 @@ import psymtest as pt
 from psymtest._bits import random_masks_u64
 from psymtest.sampling import (
     _SubsetSumTable,
-    _sample_to_core,
+    _core_weight,
     core_marginal_exact,
     draw_core_samples_batch,
     dstar_pmf,
@@ -39,12 +41,12 @@ def test_count_valid_singletons_and_single_big_part():
     rng = np.random.default_rng(2)
     p = pt.random_partition(12, 12, rng)
     for w in range(13):
-        assert _SubsetSumTable(p, 3).count(w) == comb(12, w)
+        assert _SubsetSumTable(p, 3, ()).count(w) == comb(12, w)
     # one giant part plus a workspace of size 4
     big = pt.Partition(12, [(1 << 8) - 1, ((1 << 12) - 1) ^ ((1 << 8) - 1)])
     for w in range(13):
         expected = (comb(4, w) if w <= 4 else 0) + (comb(4, w - 8) if 0 <= w - 8 <= 4 else 0)
-        assert _SubsetSumTable(big, 1).count(w) == expected
+        assert _SubsetSumTable(big, 1, ()).count(w) == expected
 
 
 def test_count_valid_matches_enumeration():
@@ -59,7 +61,7 @@ def test_count_valid_matches_enumeration():
         if ok:
             by_weight[x.bit_count()] += 1
     for w in range(n + 1):
-        assert _SubsetSumTable(partition, w_part).count(w) == by_weight[w]
+        assert _SubsetSumTable(partition, w_part, ()).count(w) == by_weight[w]
 
 
 def test_sample_diw_parts_constant_every_draw():
@@ -70,7 +72,7 @@ def test_sample_diw_parts_constant_every_draw():
         partition = pt.random_partition(n, r, rng)
         w_part = int(rng.integers(0, partition.r))
         for _ in range(50):
-            y = _SubsetSumTable(partition, w_part).draw(rng)[0]
+            y = _SubsetSumTable(partition, w_part, ()).draw(rng)[0]
             for p in range(partition.r):
                 if p == w_part:
                     continue
@@ -81,8 +83,8 @@ def test_sample_diw_parts_constant_every_draw():
 def test_sample_diw_infeasible_weight_returns_zeros():
     partition = pt.Partition(16, [(1 << 15) - 1, 0x8000])
     rng = np.random.default_rng(5)
-    y, chosen = _SubsetSumTable(partition, 1).point(7, rng)
-    assert y == 0 and chosen == 0
+    y, x = _SubsetSumTable(partition, 1, ()).point(7, rng)
+    assert y == 0 and x == 0
 
 
 @pytest.mark.parametrize("workspace", [-1, 3])
@@ -90,7 +92,7 @@ def test_out_of_range_workspace_is_rejected(workspace):
     partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
     f = pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8))
     with pytest.raises(ValueError, match="workspace is not a part index"):
-        _SubsetSumTable(partition, workspace)
+        _SubsetSumTable(partition, workspace, ())
     with pytest.raises(ValueError, match="workspace is not a part index"):
         pt.SamplerHandle(f, partition, workspace, (0,))
 
@@ -112,6 +114,29 @@ def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
         pt.SamplerHandle(f, partition, 2, j_parts)
 
 
+def check_rank_bijection(partition, workspace, slots):
+    """Ranks 0..count(w) - 1 of every weight w unrank onto the valid
+    weight-w points, one each, with bit c of x set exactly when slot c is
+    taken, and the next rank ends the walk off its rank.  Returns the
+    weights with no valid point."""
+    table = _SubsetSumTable(partition, workspace, slots)
+    others = [partition.parts[p] for p in range(partition.r) if p != workspace]
+    valid = [[] for _ in range(partition.n + 1)]
+    for y in range(1 << partition.n):
+        if all(y & m in (0, m) for m in others):
+            valid[y.bit_count()].append(y)
+    for w, points in enumerate(valid):
+        total = table.count(w)
+        assert total == len(points)
+        ranked = [table.unrank(w, u) for u in range(total)]
+        assert sorted(y for y, _ in ranked) == points
+        for y, x in ranked:
+            assert x == sum(1 << c for c, p in enumerate(slots) if y & partition.parts[p])
+        with pytest.raises(RuntimeError, match="ended off its rank"):
+            table.unrank(w, total)
+    return {w for w, points in enumerate(valid) if not points}
+
+
 @pytest.mark.parametrize(
     "partition, workspace, infeasible",
     [
@@ -122,46 +147,28 @@ def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
     ],
 )
 def test_unranking_every_rank_covers_each_pattern_once_per_fill(partition, workspace, infeasible):
-    table = _SubsetSumTable(partition, workspace)
-    w_size = partition.size(workspace)
-    w_mask = partition.parts[workspace]
-    others = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
-    for w in range(partition.n + 1):
-        total = table.count(w)
-        assert (total == 0) == (w in infeasible)
-        ranked = [table.unrank(w, u) for u in range(total)]
-        # a bijection from the ranks onto the valid weight-w points
-        valid = {
-            y
-            for y in range(1 << partition.n)
-            if y.bit_count() == w and all(y & partition.parts[p] in (0, partition.parts[p]) for p in others)
-        }
-        assert len({y for y, _ in ranked}) == total
-        assert {y for y, _ in ranked} == valid
-        seen = Counter((chosen, y & ~w_mask) for y, chosen in ranked)
-        expected = {}
-        for bits in product((0, 1), repeat=len(others)):
-            chosen = sum(b << p for p, b in zip(others, bits))
-            y = sum(partition.parts[p] for p, b in zip(others, bits) if b)
-            t = w - y.bit_count()
-            if 0 <= t <= w_size:
-                expected[(chosen, y)] = comb(w_size, t)
-        assert seen == expected
-        assert total == sum(expected.values())
-        with pytest.raises(ValueError, match="rank outside"):
-            table.unrank(w, total)
+    free = [p for p in range(partition.r) if p != workspace and partition.parts[p]]
+    for k in range(len(free) + 1):
+        # slots taken from the top, so they are not in part order
+        assert check_rank_bijection(partition, workspace, tuple(free[::-1][:k])) == infeasible
 
 
-def test_table_counts_each_weight_once(monkeypatch):
-    partition = pt.Partition(9, [0b1111, 0b11110000, 1 << 8])
-    table = _SubsetSumTable(partition, 2)
-    want = [sum(c for _, c in table._by_sum(w)) for w in range(10)]
-    sums = []
-    by_sum = table._by_sum
-    monkeypatch.setattr(table, "_by_sum", lambda w: sums.append(w) or by_sum(w))
-    for _ in range(3):
-        assert [table.count(w) for w in range(10)] == want
-    assert sums == list(range(10))
+def test_unranking_is_a_bijection_on_random_handles():
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        r = int(rng.integers(1, 9))
+        assign = rng.integers(0, r, size=n)
+        partition = pt.Partition(n, [sum(1 << int(i) for i in np.flatnonzero(assign == p)) for p in range(r)])
+        workspace = int(rng.integers(0, r))
+        free = [p for p in range(r) if p != workspace and partition.parts[p]]
+        k = int(rng.integers(0, min(len(free), 3) + 1))
+        check_rank_bijection(partition, workspace, tuple(int(p) for p in rng.permutation(free)[:k]))
+        seen["empty part"] += any(not partition.parts[p] for p in range(r) if p != workspace)
+        seen["empty workspace"] += not partition.parts[workspace]
+        seen[f"k = {k}"] += 1
+    assert min(seen[case] for case in ("empty part", "empty workspace", "k = 0", "k = 1", "k = 2", "k = 3")) >= 3, seen
 
 
 def test_sample_diw_conditional_uniformity_chi_square():
@@ -180,7 +187,7 @@ def test_sample_diw_conditional_uniformity_chi_square():
         and all((x & m) == 0 or (x & m) == m for m in other_masks)
     ]
     index = {x: i for i, x in enumerate(valid)}
-    table = _SubsetSumTable(partition, w_part)
+    table = _SubsetSumTable(partition, w_part, ())
     draws = 300_000
     counts = np.zeros(len(valid), dtype=np.int64)
     for _ in range(draws):
@@ -214,6 +221,31 @@ def test_build_sampler_completeness_and_rejection():
             assert not rej.verdict.accepted
             rejections += 1
     assert rejections >= 12
+
+
+def test_handle_fields_cannot_be_assigned():
+    # the table is built from the slots and the workspace once, at construction
+    partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
+    handle = pt.SamplerHandle(pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8)), partition, 2, (0,))
+    for name, value in [("j_parts", (1,)), ("workspace", 1), ("partition", partition), ("f", handle.f)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(handle, name, value)
+
+
+def test_singleton_handle_builds_no_count_table():
+    # the block path never reads the table's O(n^2) bigint counts
+    n = 1024
+    partition = pt.random_partition(n, n, np.random.default_rng(30))
+    f = pt.KLinear(n, [0, n - 1])
+    tracemalloc.start()
+    try:
+        handle = pt.SamplerHandle(f, partition, 5, (0, n - 1))
+        xs, ws, zs = draw_core_samples_batch(handle, 100, np.random.default_rng(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(zs) == 100
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_handle_padding_uses_low_nonempty_parts():
@@ -327,7 +359,7 @@ def reference_core_marginal(handle):
     the nonempty non-workspace parts; 2^r terms, so only for r <= 12."""
     partition, table = handle.partition, handle._table
     n = handle.n
-    others = table.others
+    others = [p for p in range(partition.r) if p != handle.workspace and partition.parts[p]]
     assert partition.r <= 12
     sizes = {p: partition.size(p) for p in others}
     slot_of = {part: c for c, part in enumerate(handle.j_parts)}
@@ -413,10 +445,10 @@ def test_core_marginal_check_fires_when_a_slot_is_counted_twice(monkeypatch):
     handle = pt.SamplerHandle(f, partition, 2, (0,))
     assert core_marginal_exact(handle) == reference_core_marginal(handle)
     real = sampling._suffix_ways
-    # the slot part joins the free parts as well
-    monkeypatch.setattr(sampling, "_suffix_ways", lambda sizes: real([*sizes, partition.size(0)]))
+    # the slot item counted last, so that it falls among the items after the slots
+    monkeypatch.setattr(sampling, "_suffix_ways", lambda sizes: real([*sizes[1:], sizes[0]]))
     with pytest.raises(RuntimeError, match="slot patterns count"):
-        core_marginal_exact(handle)
+        core_marginal_exact(pt.SamplerHandle(f, partition, 2, (0,)))
 
 
 def test_batch_draws_general_partition_path():
@@ -446,9 +478,9 @@ def test_core_reading_checks_the_weight_it_reports():
     f = strong_core_spec(12)
     partition = pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16])
     handle = pt.SamplerHandle(f, partition, 2, (0, 1))
-    assert _sample_to_core(handle, 0b0011, 0b01) == (1, 1)
+    assert _core_weight(handle, 0b0011, 0b01) == 1
     with pytest.raises(RuntimeError, match="symmetric weight -2"):
-        _sample_to_core(handle, 0, 0b11)
+        _core_weight(handle, 0, 0b11)
 
 
 class _BatchRecorder(pt.BooleanFunction):

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 from pathlib import Path
@@ -61,3 +62,19 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue()
+
+
+def test_benchmark_tracer_patches_every_listed_name():
+    # the benchmark reads its per-layer spans by these names; a span whose
+    # every listed function the package dropped or renamed goes unmeasured
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(psymtest)
+    try:
+        missing = {name for _, _, name, _ in tracing._PATCHES} - tracer.patched
+    finally:
+        tracer.uninstall()
+    assert not missing, f"spans the tracer could not patch: {sorted(missing)}"
