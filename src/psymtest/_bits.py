@@ -173,6 +173,8 @@ def _rearrange_keysort(
     """
     b, width = xs.shape
     length = len(positions)
+    if not length:
+        return xs.copy()
     m = block_weights(xs & mk).astype(np.int64)
 
     def draw(counts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import boolfn, influence, isomorphism, oracle, sampling, testers
+from . import boolfn, influence, isomorphism, sampling, testers
 from ._bits import block_points, random_masks_u64
 
 
@@ -32,18 +32,28 @@ def _trial_rng(seed: int, trial: int) -> tuple[int, np.random.Generator]:
     return int(ss.generate_state(1)[0]), np.random.default_rng(ss)
 
 
-_DESCRIPTOR_KEYS = {"random": {"n"}, "profile": {"n"}, "core": {"n", "k"}, "parity": {"n", "k", "vars"}}
+# the keys each descriptor needs, one of each group; it takes no others
+_DESCRIPTOR_KEYS = {
+    "random": [("n",)],
+    "profile": [("n",)],
+    "core": [("n",), ("k",)],
+    "parity": [("n",), ("k", "vars")],
+}
 
 
 def _parse_kv(head: str, body: str) -> dict[str, str]:
+    groups = _DESCRIPTOR_KEYS[head]
     out = {}
     for piece in body.split(","):
         if piece:
             key, _, val = piece.partition("=")
             key = key.strip()
-            if key not in _DESCRIPTOR_KEYS[head]:
+            if not any(key in group for group in groups):
                 raise ValueError(f"descriptor {head!r} takes no key {key!r}")
             out[key] = val.strip()
+    for group in groups:
+        if not any(key in out for key in group):
+            raise ValueError(f"descriptor {head!r} needs key {' or '.join(map(repr, group))}")
     return out
 
 

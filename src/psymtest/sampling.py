@@ -6,19 +6,20 @@ binomial Hamming weight and then a uniform point among those whose
 non-workspace parts are each constant; one query at such a point yields a
 core triplet whose marginal approaches the reference law.
 
-A handle holds the function, the partition, the workspace and the parts
+A handle holds the function, the partition, the workspace W and the parts
 acting as asymmetric slots; its n is the partition's and its k the number
-of slots.  It keeps one exact subset-sum table over items: the slot parts,
-the other nonempty non-workspace parts, and each workspace variable on its
-own, so a valid point is a set of items.  One suffix count over the item
-sizes gives the number of valid points of each weight, a draw walks one
-uniform rank through the items to a point and its slot bits, and the
-sampler's exact (x, w) law is read from the counts of the items after the
-slots.  When every non-workspace part is a singleton the law is uniform on
-the cube, so a batch is one block of uniform words at any n and the
-table's counts are never built.  Either way a batch is one ``eval_many``
-call, and it comes back as the x, w and z int64 arrays that the
-isomorphism vote reads.
+of slots.  It keeps one exact subset-sum table over the slot parts, then
+the other nonempty non-workspace parts, whose base row C(|W|, s) counts the
+workspace fills of each weight s.  A draw walks one uniform rank through
+the parts to a set of them and an s, puts s ones on the lowest workspace
+variables, and one ``rearrange_bits_block`` call over the batch spreads
+them uniformly over W; the sampler's exact (x, w) law is read from the
+counts of the parts after the slots.  When every non-workspace part is a
+singleton the law is uniform on the cube, so a batch is one block of
+uniform words at any n and the table's counts are never built.  Either way
+x and w are read off the word block and the batch is one ``eval_many``
+call, returned as the x, w and z int64 arrays that the isomorphism vote
+reads; a single draw is the first row of a one-draw batch.
 """
 
 from __future__ import annotations
@@ -27,11 +28,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bits import block_points, block_weights, random_mask, random_masks_u64, randrange_bigint
+from ._bits import (
+    as_index,
+    block_points,
+    block_weights,
+    indices_of,
+    random_mask,
+    random_masks_u64,
+    randrange_bigint,
+    rearrange_bits_block,
+)
 from .boolfn import BooleanFunction
 from .testers import Partition, TesterConfig, TestVerdict, partially_symmetric_test
 
@@ -65,16 +75,13 @@ def sample_dstar(n: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
 
 def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
     """Exact reference mass of every (x, w) pair."""
-    out = {}
-    for x in range(1 << k):
-        for w in range(n - k + 1):
-            out[(x, w)] = Fraction(comb(n - k, w), 1 << n)
-    return out
+    return {(x, w): Fraction(comb(n - k, w), 1 << n) for x in range(1 << k) for w in range(n - k + 1)}
 
 
-def _suffix_ways(sizes: Sequence[int]) -> list[list[int]]:
-    """suffix[i][s] counts the subsets of items i.. with total size s."""
-    row = [1] + [0] * sum(sizes)
+def _suffix_ways(sizes: Sequence[int], width: int) -> list[list[int]]:
+    """suffix[i][s] counts the pairs (a set of parts i.., a subset of a
+    width-variable workspace) with total size s; the last row is C(width, s)."""
+    row = [comb(width, s) for s in range(width + 1)] + [0] * sum(sizes)
     suffix = [row]
     for size in reversed(sizes):
         row = [a + b for a, b in zip(row, [0] * size + row)]
@@ -85,67 +92,76 @@ def _suffix_ways(sizes: Sequence[int]) -> list[list[int]]:
 class _SubsetSumTable:
     """Exact counts, by weight, of the points whose non-workspace parts are
     each constant, for one (partition, workspace, slots), and the walk that
-    turns a rank among them back into a point.
+    turns a rank among them back into a set of parts.
 
-    The items are the slot parts in order, the other nonempty non-workspace
-    parts, then each workspace variable on its own, so a valid point is a
-    set of items and its weight their total size.  ``suffix`` counts the
-    sets by item and total size; it is built on first use, which a handle
-    whose non-workspace parts are singletons never makes.
+    The parts are the slot parts in order, then the other nonempty
+    non-workspace parts; a valid point is a set of parts plus s of the |W|
+    workspace variables.  ``suffix`` counts those by part and weight from
+    the base row C(|W|, s), built on first use, which a handle whose
+    non-workspace parts are singletons never makes.
     """
 
     def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
         if not 0 <= workspace < partition.r:
             raise ValueError("workspace is not a part index")
         others = (p for p in range(partition.r) if p != workspace and partition.parts[p] and p not in slots)
-        self.items = [partition.parts[p] for p in (*slots, *others)]
-        self.items += [1 << int(pos) for pos in partition.positions(workspace)]
-        self.sizes = [item.bit_count() for item in self.items]
+        self.parts = [partition.parts[p] for p in (*slots, *others)]
+        self.sizes = [part.bit_count() for part in self.parts]
+        self.workspace = partition.parts[workspace]
         # binomial weight + uniform valid point collapses to a uniform point
         self.uniform = all(size == 1 for size in self.sizes)
-        self.slots = len(slots)
         self.n = partition.n
 
     @cached_property
     def suffix(self) -> list[list[int]]:
-        return _suffix_ways(self.sizes)
+        return _suffix_ways(self.sizes, self.workspace.bit_count())
 
     def count(self, w: int) -> int:
         """Number of valid weight-w points."""
         return self.suffix[0][w]
 
     def unrank(self, w: int, u: int) -> tuple[int, int]:
-        """The u-th valid weight-w point, u in [0, count(w)), and its slot
-        bits x (bit c set when slot c is taken).
+        """The parts taken by the u-th valid weight-w point, u in
+        [0, count(w)), as one mask, and the point's workspace weight s; each
+        (parts, s) is reached by C(|W|, s) consecutive ranks.
 
-        At item i with weight w left, the ranks below suffix[i + 1][w]
-        leave the item out and the rest take it.
+        At part i with weight w left, the ranks below suffix[i + 1][w]
+        leave the part out and the rest take it; the walk must end with
+        s >= 0 and u < C(|W|, s), which is 0 past s = |W|.
         """
         suffix = self.suffix
-        y = x = 0
-        for i, item in enumerate(self.items):
+        y = 0
+        for i, part in enumerate(self.parts):
             skip = suffix[i + 1][w]
             if u >= skip:
                 u -= skip
                 w -= self.sizes[i]
-                y |= item
-                if i < self.slots:
-                    x |= 1 << i
-        if w or u:
+                y |= part
+        if w < 0 or u >= suffix[-1][w]:
             raise RuntimeError("rank walk ended off its rank")
-        return y, x
+        return y, w
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
-        """A point of the constrained law and its slot bits."""
-        return self.point(int(rng.binomial(self.n, 0.5)), rng)
+    def block(self, weights: Iterable[int], rng: np.random.Generator) -> np.ndarray:
+        """A word block with one row per weight w: a uniform valid weight-w
+        point, or all zeros when there is none.
 
-    def point(self, w: int, rng: np.random.Generator) -> tuple[int, int]:
-        """Uniform valid weight-w point from one uniform rank (the all-zeros
-        point when there is none) and its slot bits."""
-        total = self.count(w)
-        if total == 0:
-            return 0, 0
-        return self.unrank(w, randrange_bigint(total, rng))
+        A row takes the parts and the workspace weight s of one uniform
+        rank, with its s ones on the lowest workspace variables, and one
+        ``rearrange_bits_block`` call spreads every row's ones uniformly
+        over the workspace.  Each weight is read just before its row's
+        rank, so weights drawn lazily from ``rng`` interleave with the ranks.
+        """
+        low = [0]
+        for pos in indices_of(self.workspace):
+            low.append(low[-1] | 1 << pos)
+        nbytes = 8 * ((self.n + 63) // 64)
+        rows = bytearray()
+        for w in weights:
+            total = self.count(w)
+            y, s = self.unrank(w, randrange_bigint(total, rng)) if total else (0, 0)
+            rows += (y | low[s]).to_bytes(nbytes, "little")
+        block = np.frombuffer(rows, dtype="<u8").reshape(-1, nbytes // 8)
+        return rearrange_bits_block(block, self.workspace, rng)
 
 
 @dataclass(frozen=True)
@@ -236,47 +252,37 @@ def build_sampler(
     return handle_from_verdict(f, verdict, k)
 
 
-def _core_weight(handle: SamplerHandle, y: int, x: int) -> int:
-    """The symmetric weight |y| - |x| of a point y with slot bits x."""
-    w = y.bit_count() - x.bit_count()
-    if not 0 <= w <= handle.n - handle.k:
-        raise RuntimeError(f"symmetric weight {w} outside 0..{handle.n - handle.k}")
-    return w
-
-
 def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSample:
-    """One core triplet for one query: draw a constrained point y and its
-    slot bits x by the table walk, report w = |y| - |x| and z = f(y)."""
-    y, x = handle._table.draw(rng)
-    return CoreSample(x, _core_weight(handle, y, x), int(handle.f(y)))
+    """One core triplet for one query: the first row of a one-draw batch."""
+    xs, ws, zs = draw_core_samples_batch(handle, 1, rng)
+    return CoreSample(int(xs[0]), int(ws[0]), int(zs[0]))
 
 
 def _draw(
     handle: SamplerHandle, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray | list[int], np.ndarray, np.ndarray]:
     """``count`` constrained points y, as ``eval_many`` takes them, with
-    their slot bits x and weights |y| - |x|.
+    their slot bits x and weights |y| - |x|, all read off one word block.
 
-    A handle whose non-workspace parts are singletons draws one block of
-    uniform points and reads slot bits off their words; any other handle
-    draws each point by the table walk.
+    A handle whose non-workspace parts are singletons draws a block of
+    uniform points; any other draws a binomial weight per row and fills the
+    block through its table.  Every slot part is constant on every row, so
+    its bit is read at its first variable.
     """
+    count = as_index(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     table = handle._table
     if table.uniform:
         block = random_masks_u64(handle.n, count, rng)
-        xs = np.zeros(count, dtype=np.int64)
-        for c, part in enumerate(handle.j_parts):
-            pos = int(handle.partition.positions(part)[0])
-            xs |= ((block[:, pos // 64] >> np.uint64(pos % 64)) & np.uint64(1)).astype(np.int64) << c
-        ws = block_weights(block).astype(np.int64) - np.bitwise_count(xs)
-        return block_points(block), xs, ws
-    ys, xs, ws = [], [], []
-    for _ in range(count):
-        y, x = table.draw(rng)
-        ys.append(y)
-        xs.append(x)
-        ws.append(_core_weight(handle, y, x))
-    return ys, np.array(xs, dtype=np.int64), np.array(ws, dtype=np.int64)
+    else:
+        block = table.block((int(rng.binomial(handle.n, 0.5)) for _ in range(count)), rng)
+    xs = np.zeros(count, dtype=np.int64)
+    for c, part in enumerate(handle.j_parts):
+        pos = int(handle.partition.positions(part)[0])
+        xs |= ((block[:, pos // 64] >> np.uint64(pos % 64)) & np.uint64(1)).astype(np.int64) << c
+    ws = block_weights(block).astype(np.int64) - np.bitwise_count(xs)
+    return block_points(block), xs, ws
 
 
 def draw_core_samples_batch(
@@ -286,14 +292,6 @@ def draw_core_samples_batch(
     call; still exactly one query per sample."""
     ys, xs, ws = _draw(handle, count, rng)
     return xs, ws, handle.f.eval_many(ys).astype(np.int64)
-
-
-def _marginal_counts(
-    handle: SamplerHandle, trials: int, rng: np.random.Generator
-) -> dict[tuple[int, int], int]:
-    _, xs, ws = _draw(handle, trials, rng)
-    keys, counts = np.unique(xs * (handle.n + 1) + ws, return_counts=True)
-    return {divmod(int(key), handle.n + 1): int(c) for key, c in zip(keys, counts)}
 
 
 def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Generator) -> float:
@@ -308,7 +306,9 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
     sd = (m**0.5) / 2
     lo = max(0, int(np.floor(mean - 6 * sd)))
     hi = min(m, int(np.ceil(mean + 6 * sd)))
-    counts = _marginal_counts(handle, trials, rng)
+    _, xs, ws = _draw(handle, trials, rng)
+    keys, counts = np.unique(xs * (n + 1) + ws, return_counts=True)
+    counts = {divmod(int(key), n + 1): int(c) for key, c in zip(keys, counts)}
     total = 0.0
     tail_ref = 1.0
     for x in range(1 << k):
@@ -327,8 +327,8 @@ def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction
     every partition: a weight-w draw lands on (x, w - |x|) with probability
     p_w * rest[w - size(x)] / count(w), where size(x) is the total size of
     the slots x sets and ``rest`` = ``suffix[k]`` counts the sets of the
-    items after the slots by total size.  When count(w) = 0 the all-zeros
-    fallback takes p_w whole.
+    parts after the slots, with their workspace fills, by total size.  When
+    count(w) = 0 the all-zeros fallback takes p_w whole.
     """
     table, n = handle._table, handle.n
     rest = table.suffix[handle.k]

@@ -138,10 +138,14 @@ def random_partition(n: int, r: int, rng: np.random.Generator) -> Partition:
     if r >= n:
         return Partition(n, [1 << i for i in range(n)])
     assign = rng.integers(0, r, size=n)
+    # one stable sort groups the positions by part, ascending within each
+    groups = np.split(np.argsort(assign, kind="stable"), np.cumsum(np.bincount(assign, minlength=r))[:-1])
+    bits = np.zeros(n, dtype=np.uint8)
     parts = []
-    for p in range(r):
-        sel = np.flatnonzero(assign == p)
-        parts.append(int(sum(1 << int(i) for i in sel)))
+    for pos in groups:
+        bits[pos] = 1
+        parts.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+        bits[pos] = 0
     return Partition(n, parts)
 
 

@@ -126,6 +126,16 @@ def test_one_point_rearrangement_is_a_one_row_block(mask):
         assert y & ~mask == x & ~mask and y.bit_count() == x.bit_count()
 
 
+@pytest.mark.parametrize("rows", [1, 64, 256])
+def test_empty_mask_leaves_the_block_as_it_is(rows):
+    # permuting no coordinates: the key sort (under 192 rows) and the pool path agree
+    xs = random_masks_u64(130, rows, np.random.default_rng(rows))
+    ys = rearrange_bits_block(xs, 0, np.random.default_rng(1))
+    assert ys.shape == xs.shape and (ys == xs).all()
+    x = from_words(xs[0])
+    assert rearrange_bits(x, 0, np.random.default_rng(2)) == x
+
+
 def test_pool_path_spreads_bits_over_all_64_slots():
     rng = np.random.default_rng(3)
     xs = random_masks_u64(64, 16384, rng)

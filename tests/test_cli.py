@@ -155,6 +155,9 @@ def test_lemmas_exhaustive_small_n(capsys):
         (["lemmas", "--trials", "0"], "--trials"),
         (["measure", "--fn", "core:n=8,k=2,z=1"], "descriptor 'core' takes no key 'z'"),
         (["measure", "--fn", "random:n=8,k=2"], "descriptor 'random' takes no key 'k'"),
+        (["measure", "--fn", "core:k=2"], "descriptor 'core' needs key 'n'"),
+        (["measure", "--fn", "core:n=8"], "descriptor 'core' needs key 'k'"),
+        (["measure", "--fn", "parity:n=8"], "descriptor 'parity' needs key 'k' or 'vars'"),
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, flag, capsys):

@@ -2,7 +2,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import numpy as np
@@ -12,8 +12,8 @@ import psymtest as pt
 from psymtest._bits import random_masks_u64
 from psymtest.sampling import (
     _SubsetSumTable,
-    _core_weight,
     core_marginal_exact,
+    draw_core_sample,
     draw_core_samples_batch,
     dstar_pmf,
     handle_from_verdict,
@@ -71,8 +71,9 @@ def test_sample_diw_parts_constant_every_draw():
         r = int(rng.integers(2, 7))
         partition = pt.random_partition(n, r, rng)
         w_part = int(rng.integers(0, partition.r))
-        for _ in range(50):
-            y = _SubsetSumTable(partition, w_part, ()).draw(rng)[0]
+        table = _SubsetSumTable(partition, w_part, ())
+        block = table.block((int(rng.binomial(n, 0.5)) for _ in range(50)), rng)
+        for y in block[:, 0].tolist():
             for p in range(partition.r):
                 if p == w_part:
                     continue
@@ -83,8 +84,8 @@ def test_sample_diw_parts_constant_every_draw():
 def test_sample_diw_infeasible_weight_returns_zeros():
     partition = pt.Partition(16, [(1 << 15) - 1, 0x8000])
     rng = np.random.default_rng(5)
-    y, x = _SubsetSumTable(partition, 1, ()).point(7, rng)
-    assert y == 0 and x == 0
+    block = _SubsetSumTable(partition, 1, ()).block([7], rng)
+    assert block.tolist() == [[0]]
 
 
 @pytest.mark.parametrize("workspace", [-1, 3])
@@ -115,12 +116,14 @@ def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
 
 
 def check_rank_bijection(partition, workspace, slots):
-    """Ranks 0..count(w) - 1 of every weight w unrank onto the valid
-    weight-w points, one each, with bit c of x set exactly when slot c is
-    taken, and the next rank ends the walk off its rank.  Returns the
-    weights with no valid point."""
+    """Ranks 0..count(w) - 1 of every weight w unrank onto the parts and
+    workspace weight s of the valid weight-w points, each (parts, s) from
+    C(|W|, s) consecutive ranks, one per placement of the s workspace ones,
+    and the next rank ends the walk off its rank.  Returns the weights with
+    no valid point."""
     table = _SubsetSumTable(partition, workspace, slots)
     others = [partition.parts[p] for p in range(partition.r) if p != workspace]
+    ws_mask = partition.parts[workspace]
     valid = [[] for _ in range(partition.n + 1)]
     for y in range(1 << partition.n):
         if all(y & m in (0, m) for m in others):
@@ -129,9 +132,10 @@ def check_rank_bijection(partition, workspace, slots):
         total = table.count(w)
         assert total == len(points)
         ranked = [table.unrank(w, u) for u in range(total)]
-        assert sorted(y for y, _ in ranked) == points
-        for y, x in ranked:
-            assert x == sum(1 << c for c, p in enumerate(slots) if y & partition.parts[p])
+        assert Counter(ranked) == Counter((y & ~ws_mask, (y & ws_mask).bit_count()) for y in points)
+        assert all(c == comb(ws_mask.bit_count(), s) for (_, s), c in Counter(ranked).items())
+        runs = [key for key, _ in groupby(ranked)]
+        assert len(runs) == len(set(runs))
         with pytest.raises(RuntimeError, match="ended off its rank"):
             table.unrank(w, total)
     return {w for w, points in enumerate(valid) if not points}
@@ -186,13 +190,12 @@ def test_sample_diw_conditional_uniformity_chi_square():
         if x.bit_count() == w
         and all((x & m) == 0 or (x & m) == m for m in other_masks)
     ]
-    index = {x: i for i, x in enumerate(valid)}
     table = _SubsetSumTable(partition, w_part, ())
     draws = 300_000
-    counts = np.zeros(len(valid), dtype=np.int64)
-    for _ in range(draws):
-        y, _ = table.point(w, rng)
-        counts[index[y]] += 1
+    ys = table.block([w] * draws, rng)[:, 0]
+    index = np.searchsorted(valid, ys)
+    assert (np.array(valid, dtype=np.uint64)[index] == ys).all()
+    counts = np.bincount(index, minlength=len(valid))
     expected = draws / len(valid)
     stat = float(np.sum((counts - expected) ** 2 / expected))
     p_value = stats.chi2.sf(stat, df=len(valid) - 1)
@@ -233,18 +236,72 @@ def test_handle_fields_cannot_be_assigned():
 
 
 def test_singleton_handle_builds_no_count_table():
-    # the block path never reads the table's O(n^2) bigint counts
+    # neither draw reads the table's O(n^2) bigint counts
     n = 1024
     partition = pt.random_partition(n, n, np.random.default_rng(30))
     f = pt.KLinear(n, [0, n - 1])
     tracemalloc.start()
     try:
         handle = pt.SamplerHandle(f, partition, 5, (0, n - 1))
+        s = draw_core_sample(handle, np.random.default_rng(38))
+        single = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         xs, ws, zs = draw_core_samples_batch(handle, 100, np.random.default_rng(31))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(zs) == 100
+    assert s.z == s.x.bit_count() & 1 and len(zs) == 100
+    assert single < 1 << 20, f"single draw traced peak {single / 2**20:.2f} MB"
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def _handles(n=12):
+    """A singleton handle, a general one and a general one whose workspace
+    part is empty."""
+    f = pt.SymmetricProfile(n, (np.arange(n + 1) % 2).astype(np.uint8))
+    half = (1 << (n // 2)) - 1
+    return {
+        "singleton": pt.SamplerHandle(f, pt.random_partition(n, n, np.random.default_rng(32)), 0, (1,)),
+        "general": pt.SamplerHandle(f, pt.Partition(n, [0b11, 0b1100, ((1 << n) - 1) ^ 0b1111]), 2, (1,)),
+        "empty workspace": pt.SamplerHandle(f, pt.Partition(n, [half, 0, half << (n // 2)]), 1, (0,)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["singleton", "general", "empty workspace"])
+@pytest.mark.parametrize("count", [-1, True, 2.5, "3"])
+def test_batch_count_is_a_nonnegative_integer_on_every_path(kind, count):
+    handle = _handles()[kind]
+    with pytest.raises(ValueError, match="count must be"):
+        draw_core_samples_batch(handle, count, np.random.default_rng(33))
+
+
+@pytest.mark.parametrize("kind", ["singleton", "general", "empty workspace"])
+def test_batches_of_zero_and_more_draws_on_every_path(kind):
+    handle = _handles()[kind]
+    rng = np.random.default_rng(34)
+    assert [len(a) for a in draw_core_samples_batch(handle, 0, rng)] == [0, 0, 0]
+    xs, ws, zs = draw_core_samples_batch(handle, 200, rng)
+    assert ((0 <= ws) & (ws <= handle.n - handle.k)).all()
+    assert (zs == (xs + ws) % 2).all()
+    s = draw_core_sample(handle, rng)
+    assert s.z == (s.x + s.w) % 2
+
+
+def test_first_general_draw_at_n4096_builds_only_part_rows():
+    # one count row per part: the workspace enters only as its base row
+    n = 4096
+    partition = pt.random_partition(n, 9, np.random.default_rng(35))
+    w_part = max(range(partition.r), key=partition.size)
+    slot = next(p for p in range(partition.r) if p != w_part)
+    f = pt.KLinear(n, [0, n - 1])
+    tracemalloc.start()
+    try:
+        handle = pt.SamplerHandle(f, partition, w_part, (slot,))
+        s = draw_core_sample(handle, np.random.default_rng(36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 <= s.w <= n - 1
     assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MB"
 
 
@@ -446,7 +503,7 @@ def test_core_marginal_check_fires_when_a_slot_is_counted_twice(monkeypatch):
     assert core_marginal_exact(handle) == reference_core_marginal(handle)
     real = sampling._suffix_ways
     # the slot item counted last, so that it falls among the items after the slots
-    monkeypatch.setattr(sampling, "_suffix_ways", lambda sizes: real([*sizes[1:], sizes[0]]))
+    monkeypatch.setattr(sampling, "_suffix_ways", lambda sizes, width: real([*sizes[1:], sizes[0]], width))
     with pytest.raises(RuntimeError, match="slot patterns count"):
         core_marginal_exact(pt.SamplerHandle(f, partition, 2, (0,)))
 
@@ -473,14 +530,17 @@ def test_build_sampler_validates_parameters():
         pt.build_sampler(f, 2, 1.5, 0.1, np.random.default_rng(0))
 
 
-def test_core_reading_checks_the_weight_it_reports():
-    # slot constants of 1 on an all-zeros point would give a negative weight
-    f = strong_core_spec(12)
-    partition = pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16])
-    handle = pt.SamplerHandle(f, partition, 2, (0, 1))
-    assert _core_weight(handle, 0b0011, 0b01) == 1
-    with pytest.raises(RuntimeError, match="symmetric weight -2"):
-        _core_weight(handle, 0, 0b11)
+def test_rank_walk_checks_where_it_ends():
+    # a rank at a weight with no valid point takes more ones than the weight
+    table = _SubsetSumTable(pt.Partition(16, [(1 << 15) - 1, 0x8000]), 1, ())
+    assert table.count(7) == 0 and table.unrank(15, 0) == ((1 << 15) - 1, 0)
+    with pytest.raises(RuntimeError, match="ended off its rank"):
+        table.unrank(7, 0)
+    # a rank past the C(|W|, s) placements of its parts and s
+    table = _SubsetSumTable(pt.Partition(12, [0b11, 0b1100, (1 << 12) - 16]), 2, (0, 1))
+    assert table.unrank(3, table.count(3) - 1) == (0b11, 1)
+    with pytest.raises(RuntimeError, match="ended off its rank"):
+        table.unrank(3, table.count(3))
 
 
 class _BatchRecorder(pt.BooleanFunction):

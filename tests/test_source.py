@@ -23,6 +23,28 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_every_imported_name_is_used():
+    # an import that nothing reads hides which modules a module really needs;
+    # __init__ imports only to re-export
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported names never used: {unused}"
+
+
 def _modules():
     return {
         path.stem: importlib.import_module(f"psymtest.{path.stem}")
