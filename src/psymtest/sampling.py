@@ -15,11 +15,11 @@ the parts to a set of them and an s, puts s ones on the lowest workspace
 variables, and one ``rearrange_bits_block`` call over the batch spreads
 them uniformly over W; the sampler's exact (x, w) law is read from the
 counts of the parts after the slots.  When every non-workspace part is a
-singleton the law is uniform on the cube, so a batch is one block of
-uniform words at any n and the table's counts are never built.  Either way
-x and w are read off the word block and the batch is one ``eval_many``
-call, returned as the x, w and z int64 arrays that the isomorphism vote
-reads; a single draw is the first row of a one-draw batch.
+singleton the law is uniform on the cube, a batch is one block of uniform
+words and the table is never built.  Either way x and w are read off the
+word block and the batch is one ``eval_many`` call, returned as the x, w
+and z int64 arrays that the isomorphism vote reads; a single draw is the
+first row of a one-draw batch.
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ def sample_dstar(n: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
     """Reference core draw: uniform x over {0,1}^k, w ~ Binomial(n-k, 1/2)."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    x = random_mask(k, rng)
-    w = int(rng.binomial(n - k, 0.5))
-    return x, w
+    return random_mask(k, rng), int(rng.binomial(n - k, 0.5))
 
 
 def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
@@ -96,9 +94,8 @@ class _SubsetSumTable:
 
     The parts are the slot parts in order, then the other nonempty
     non-workspace parts; a valid point is a set of parts plus s of the |W|
-    workspace variables.  ``suffix`` counts those by part and weight from
-    the base row C(|W|, s), built on first use, which a handle whose
-    non-workspace parts are singletons never makes.
+    workspace variables.  ``suffix`` counts those by part and weight; it is
+    built on first use, which a singleton handle never makes.
     """
 
     def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
@@ -115,6 +112,14 @@ class _SubsetSumTable:
     @cached_property
     def suffix(self) -> list[list[int]]:
         return _suffix_ways(self.sizes, self.workspace.bit_count())
+
+    @cached_property
+    def fills(self) -> list[int]:
+        """fills[s] sets the lowest s workspace variables."""
+        fills = [0]
+        for pos in indices_of(self.workspace):
+            fills.append(fills[-1] | 1 << pos)
+        return fills
 
     def count(self, w: int) -> int:
         """Number of valid weight-w points."""
@@ -142,24 +147,20 @@ class _SubsetSumTable:
         return y, w
 
     def block(self, weights: Iterable[int], rng: np.random.Generator) -> np.ndarray:
-        """A word block with one row per weight w: a uniform valid weight-w
-        point, or all zeros when there is none.
+        """One uniform valid weight-w point per weight w, all zeros when
+        there is none, as a word block.
 
-        A row takes the parts and the workspace weight s of one uniform
-        rank, with its s ones on the lowest workspace variables, and one
-        ``rearrange_bits_block`` call spreads every row's ones uniformly
-        over the workspace.  Each weight is read just before its row's
-        rank, so weights drawn lazily from ``rng`` interleave with the ranks.
+        A row takes the parts and s of one uniform rank, and ``fills[s]``;
+        one ``rearrange_bits_block`` call then spreads every row's ones
+        uniformly over the workspace.  Each weight is read just before its
+        row's rank, so weights drawn lazily from ``rng`` interleave with them.
         """
-        low = [0]
-        for pos in indices_of(self.workspace):
-            low.append(low[-1] | 1 << pos)
         nbytes = 8 * ((self.n + 63) // 64)
         rows = bytearray()
         for w in weights:
             total = self.count(w)
             y, s = self.unrank(w, randrange_bigint(total, rng)) if total else (0, 0)
-            rows += (y | low[s]).to_bytes(nbytes, "little")
+            rows += (y | self.fills[s]).to_bytes(nbytes, "little")
         block = np.frombuffer(rows, dtype="<u8").reshape(-1, nbytes // 8)
         return rearrange_bits_block(block, self.workspace, rng)
 
@@ -264,10 +265,9 @@ def _draw(
     """``count`` constrained points y, as ``eval_many`` takes them, with
     their slot bits x and weights |y| - |x|, all read off one word block.
 
-    A handle whose non-workspace parts are singletons draws a block of
-    uniform points; any other draws a binomial weight per row and fills the
-    block through its table.  Every slot part is constant on every row, so
-    its bit is read at its first variable.
+    A singleton handle draws a block of uniform points, any other a
+    binomial weight per row that its table turns into a row.  A slot part
+    is constant on every row, so its bit is read at its first variable.
     """
     count = as_index(count, "count")
     if count < 0:
