@@ -130,6 +130,8 @@ def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) ->
     weight.  Rows without a partner (mostly tail weights) and small blocks
     go through ``_rearrange_keysort``.
     """
+    if not mask:
+        return xs.copy()  # nothing to permute, and nothing drawn
     b, width = xs.shape
     mk = to_words(mask, width)
     positions = np.flatnonzero(np.unpackbits(mk.view(np.uint8), bitorder="little"))
@@ -173,8 +175,6 @@ def _rearrange_keysort(
     """
     b, width = xs.shape
     length = len(positions)
-    if not length:
-        return xs.copy()
     m = block_weights(xs & mk).astype(np.int64)
 
     def draw(counts: np.ndarray) -> np.ndarray:

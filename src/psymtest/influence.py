@@ -9,9 +9,11 @@ a (2^(n-j), 2^j) split, one row per assignment to the bits outside J and one
 column per assignment inside J, and sums its rows.  Layer sums (fixed bits
 outside J, fixed weight inside J) fold J's variables out of the table one at
 a time, highest first (``_fold``), a 0/1 table in the narrowest integer
-type that holds C(j, j // 2) after j folds (uint8, uint16, then int32); the
-closest J-symmetric function maps each layer's majority back by the inverse
-steps.  The Walsh-Hadamard transform is ``_kron``: three variables per
+type that holds C(j, j // 2) after j folds (uint8, uint16, then int32), and
+the layers are scored in that type; when folding low variables in place
+would cost more, one copy first moves J's variables to the top of the table
+(``_j_on_top``).  The closest J-symmetric function maps each layer's
+majority back by the inverse steps.  The Walsh-Hadamard transform is ``_kron``: three variables per
 float32 matrix product on the 0/1 table, -2 folded into the first pass;
 exact because every value and partial sum is an integer of size at most
 2^(n+1) <= 2^21, below float32's 2^24.  The passes run in the two float32
@@ -61,7 +63,15 @@ def _split(table: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
     return cube.reshape((1 << (n - j), 1 << j) + table.shape[1:])
 
 
-def _fold(a: np.ndarray, v: int) -> np.ndarray:
+def _fold_type(a: np.ndarray) -> type:
+    """The type ``_fold`` accumulates ``a`` in (see there)."""
+    w = a.shape[0]
+    if a.dtype == np.int64 or (w == 1 and a.dtype != np.uint8):
+        return np.int64
+    return np.uint8 if w <= 10 else np.uint16 if w <= 18 else np.int32
+
+
+def _fold(a: np.ndarray, v: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum variable v out of a weight-first array of layer sums.
 
     ``a`` is (w+1, 2^m, ...): entry [u, x] sums the table over the points
@@ -73,37 +83,64 @@ def _fold(a: np.ndarray, v: int) -> np.ndarray:
     the narrowest type that holds C(w, w // 2), the largest sum after these
     w folded variables: uint8 through w = 10 (C(10, 5) = 252), uint16
     through w = 18 (C(18, 9) = 48620), int32 beyond.  Wider inputs
-    accumulate in int64.
+    accumulate in int64.  ``out``, if given, is an array of that type and
+    shape to write (a fresh one if not).
     """
     w = a.shape[0]
     halves = a.reshape((w, -1, 2, 1 << v) + a.shape[2:])
     zero, one = halves[:, :, 0], halves[:, :, 1]
-    if a.dtype == np.int64 or (w == 1 and a.dtype != np.uint8):
-        dtype = np.int64
-    else:
-        dtype = np.uint8 if w <= 10 else np.uint16 if w <= 18 else np.int32
-    out = np.empty((w + 1,) + zero.shape[1:], dtype)
-    out[0] = zero[0]
-    np.add(zero[1:], one[:-1], out=out[1:w], dtype=dtype)
-    out[w] = one[w - 1]
-    return out.reshape((w + 1, -1) + a.shape[2:])
+    dtype = _fold_type(a)
+    shape = (w + 1,) + zero.shape[1:]
+    res = np.empty(shape, dtype) if out is None else out.reshape(shape, copy=False)
+    res[0] = zero[0]
+    np.add(zero[1:], one[:-1], out=res[1:w], dtype=dtype)
+    res[w] = one[w - 1]
+    return res.reshape((w + 1, -1) + a.shape[2:])
 
 
-def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sums of a table over the layers of J.
+def _j_on_top(table: np.ndarray, n: int, cols: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The table with J's variables moved to its top bits (J's order kept,
+    the other variables' too) and their new positions, when folding them in
+    place would cost more than that one copy; else the table and ``cols``.
 
-    A layer fixes the bits outside J (the row: the other variables in
-    ascending order, lowest bit first) and the weight w inside J.  J's
-    variables are folded out one at a time, highest first (``_fold``), so no
-    copy of the table is sorted or gathered.  Returns the (2^(n-j), j+1, ...)
-    int64 sums and the layer sizes C(j, w).
+    A fold of variable v moves the table in runs of 2^v entries, slow below
+    v = 4, and the i-th fold (highest first) reads (i+1) / 2^i of the
+    table's entries: the copy pays when the folds below 4 read more than a
+    whole table.
     """
-    cols = indices_of(j_mask)
+    slow = sum((i + 1) / 2**i for i, v in enumerate(reversed(cols)) if v < 4)
+    if slow <= 1:
+        return table, cols
+    j = len(cols)
+    cube = np.moveaxis(table.reshape((2,) * n + table.shape[1:]), [n - 1 - v for v in reversed(cols)], range(j))
+    return cube.reshape(table.shape), list(range(n - j, n))
+
+
+def _layer_sums(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sums of a table over the layers of J, weight first.
+
+    A layer fixes the weight w inside J and the bits outside J (the column:
+    the other variables in ascending order, lowest bit first).  J's
+    variables are folded out one at a time, highest first (``_fold``), after
+    ``_j_on_top`` when that is cheaper.  Returns the (j+1, 2^(n-j), ...)
+    sums in ``_fold``'s type, and the layer sizes C(j, w) in that type too,
+    shaped to broadcast against them.
+    """
+    table, cols = _j_on_top(table, n, indices_of(j_mask))
     a = table.reshape((1, 1 << n) + table.shape[1:])
     for v in reversed(cols):
         a = _fold(a, v)
-    sizes = np.array([comb(len(cols), w) for w in range(len(cols) + 1)], dtype=np.int64)
-    return np.moveaxis(a, 0, 1).astype(np.int64), sizes
+    j = len(cols)
+    sizes = np.array([comb(j, w) for w in range(j + 1)], dtype=a.dtype)
+    return a, sizes.reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_layer_sums`` in int64 with one row per assignment outside J: the
+    (2^(n-j), j+1, ...) sums, a view of a weight-first array, so that sums
+    over the rows run along memory, and the layer sizes C(j, w)."""
+    a, sizes = _layer_sums(table, n, j_mask)
+    return np.moveaxis(a.astype(np.int64), 0, 1), sizes.ravel().astype(np.int64)
 
 
 def _over_sizes(nums: np.ndarray, sizes: np.ndarray) -> Fraction:
@@ -165,8 +202,12 @@ def symmetric_influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fra
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:
         return Fraction(0)
-    ones, sizes = _layer_counts(f.truth_table(), f.n, j_mask)
-    return _over_sizes(np.sum(2 * ones * (sizes - ones), axis=0), sizes) / (1 << f.n)
+    ones, sizes = _layer_sums(f.truth_table(), f.n, j_mask)
+    # ones (L - ones) <= L^2 / 4 for a layer of L <= C(j, j // 2) points
+    j = j_mask.bit_count()
+    dtype = np.result_type(ones, np.min_scalar_type(-(comb(j, j // 2) ** 2 // 4)))
+    prods = np.multiply(ones, sizes - ones, dtype=dtype).sum(axis=1, dtype=np.int64)
+    return _over_sizes(2 * prods, sizes.ravel()) / (1 << f.n)
 
 
 def symmetric_influence_mc(
@@ -185,8 +226,8 @@ def symmetric_distance(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     """Exact distance from f to the closest J-symmetric function."""
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"exact symmetric distance is capped at n <= {MAX_EXACT_SYMINF_N}")
-    ones, sizes = _layer_counts(f.truth_table(), f.n, _as_mask(f, members))
-    return Fraction(int(np.sum(np.minimum(ones, sizes - ones))), 1 << f.n)
+    ones, sizes = _layer_sums(f.truth_table(), f.n, _as_mask(f, members))
+    return Fraction(int(np.minimum(ones, sizes - ones).sum()), 1 << f.n)
 
 
 def closest_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> TruthTable:
@@ -196,19 +237,25 @@ def closest_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> TruthTabl
     deterministic; any tie-break attains the minimum distance.  The layer
     values go back to the points by the inverse of ``_fold``, variables of J
     from the lowest up: the x_v = 0 half of the output at weight u reads the
-    input at weight u, the x_v = 1 half the input at weight u + 1.
+    input at weight u, the x_v = 1 half the input at weight u + 1.  When
+    ``_j_on_top`` moved J's variables to the top, they go back with one copy.
     """
     if f.n > MAX_EXACT_SYMINF_N:
         raise ValueError(f"closest J-symmetric construction is capped at n <= {MAX_EXACT_SYMINF_N}")
-    j_mask = _as_mask(f, members)
-    ones, sizes = _layer_counts(f.truth_table(), f.n, j_mask)
-    a = (2 * ones > sizes).astype(np.uint8).T
-    for v in indices_of(j_mask):
+    n = f.n
+    orig = indices_of(_as_mask(f, members))
+    table, cols = _j_on_top(f.truth_table(), n, orig)
+    ones, sizes = _layer_sums(table, n, mask_from_indices(cols))
+    a = (ones > sizes // 2).astype(np.uint8)
+    for v in cols:
         w = a.shape[0] - 1
         out = np.empty((w, a.shape[1] >> v, 2, 1 << v), np.uint8)
         out[:, :, 0] = a[:w].reshape(w, -1, 1 << v)
         out[:, :, 1] = a[1:].reshape(w, -1, 1 << v)
         a = out.reshape(w, -1)
+    if cols != orig:
+        cube = np.moveaxis(a.reshape((2,) * n), range(len(cols)), [n - 1 - v for v in reversed(orig)])
+        a = cube.reshape(1, -1)
     return TruthTable(f.n, a[0])
 
 

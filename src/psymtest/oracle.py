@@ -6,9 +6,10 @@ table with array operations, never point by point: the split of
 ``influence._split`` (one column per assignment to a few chosen variables,
 one row per assignment to the rest; isomorphism-class distance), slices of
 the table viewed as (2,)*n (transpositions), the one-variable folds of
-``influence._fold`` (t-symmetric distance: the t-subsets share the folds of
-their common prefixes, which hold uint8 sums through t = 10 and uint16 up to
-the cap t = 16, and each is scored in that type), or the tensor-power passes
+``influence._fold`` (t-symmetric distance: the folds of all the sets of each
+size are stacked, so that one fold call moves a whole stack on; they hold
+uint8 sums through t = 10 and uint16 up to the cap t = 16, and every set is
+scored in that type), or the tensor-power passes
 of ``influence._kron`` (junta distance: superset sums over the table, then a
 Moebius inversion inside every k-subset at once; in float32, exact because
 no partial sum passes 8 * 2^n <= 2^19 at n <= 16).
@@ -24,9 +25,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._bits import mask_from_indices
+from ._bits import as_index, mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _fold, _kron, _split
+from .influence import _fold, _fold_type, _kron, _split
 
 MAX_DIST_N = 22
 MAX_TSYM_N = 16
@@ -36,6 +37,12 @@ MAX_MEASURE_N = 16
 
 # subset moments gathered per batch of the junta distance
 _JUNTA_BATCH = 1 << 20
+# bytes the stacked folds of the t-symmetric distance may hold at once
+_TSYM_STACK_BYTES = 8 << 20
+# a stack with room for this many sets or more interleaves them on its last
+# axis, so that its folds run along the sets; a narrower one keeps every
+# set's array in one block, so that its folds run along the array
+_WIDE_STACK = 64
 
 _SUPERSET_SUMS = np.array([[1.0, 1.0], [0.0, 1.0]])
 _SUBSET_MOBIUS = np.array([[1.0, -1.0], [0.0, 1.0]])
@@ -54,32 +61,106 @@ def dist_exact(f: BooleanFunction, g: BooleanFunction) -> Fraction:
 def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
     """Min over |J| = t of the distance to the closest J-symmetric function.
 
-    The t-subsets come in descending order, each one listed highest member
-    first, and keep a stack of partial folds (``influence._fold``): a subset
-    folds only the members past the prefix it shares with the previous one,
-    and every layer then flips its minority, min(ones, C(t, w) - ones).
+    Variables fold out highest first (``influence._fold``), so a set of s
+    variables, all above the next variable v, folds to an (s+1, 2^(n-s))
+    array that still holds v at bit v.  The sets that can still reach t
+    members are stacked per size s, and one ``_fold`` call at v moves a
+    whole stack to s + 1, while the stack itself stays at s as long as the
+    variables below v can fill it up.  A fold that reaches t is scored at
+    once, in its own type: every layer flips its minority,
+    min(ones, C(t, w) - ones).  While the stacks below a variable would
+    pass ``_TSYM_STACK_BYTES``, it is walked depth first instead, folded in
+    and then left out.
     """
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"t-symmetric distance is capped at n <= {MAX_TSYM_N}")
+    t = as_index(t, "t")
     if not 0 <= t <= n:
         raise ValueError("t outside 0..n")
-    # the layer sizes in the folds' own type (see ``_fold``), so that scoring casts nothing
-    sizes = np.array([[comb(t, w)] for w in range(t + 1)], dtype=np.min_scalar_type(comb(t, t // 2)))
-    folds = [f.truth_table().reshape(1, -1)]
-    prev: tuple[int, ...] = ()
+    if t <= 1:
+        return Fraction(0)  # no two variables to swap
+    sizes = np.array([comb(t, w) for w in range(t + 1)], dtype=np.min_scalar_type(comb(t, t // 2)))
+    sizes = sizes.reshape(-1, 1, 1)
     best = 1 << n
-    for members in itertools.combinations(range(n - 1, -1, -1), t):
-        shared = next((i for i, (a, b) in enumerate(zip(prev, members)) if a != b), len(prev))
-        del folds[shared + 1 :]
-        for v in members[shared:]:
-            folds.append(_fold(folds[-1], v))
-        prev = members
-        ones = folds[-1]
-        best = min(best, int(np.minimum(ones, sizes - ones).sum()))
-        if best == 0:
-            break
+
+    def score(folds: np.ndarray) -> None:
+        # folds: (t+1, 2^(n-t), sets).  A set's flips add up to at most
+        # 2^(n-1) <= 2^15, so uint16 holds every partial sum.  numpy sums
+        # down a column one row at a time, so the first sum reads rows of at
+        # least 1024 entries, and the second adds up the few rows left
+        nonlocal best
+        flips = sizes - folds
+        np.minimum(folds, flips, out=flips)
+        sets = flips.shape[-1]
+        rows = min(flips.shape[1], 1 << (-(-1024 // sets) - 1).bit_length())
+        part = flips.reshape(-1, rows * sets).sum(axis=0, dtype=np.uint16)
+        best = min(best, int(part.reshape(rows, sets).sum(axis=0, dtype=np.uint16).min()))
+
+    def stacked(a: np.ndarray, s0: int, top: int) -> None:
+        # stacks[s] is (s+1, 2^(n-s), room) with counts[s] sets filled in,
+        # room for every set of s variables it will hold
+        stacks, counts = {s0: a[..., None]}, {s0: 1}
+        for v in range(top, -1, -1):
+            for s in sorted(stacks, reverse=True):
+                sets = stacks[s][..., : counts[s]]
+                if s + 1 == t:
+                    score(_fold(sets, v))
+                else:
+                    if s + 1 not in stacks:
+                        room = _stack_room(t, s0, top, s + 1)
+                        shape = (s + 2, 1 << (n - s - 1))
+                        if room < _WIDE_STACK:
+                            stack = np.empty((room,) + shape, _fold_type(sets)).transpose(1, 2, 0)
+                        else:
+                            stack = np.empty(shape + (room,), _fold_type(sets))
+                        stacks[s + 1], counts[s + 1] = stack, 0
+                    c = counts[s + 1]
+                    _fold(sets, v, out=stacks[s + 1][..., c : c + counts[s]])
+                    counts[s + 1] = c + counts[s]
+                if s + v < t:
+                    del stacks[s]
+            if best == 0:
+                return
+
+    def walk(a: np.ndarray, s: int, v: int) -> None:
+        # a: the fold of s variables above v, which with v..0 can reach t
+        if s + v + 1 == t:  # every variable left goes in
+            for u in range(v, -1, -1):
+                a = _fold(a, u)
+            score(a[..., None])
+        elif s == t:
+            score(a[..., None])
+        elif _stack_bytes(n, t, s, v) <= _TSYM_STACK_BYTES:
+            stacked(a, s, v)
+        else:
+            walk(_fold(a, v), s + 1, v - 1)
+            if best and s + v >= t:
+                walk(a, s, v - 1)
+
+    walk(f.truth_table().reshape(1, -1), 0, n - 1)
     return Fraction(best, 1 << n)
+
+
+def _stack_room(t: int, s0: int, top: int, s: int) -> int:
+    """Sets a stack of size s holds at most when the stacks start from one
+    set of s0 variables over variables top..0: that set and s - s0 of the
+    variables t - s..top, the ones a set of size s can still take in."""
+    return comb(top + 1 + s - t, s - s0)
+
+
+def _stack_bytes(n: int, t: int, s0: int, top: int) -> int:
+    """Bytes ``dist_to_t_symmetric`` holds at most on a 0/1 table while it
+    stacks the folds of one set of s0 variables over variables top..0: the
+    set's chain of folds, every stack at its full room, and the last fold
+    with its flips."""
+
+    def nbytes(s: int, sets: int) -> int:
+        return (1 if s <= 10 else 2) * (s + 1) * sets << (n - s)
+
+    room = [_stack_room(t, s0, top, s) for s in range(s0 + 1, t)]
+    stacks = sum(nbytes(s, c) for s, c in enumerate(room, s0 + 1))
+    return sum(nbytes(s, 1) for s in range(1, s0 + 1)) + stacks + 2 * nbytes(t, room[-1] if room else 1)
 
 
 def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
@@ -87,6 +168,7 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"junta distance is capped at n <= {MAX_TSYM_N}")
+    k = as_index(k, "k")
     if not 0 <= k <= n:
         raise ValueError("k outside 0..n")
     # above[T]: the ones of f among the points that contain T.  Both passes

@@ -128,10 +128,14 @@ def test_one_point_rearrangement_is_a_one_row_block(mask):
 
 @pytest.mark.parametrize("rows", [1, 64, 256])
 def test_empty_mask_leaves_the_block_as_it_is(rows):
-    # permuting no coordinates: the key sort (under 192 rows) and the pool path agree
+    # permuting no coordinates: the key sort (under 192 rows) and the pool
+    # path agree, and neither draws from the generator
     xs = random_masks_u64(130, rows, np.random.default_rng(rows))
-    ys = rearrange_bits_block(xs, 0, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    ys = rearrange_bits_block(xs, 0, rng)
     assert ys.shape == xs.shape and (ys == xs).all()
+    assert rng.bit_generator.state == before
     x = from_words(xs[0])
     assert rearrange_bits(x, 0, np.random.default_rng(2)) == x
 

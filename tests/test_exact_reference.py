@@ -151,6 +151,11 @@ def test_subset_minimizers_match_reference_for_every_k(n, monkeypatch):
                 assert pt.dist_to_k_junta(f, k) == want
             want = min(ref_symdist(t, n, mask_of(m)) for m in combinations(range(n), k))
             assert pt.dist_to_t_symmetric(f, k) == want
+            with monkeypatch.context() as m:
+                # stacks of at most 256 bytes: from n = 5 on the top variables
+                # are walked depth first, and the folds below them stacked
+                m.setattr(pt.oracle, "_TSYM_STACK_BYTES", 256)
+                assert pt.dist_to_t_symmetric(f, k) == want
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -51,6 +51,50 @@ def test_dist_to_t_symmetric_at_n15_matches_every_j(t):
         assert pt.dist_to_t_symmetric(f, t) == want
 
 
+def test_dist_to_t_symmetric_memory_stays_under_its_cap():
+    # with no cap, the stacked folds at n = 16 would trace 82 MB at t = 6
+    # and 78 MB at t = 8
+    f = pt.random_function(16, np.random.default_rng(160))
+    peaks = []
+    for t in range(17):
+        tracemalloc.start()
+        try:
+            pt.dist_to_t_symmetric(f, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < pt.oracle._TSYM_STACK_BYTES, peaks
+
+
+def test_dist_to_t_symmetric_stops_at_the_first_symmetric_set(monkeypatch):
+    # the symmetric block is the top seven variables: the folds complete it
+    # at v = 7, and the seven folds below are never made
+    n, t = 14, 7
+    rng = np.random.default_rng(147)
+    spec = pt.PartiallySymmetricCore(n, n - t, tuple(range(n - t)), rng.integers(0, 2, size=(1 << 7, 8), dtype=np.uint8))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fold(*args, **kwargs)
+
+    fold = pt.oracle._fold
+    monkeypatch.setattr(pt.oracle, "_fold", counted)
+    assert pt.dist_to_t_symmetric(pt.random_function(n, rng), t) > 0
+    sweep, calls[:] = len(calls), []
+    assert pt.dist_to_t_symmetric(spec, t) == 0
+    assert len(calls) < sweep and min(calls) == t
+
+
+@pytest.mark.parametrize("routine, name", [(pt.dist_to_t_symmetric, "t"), (pt.dist_to_k_junta, "k")])
+@pytest.mark.parametrize("size", [True, 2.0, "2", None])
+def test_minimizations_take_only_an_integer_size(routine, name, size):
+    f = pt.random_function(6, np.random.default_rng(6))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        routine(f, size)
+    assert routine(f, np.int64(2)) == routine(f, 2)
+
+
 def test_dist_to_k_junta_parity():
     f = pt.KLinear(10, range(6))
     table = pt.TruthTable(10, f.truth_table())

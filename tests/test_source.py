@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import re
 from pathlib import Path
 
 import psymtest
@@ -84,6 +85,25 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue()
+
+
+def test_readme_caps_match_the_constants():
+    # the "Notes on scale" sentence that lists the cap of every exact routine
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Notes on scale", 1)[1]
+    sentence = " ".join(section.split("carry caps:", 1)[1].split(".", 1)[0].split())
+    caps = {
+        "influence": psymtest.influence.MAX_EXACT_INFLUENCE_N,
+        "symmetric influence and transforms": psymtest.influence.MAX_EXACT_SYMINF_N,
+        "coefficient-side identity": psymtest.influence.MAX_FOURIER_N,
+        "distances": psymtest.oracle.MAX_DIST_N,
+        "t-symmetric/junta distances": psymtest.oracle.MAX_TSYM_N,
+        "isomorphism class distance": psymtest.oracle.MAX_ISO_N,
+        "core recovery": psymtest.oracle.MAX_CORE_N,
+        "exact biased measure": psymtest.oracle.MAX_MEASURE_N,
+    }
+    stated = {label: re.findall(rf"(?:^|, |\(){re.escape(label)} n ≤ (\d+)", sentence) for label in caps}
+    assert stated == {label: [str(cap)] for label, cap in caps.items()}, sentence
 
 
 def test_benchmark_tracer_patches_every_listed_name():
