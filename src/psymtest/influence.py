@@ -91,7 +91,8 @@ def _fold(a: np.ndarray, v: int, out: np.ndarray | None = None) -> np.ndarray:
     zero, one = halves[:, :, 0], halves[:, :, 1]
     dtype = _fold_type(a)
     shape = (w + 1,) + zero.shape[1:]
-    res = np.empty(shape, dtype) if out is None else out.reshape(shape, copy=False)
+    # splitting the second axis of ``out`` is always a view, at any strides
+    res = np.empty(shape, dtype) if out is None else out.reshape(shape)
     res[0] = zero[0]
     np.add(zero[1:], one[:-1], out=res[1:w], dtype=dtype)
     res[w] = one[w - 1]
