@@ -68,17 +68,17 @@ def test_dist_to_t_symmetric_memory_stays_under_its_cap():
 
 def test_dist_to_t_symmetric_stops_at_the_first_symmetric_set(monkeypatch):
     # the symmetric block is the top seven variables: the folds complete it
-    # at v = 7, and the seven folds below are never made
+    # at v = 7, and no variable below 7 is ever folded
     n, t = 14, 7
     rng = np.random.default_rng(147)
-    spec = pt.PartiallySymmetricCore(n, n - t, tuple(range(n - t)), rng.integers(0, 2, size=(1 << 7, 8), dtype=np.uint8))
-    calls = []
+    core = rng.integers(0, 2, size=(1 << (n - t), t + 1), dtype=np.uint8)
+    spec = pt.PartiallySymmetricCore(n, n - t, tuple(range(n - t)), core)
+    fold, calls = pt.oracle._fold, []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return fold(*args, **kwargs)
 
-    fold = pt.oracle._fold
     monkeypatch.setattr(pt.oracle, "_fold", counted)
     assert pt.dist_to_t_symmetric(pt.random_function(n, rng), t) > 0
     sweep, calls[:] = len(calls), []
