@@ -13,18 +13,21 @@ type that holds C(j, j // 2) after j folds (uint8, uint16, then int32), and
 the layers are scored in that type; when folding low variables in place
 would cost more, one copy first moves J's variables to the top of the table
 (``_j_on_top``).  The closest J-symmetric function maps each layer's
-majority back by the inverse steps.  The Walsh-Hadamard transform is ``_kron``: three variables per
-float32 matrix product on the 0/1 table, -2 folded into the first pass;
-exact because every value and partial sum is an integer of size at most
-2^(n+1) <= 2^21, below float32's 2^24.  The passes run in the two float32
-halves of the float64 output, which is then widened in place, so a call
-allocates nothing else.
+majority back by the inverse steps.  The Walsh-Hadamard transform is
+``_kron`` on the 0/1 table, -2 folded into the first pass: ceil(n/4) passes,
+each a float32 product of a 16 x 16 kernel with four variables where they
+stand, in BLAS calls of at most 2^18 multiply-adds (the most OpenBLAS runs
+on one thread); exact because every value and partial sum is an integer of
+size at most 2^(n+1) <= 2^21, below float32's 2^24.  The passes run in the
+two float32 halves of the float64 output, which is then widened in place, so
+a call allocates nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -275,12 +278,28 @@ class FourierTable:
         return float(np.sum(self.coeffs.astype(np.float64) ** 2))
 
 
-# Columns per BLAS call in a ``_kron`` pass: an 8 x 8 x 4096 product is 2^18
-# multiply-adds, which OpenBLAS's gemm runs on one thread at its default
-# threshold.  Larger calls stalled for 30-40 ms each under 2 OpenBLAS threads
-# at n = 16 on a 2-vCPU guest.
-_KRON_COLS = 1 << 12
+# Variables per ``_kron`` pass: a pass with the 16 x 16 kernel runs near the
+# speed of a copy of the table (0.5-0.6 against 0.37 ms at n = 20 on a 2-vCPU
+# guest), so fewer, wider passes pay.
+_KRON_VARS = 4
+# Multiply-adds per BLAS call in a ``_kron`` pass: OpenBLAS's gemm runs a call
+# of at most 2^18 on one thread at its default threshold.  Larger calls stalled
+# for 30-40 ms each under 2 OpenBLAS threads at n = 16 on a 2-vCPU guest.
+_KRON_CALL = 1 << 18
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+@cache
+def _kernel_power(entries: tuple[float, ...], b: int, scale: float) -> np.ndarray:
+    """``scale`` times the b-fold tensor power of the 2x2 kernel whose
+    row-major entries are ``entries``, as a read-only float32 array."""
+    kernel = np.array(entries).reshape(2, 2)
+    step = kernel * scale
+    for _ in range(b - 1):
+        step = np.kron(step, kernel)
+    step = step.astype(np.float32)
+    step.flags.writeable = False
+    return step
 
 
 def _kron(
@@ -291,10 +310,16 @@ def _kron(
 
     ``a`` is a (batch, 2^n) array whose column bit v is variable v;
     along each variable an output bit o reads the input bits i with weights
-    ``kernel[o, i]``.  Yates's method: each pass multiplies the 8x8 kernel
-    (2x2 or 4x4 for the last one or two variables) against the three lowest
-    index bits and moves them to the top of the index, so ceil(n/3) passes
-    bring every bit back in place; the first pass's kernel carries ``scale``.
+    ``kernel[o, i]``.  Each pass transforms the variables [lo, lo + b),
+    b = 4 (fewer for the last one), where they stand: it views the array as
+    (..., 2^b, 2^lo) and multiplies the 2^b x 2^b power of the kernel into
+    it, or, at lo = 0, multiplies the rows (..., 2^b) by its transpose, so
+    ceil(n/4) passes transform every variable; the first pass's kernel
+    carries ``scale``.  No BLAS call makes more than ``_KRON_CALL``
+    multiply-adds: above 2^(18-2b) columns a view splits them into blocks
+    of that many, and the lowest pass multiplies the rows in blocks of
+    2^(18-2b), with the rows a batch that is not a power of two leaves over
+    in one more call.
     The kernels in use have integer entries, and so do ``scale`` and the
     inputs.  A result is then exact as long as every partial sum of every
     pass is an integer below 2^24 in absolute value, float32's limit for
@@ -309,19 +334,21 @@ def _kron(
         a *= scale  # no pass to carry it
     if spare is None:
         spare = np.empty_like(a)
-    batch = a.shape[0]
-    for done in range(0, n, 3):
-        b = min(3, n - done)
-        step = kernel * scale if done == 0 else kernel
-        for _ in range(b - 1):
-            step = np.kron(step, kernel)
-        rest = 1 << (n - b)
-        cols = min(_KRON_COLS, rest)
-        np.matmul(
-            step.astype(np.float32),
-            a.reshape(batch, rest // cols, cols, 1 << b).transpose(0, 1, 3, 2),
-            out=spare.reshape(batch, 1 << b, rest // cols, cols).transpose(0, 2, 1, 3),
-        )
+    for lo in range(0, n, _KRON_VARS):
+        b = min(_KRON_VARS, n - lo)
+        width = _KRON_CALL >> 2 * b  # columns, or rows at lo = 0, per call
+        if lo == 0:
+            # (K^T)^(x b) is the transpose of K^(x b)
+            step = _kernel_power(tuple(kernel.T.ravel().tolist()), b, scale)
+            rows, out = a.reshape(-1, 1 << b), spare.reshape(-1, 1 << b)
+            cut = len(rows) - len(rows) % width
+            np.matmul(rows[:cut].reshape(-1, width, 1 << b), step, out=out[:cut].reshape(-1, width, 1 << b))
+            np.matmul(rows[cut:], step, out=out[cut:])
+        else:
+            step = _kernel_power(tuple(kernel.ravel().tolist()), b, 1.0)
+            cols = min(width, 1 << lo)
+            shape = (-1, 1 << b, (1 << lo) // cols, cols)
+            np.matmul(step, a.reshape(shape).transpose(0, 2, 1, 3), out=spare.reshape(shape).transpose(0, 2, 1, 3))
         a, spare = spare, a
     return a
 
@@ -331,16 +358,16 @@ def _wht_signs(table: np.ndarray, n: int, halves: np.ndarray | None = None) -> n
 
     WHT(1 - 2f) = 2^n e_0 - 2 WHT(f): the 0/1 table is transformed with -2
     in the first pass's kernel, and 2^n is added at index 0.  Every value of
-    a pass is a signed sum of entries of -2f, so it and every partial sum
-    inside a pass's products is an integer of absolute value at most
-    2 * 2^n <= 2^21 for n <= 20, below float32's exact-integer limit 2^24.
-    The passes run in ``halves``, a (2, 2^n) float32 buffer (a fresh one if
-    not given): the table is copied into the half that makes the last of the
-    ceil(n/3) passes write ``halves[1]``, which is returned.
+    a pass is a signed sum of entries of -2f, and so is every partial sum
+    inside a pass's products: an integer of absolute value at most
+    2 * 2^n = 2^(n+1) <= 2^21 for n <= 20, below float32's exact-integer
+    limit 2^24.  The passes run in ``halves``, a (2, 2^n) float32 buffer (a
+    fresh one if not given): the table is copied into the half that makes
+    the last of the ceil(n/4) passes write ``halves[1]``, which is returned.
     """
     if halves is None:
         halves = np.empty((2, 1 << n), np.float32)
-    start = 1 - (n + 2) // 3 % 2  # an even pass count ends where it starts
+    start = 1 - (n + 3) // 4 % 2  # an even pass count ends where it starts
     np.copyto(halves[start], table)
     raw = _kron(halves[start : start + 1], n, _HADAMARD, -2.0, spare=halves[1 - start : 2 - start])[0]
     raw[0] += 1 << n
@@ -350,9 +377,10 @@ def _wht_signs(table: np.ndarray, n: int, halves: np.ndarray | None = None) -> n
 def walsh_hadamard(f: BooleanFunction) -> FourierTable:
     """Fast transform of the whole table, O(n 2^n); float64 coefficients.
 
-    The float32 passes run in the two halves of the float64 output and end
-    in the upper half, float32 slots [N, 2N) of N = 2^n coefficients.  It is
-    widened in place over the chunks [0, N/2), [N/2, 3N/4), ..., [N-1, N):
+    The ceil(n/4) float32 passes of ``_kron`` (see ``_wht_signs``) run in
+    the two halves of the float64 output and end in the upper half, float32
+    slots [N, 2N) of N = 2^n coefficients.  It is widened in place over the
+    chunks [0, N/2), [N/2, 3N/4), ..., [N-1, N):
     float64 chunk [lo, hi) writes the slots [2 lo, 2 hi), and 2 hi <= N + lo
     keeps them below its own source, slots N + lo onwards, so no chunk
     overwrites a value not yet read (the last one-entry chunk overlaps only

@@ -11,8 +11,9 @@ size are stacked, so that one fold call moves a whole stack on; they hold
 uint8 sums through t = 10 and uint16 up to the cap t = 16, and every set is
 scored in that type), or the tensor-power passes
 of ``influence._kron`` (junta distance: superset sums over the table, then a
-Moebius inversion inside every k-subset at once; in float32, exact because
-no partial sum passes 8 * 2^n <= 2^19 at n <= 16).
+Moebius inversion inside every k-subset at once; ceil(n/4) and ceil(k/4)
+passes of four variables in float32, exact because no partial sum passes
+16 * 2^n <= 2^20 at n <= 16).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
         raise ValueError("k outside 0..n")
     # above[T]: the ones of f among the points that contain T.  Both passes
     # run in float32, exact below 2^24: every pass value counts ones of f,
-    # so no partial sum of an 8-term product passes 8 * 2^n <= 2^19 at n <= 16
+    # so no partial sum of a 16-term product passes 16 * 2^n <= 2^20 at n <= 16
     above = _kron(f.truth_table().reshape(1, -1), n, _SUPERSET_SUMS)[0]
     # one row per k-subset S, one column per T inside S: bit c of the column
     # is S's c-th smallest member; at most _JUNTA_BATCH moments at a time

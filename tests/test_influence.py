@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest.influence import _kron, _wht_signs, symmetric_distance, walsh_hadamard
+from psymtest.influence import _KRON_CALL, _kron, _wht_signs, symmetric_distance, walsh_hadamard
 
 from helpers import brute_dist, brute_influence, brute_syminf
 
@@ -290,6 +290,65 @@ def test_kron_matches_dense_tensor_power(kernel, batch, n):
     out = _kron(rows, n, kernel)
     assert out.dtype == np.float32 and np.array_equal(out, want)
     assert np.array_equal(_kron(rows, n, kernel, -2.0), -2.0 * want)
+
+
+def radix2_kron(rows: np.ndarray, n: int, kernel: np.ndarray) -> np.ndarray:
+    """The tensor power by one float64 butterfly per variable."""
+    out = rows.astype(np.float64)
+    for v in range(n):
+        pairs = out.reshape(len(rows), -1, 2, 1 << v)
+        low, high = pairs[:, :, 0].copy(), pairs[:, :, 1].copy()
+        pairs[:, :, 0] = kernel[0, 0] * low + kernel[0, 1] * high
+        pairs[:, :, 1] = kernel[1, 0] * low + kernel[1, 1] * high
+    return out
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [[[1, 1], [1, -1]], [[1, 1], [0, 1]], [[1, -1], [0, 1]]],
+    ids=["hadamard", "superset-sums", "subset-mobius"],
+)
+@pytest.mark.parametrize(
+    "batch, n",
+    # every last-pass width n mod 4; 1820 rows at n = 4 are the Moebius batch
+    # of the junta distance at n = 16, k = 4, past one capped call and not a
+    # power of two, and 3 rows at n = 15 and 16 span several calls per pass
+    [(1820, 4), (3, 15), (3, 16), (1, 17), (7, 13), (2, 14), (1001, 3), (5000, 2), (9, 1)],
+)
+def test_kron_matches_a_radix2_reference(kernel, batch, n):
+    kernel = np.array(kernel, dtype=np.float64)
+    rows = np.random.default_rng(batch + n).integers(-3, 4, size=(batch, 1 << n)).astype(np.float64)
+    want = radix2_kron(rows, n, kernel)
+    out = _kron(rows, n, kernel)
+    assert out.dtype == np.float32 and np.array_equal(out, want)
+    assert np.array_equal(_kron(rows, n, kernel, -2.0), -2.0 * want)
+
+
+def test_kron_products_stay_under_the_single_thread_cap(monkeypatch):
+    """Every product of a ``_kron`` pass makes at most ``_KRON_CALL``
+    multiply-adds per matrix, the most OpenBLAS runs on one thread; larger
+    ones stalled under two OpenBLAS threads."""
+    products = []
+    matmul = np.matmul
+
+    def recorded(x, y, *args, **kwargs):
+        products.append(np.shape(x)[-2:] + np.shape(y)[-1:])
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    rng = np.random.default_rng(31)
+    f14, f16, f20 = (pt.random_function(n, rng) for n in (14, 16, 20))
+    calls = {
+        "walsh_hadamard n=20": lambda: walsh_hadamard(f20),
+        "symmetric_influence_fourier n=16": lambda: pt.symmetric_influence_fourier(f16, range(0, 16, 3)),
+        "dist_to_k_junta n=14 k=2": lambda: pt.dist_to_k_junta(f14, 2),
+        "dist_to_k_junta n=16 k=4": lambda: pt.dist_to_k_junta(f16, 4),
+    }
+    for name, call in calls.items():
+        products.clear()
+        call()
+        assert products, name
+        assert max(m * k * n for m, k, n in products) <= _KRON_CALL, (name, products)
 
 
 def test_syminf_fourier_trivial_and_hand_case():

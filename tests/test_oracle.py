@@ -123,6 +123,29 @@ def test_dist_to_k_junta_memory_is_bounded_by_its_batches():
     assert peak < 64 << 20
 
 
+def junta_distance_by_bincount(table: np.ndarray, n: int, k: int) -> int:
+    """Min over k-subsets S of the flips of the closest junta on S, with
+    the ones of f counted per assignment to S by ``np.bincount``."""
+    points = np.flatnonzero(table)
+    bits = (points >> np.arange(n)[:, None]) & 1
+    best = 1 << n
+    for subset in combinations(range(n), k):
+        key = sum(bits[v] << c for c, v in enumerate(subset))
+        ones = np.bincount(key, minlength=1 << k)
+        best = min(best, int(np.minimum(ones, (1 << (n - k)) - ones).sum()))
+    return best
+
+
+def test_dist_to_k_junta_runs_at_every_k_at_the_cap():
+    # the Moebius batch holds C(16, k) subsets, a power of two at no k in 1..15
+    n = pt.oracle.MAX_TSYM_N
+    f = pt.random_function(n, np.random.default_rng(1616))
+    dists = [pt.dist_to_k_junta(f, k) for k in range(n + 1)]
+    assert dists == sorted(dists, reverse=True) and dists[-1] == 0
+    for k in (4, 5):
+        assert dists[k] == Fraction(junta_distance_by_bincount(f.truth_table(), n, k), 1 << n)
+
+
 def test_dist_to_iso_class():
     rng = np.random.default_rng(2)
     spec = pt.random_core_spec(8, 2, rng)

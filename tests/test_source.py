@@ -106,6 +106,17 @@ def test_readme_caps_match_the_constants():
     assert stated == {label: [str(cap)] for label, cap in caps.items()}, sentence
 
 
+def test_readme_kron_pass_matches_the_constants():
+    # the "Notes on scale" sentences on the tensor-power passes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = " ".join(readme.split("## Notes on scale", 1)[1].split("\n## ", 1)[0].split())
+    width = re.findall(r"applied (\d+) variables per pass, ⌈n/(\d+)⌉ passes", section)
+    cap = re.findall(r"No BLAS call makes more than 2\^(\d+) multiply-adds", section)
+    vars_ = psymtest.influence._KRON_VARS
+    assert width == [(str(vars_), str(vars_))], section
+    assert [1 << int(c) for c in cap] == [psymtest.influence._KRON_CALL], section
+
+
 def test_benchmark_tracer_patches_every_listed_name():
     # the benchmark reads its per-layer spans by these names; a span whose
     # every listed function the package dropped or renamed goes unmeasured
