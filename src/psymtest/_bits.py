@@ -7,9 +7,11 @@ word arrays for every n, variable i being bit i % 64 of word i // 64; at
 n <= 64 a block is a single column.
 
 Weight-preserving rearrangement of a block matches rows against a pool of
-uniform words of the same weight, all in integers and with no redraws; rows
-the pool cannot serve, and blocks too small to amortize the pool, fall back
-to an exact float-key sort.
+uniform words of the same weight, all in integers and with no redraws:
+rows and pool words are each sorted by weight once, and a row's partner is
+read off the two orders by its class's offset, with no per-class loop.
+Rows the pool cannot serve, and blocks too small to amortize the pool, fall
+back to an exact float-key sort.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ def block_points(xs: np.ndarray) -> np.ndarray | list[int]:
 
 def block_weights(xs: np.ndarray) -> np.ndarray:
     """Hamming weight of every row, summed over the words; uint8 while a row
-    has at most 192 bits, uint16 above."""
+    has at most 192 bits, uint16 above.  A one-word block skips the sum."""
+    if xs.shape[1] == 1:
+        return np.bitwise_count(xs[:, 0])
     return np.bitwise_count(xs).sum(axis=1, dtype=np.uint8 if xs.shape[1] < 4 else np.uint16)
 
 
@@ -124,11 +128,15 @@ def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) ->
     Blocks of at least ``_POOL_MIN_ROWS`` rows are matched by weight against
     a pool of uniform words cut to ``mask``: a pool word is a uniform subset
     of the masked slots, and conditioned on its weight m a uniform m-subset.
-    Rows and pool words are bucketed by weight, and the t-th row of weight m
-    takes the t-th pool word of weight m.  The matching reads weights only,
-    so every matched row gets an independent uniform subset of its own
-    weight.  Rows without a partner (mostly tail weights) and small blocks
-    go through ``_rearrange_keysort``.
+    The t-th row of weight m takes the t-th pool word of weight m: with
+    rows and pool words each stably sorted by weight, the row at sorted
+    position j of class m is paired when j < rstart[m] + wc[m] and takes
+    the pool word at sorted position j + wstart[m] - rstart[m], where
+    rstart and wstart are the classes' starts in the two orders and wc[m]
+    counts the pool words of weight m.  The matching reads weights only, so every matched row gets an
+    independent uniform subset of its own weight.  Rows without a partner
+    (mostly tail weights), lightest first, and small blocks go through
+    ``_rearrange_keysort``.
     """
     if not mask:
         return xs.copy()  # nothing to permute, and nothing drawn
@@ -142,16 +150,17 @@ def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) ->
     pm = block_weights(pool)
     rows = np.argsort(m, kind="stable")
     words = np.argsort(pm, kind="stable")
-    m_sorted = m[rows]
-    # weight class w occupies [start[w], start[w + 1]) of each sorted order
-    classes = np.arange(len(positions) + 2, dtype=m.dtype)
-    word_start = np.searchsorted(pm[words], classes)
-    rank = np.arange(b) - np.searchsorted(m_sorted, classes)[m_sorted]
-    paired = rank < np.diff(word_start)[m_sorted]
-    # row i takes pool word src[i]; unpaired rows are redrawn below
-    src = np.zeros(b, dtype=np.intp)
-    src[rows[paired]] = words[word_start[m_sorted[paired]] + rank[paired]]
-    ys = (xs & ~mk) | np.take(pool, src, axis=0)
+    rc = np.bincount(m, minlength=len(positions) + 1)
+    wc = np.bincount(pm, minlength=len(positions) + 1)
+    rstart = np.cumsum(rc) - rc
+    wstart = np.cumsum(wc) - wc
+    ms = m[rows].astype(np.intp)
+    j = np.arange(b)
+    paired = j < (rstart + wc)[ms]
+    # the clipped picks of unpaired rows are overwritten below
+    src = np.empty(b, dtype=np.intp)
+    src[rows] = words.take(j + (wstart - rstart)[ms], mode="clip")
+    ys = np.take(pool, src, axis=0) | (xs & ~mk)
     left = rows[~paired]
     if len(left):
         ys[left] = _rearrange_keysort(xs[left], mk, positions, rng)

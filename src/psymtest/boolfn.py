@@ -64,7 +64,11 @@ class Permutation:
         return f"Permutation({list(self.mapping)})"
 
     def apply(self, x: int) -> int:
-        """Move each set bit i of ``x`` to position mapping[i]."""
+        """Move each set bit i of ``x`` to position mapping[i]; ``x`` must
+        be an integer point of {0,1}^n, or ``ValueError`` is raised."""
+        x = as_index(x, "x")
+        if not 0 <= x < (1 << len(self.mapping)):
+            raise ValueError(f"x = {x} outside {{0,1}}^{len(self.mapping)}")
         y = 0
         while x:
             low = x & -x
@@ -298,16 +302,20 @@ class PartiallySymmetricCore(BooleanFunction):
         self.asym = asym
         self.core = c
         self.core.flags.writeable = False
+        self._flat_core = self.core.reshape(-1)
         self.asym_mask = mask_from_indices(asym)
         self.sym_mask = ((1 << n) - 1) ^ self.asym_mask
         self._sym_words = to_words(self.sym_mask, (n + 63) // 64)
 
     def core_eval(self, x: int, w: int) -> int:
-        """Value of the core at asymmetric values ``x`` and symmetric weight ``w``."""
+        """Value of the core at asymmetric values ``x`` and symmetric weight
+        ``w``; both must be integers in range, or ``ValueError`` is raised."""
+        x = as_index(x, "x")
+        w = as_index(w, "w")
         if not 0 <= x < (1 << self.k):
-            raise ValueError("core point outside {0,1}^k")
+            raise ValueError(f"x = {x} outside {{0,1}}^{self.k}")
         if not 0 <= w <= self.n - self.k:
-            raise ValueError(f"weight {w} outside 0..{self.n - self.k}")
+            raise ValueError(f"w = {w} outside 0..{self.n - self.k}")
         return int(self.core[x, w])
 
     def _eval(self, x: int) -> int:
@@ -317,11 +325,17 @@ class PartiallySymmetricCore(BooleanFunction):
         return int(self.core[xc, (x & self.sym_mask).bit_count()])
 
     def eval_many(self, xs) -> np.ndarray:
+        """``__call__`` over a batch: each point reads the flattened core at
+        w + (n - k + 1) xc, its symmetric weight w plus the stride
+        (n - k + 1) 2^c of every set asymmetric bit c."""
         xs = self._block(xs)
-        xc = np.zeros(len(xs), dtype=np.uint64)
+        idx = block_weights(xs & self._sym_words).astype(np.int64)
         for c, a in enumerate(self.asym):
-            xc |= ((xs[:, a // 64] >> np.uint64(a % 64)) & np.uint64(1)) << np.uint64(c)
-        return self.core[xc.astype(np.int64), block_weights(xs & self._sym_words)]
+            bit = xs[:, a // 64] >> np.uint64(a % 64)
+            bit &= np.uint64(1)
+            bit *= np.uint64((self.n - self.k + 1) << c)
+            idx += bit.view(np.int64)
+        return self._flat_core[idx]
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
         # g(x) = f(pi x) reads asymmetric value c at pi^{-1}(asym[c])

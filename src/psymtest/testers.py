@@ -139,14 +139,20 @@ def random_partition(n: int, r: int, rng: np.random.Generator) -> Partition:
         return Partition(n, [1 << i for i in range(n)])
     assign = rng.integers(0, r, size=n)
     # one stable sort groups the positions by part, ascending within each
-    groups = np.split(np.argsort(assign, kind="stable"), np.cumsum(np.bincount(assign, minlength=r))[:-1])
-    bits = np.zeros(n, dtype=np.uint8)
-    parts = []
-    for pos in groups:
-        bits[pos] = 1
-        parts.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
-        bits[pos] = 0
-    return Partition(n, parts)
+    pos = np.argsort(assign, kind="stable")
+    counts = np.bincount(assign, minlength=r)
+    end = np.cumsum(counts)
+    # each part's bytes, from its lowest position's to its highest's, laid
+    # end to end in one buffer; an empty part spans no byte
+    lo = np.where(counts > 0, pos[np.minimum(end - counts, n - 1)] >> 3, 0)
+    span = np.where(counts > 0, (pos[end - 1] >> 3) + 1 - lo, 0)
+    start = np.cumsum(span) - span
+    owner = np.repeat(np.arange(r), counts)
+    buf = np.zeros(int(span.sum()), dtype=np.uint8)
+    np.bitwise_or.at(buf, start[owner] + (pos >> 3) - lo[owner], np.uint8(1) << (pos & 7).astype(np.uint8))
+    raw = buf.tobytes()
+    spans = zip(start.tolist(), span.tolist(), lo.tolist())
+    return Partition(n, [int.from_bytes(raw[a : a + size], "little") << (8 * low) for a, size, low in spans])
 
 
 @dataclass

@@ -196,6 +196,75 @@ def test_leftover_rows_keep_the_law(monkeypatch):
     assert list(pvalues) == [2] and pvalues[2] > P_MIN
 
 
+def _pool_reference(xs: np.ndarray, mask: int, rng) -> np.ndarray:
+    """The pool path of ``rearrange_bits_block`` written per weight class:
+    the same pool draw, the t-th row of weight m takes the t-th pool word of
+    weight m, and the rows left over, lightest first, go through the key
+    sort on the same generator."""
+    b, width = xs.shape
+    mk = to_words(mask, width)
+    pool = random_masks_u64(64 * width, b + b // 4, rng) & mk
+    rows_of: dict[int, list[int]] = {}
+    words_of: dict[int, list[int]] = {}
+    for i, row in enumerate(xs & mk):
+        rows_of.setdefault(from_words(row).bit_count(), []).append(i)
+    for i, word in enumerate(pool):
+        words_of.setdefault(from_words(word).bit_count(), []).append(i)
+    ys = xs & ~mk
+    left = []
+    for m in sorted(rows_of):
+        words = words_of.get(m, [])
+        for t, i in enumerate(rows_of[m]):
+            if t < len(words):
+                ys[i] |= pool[words[t]]
+            else:
+                left.append(i)
+    if left:
+        positions = np.array(_bits.indices_of(mask))
+        ys[left] = _bits._rearrange_keysort(xs[left], mk, positions, rng)
+    return ys
+
+
+@pytest.mark.parametrize("masks", ["full", "gapped", "4-slot"])
+@pytest.mark.parametrize("rows", [192, 1000, 16384])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_pool_pairing_matches_a_per_class_reference(width, rows, masks):
+    n = 64 * width
+    mask = {
+        "full": (1 << n) - 1,
+        "gapped": mask_from_indices(range(1, n, 3)) | 1 << (n - 1),
+        "4-slot": mask_from_indices(np.linspace(0, n - 1, 4).astype(int)),
+    }[masks]
+    xs = random_masks_u64(n, rows, np.random.default_rng(rows + width))
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert np.array_equal(rearrange_bits_block(xs, mask, rng), _pool_reference(xs, mask, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pool_pairing_of_a_block_in_one_tail_class():
+    # every row has weight 2 in 16 slots, a class few pool words fall in:
+    # a handful of rows pair and the rest go through the key sort
+    mask = GAPPED16
+    rng = np.random.default_rng(8)
+    pairs = [rng.choice(_bits.indices_of(mask), 2, replace=False) for _ in range(4096)]
+    xs = np.array([[(1 << int(a)) | (1 << int(b))] for a, b in pairs], dtype=np.uint64)
+    xs |= random_masks_u64(64, 4096, rng) & ~np.uint64(mask)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    ys = rearrange_bits_block(xs, mask, rng)
+    assert np.array_equal(ys, _pool_reference(xs, mask, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (block_weights(ys & np.uint64(mask)) == 2).all()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096])
+def test_one_word_weights_equal_the_summed_form(rows):
+    xs = random_masks_u64(64, rows, np.random.default_rng(rows))
+    summed = np.bitwise_count(xs).sum(axis=1, dtype=np.uint8)
+    got = block_weights(xs)
+    assert got.dtype == np.uint8 and got.shape == (rows,)
+    assert np.array_equal(got, summed)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_permutation_apply_many_matches_apply(data):

@@ -69,6 +69,52 @@ def test_core_eval_range_errors():
         spec.core_eval(4, 0)
 
 
+@pytest.mark.parametrize(
+    "call, name, error",
+    [
+        pytest.param(lambda f, pi: f.core_eval(True, 0), "x", "must be an integer", id="core-bool-x"),
+        pytest.param(lambda f, pi: f.core_eval("1", 2), "x", "must be an integer", id="core-str-x"),
+        pytest.param(lambda f, pi: f.core_eval(1.0, 2), "x", "must be an integer", id="core-float-x"),
+        pytest.param(lambda f, pi: f.core_eval(1, 2.0), "w", "must be an integer", id="core-float-w"),
+        pytest.param(lambda f, pi: f.core_eval(1, np.True_), "w", "must be an integer", id="core-numpy-bool-w"),
+        pytest.param(lambda f, pi: f.core_eval(-1, 0), "x", "= -1 outside", id="core-negative-x"),
+        pytest.param(lambda f, pi: f.core_eval(0, -1), "w", "= -1 outside", id="core-negative-w"),
+        pytest.param(lambda f, pi: pi.apply(8), "x", "= 8 outside", id="apply-past-the-cube"),
+        pytest.param(lambda f, pi: pi.apply(-1), "x", "= -1 outside", id="apply-negative"),
+        pytest.param(lambda f, pi: pi.apply(2.0), "x", "must be an integer", id="apply-float"),
+        pytest.param(lambda f, pi: pi.apply(True), "x", "must be an integer", id="apply-bool"),
+    ],
+)
+def test_core_eval_and_apply_reject_bad_input_by_name(call, name, error):
+    f = pt.random_core_spec(8, 2, np.random.default_rng(1))
+    pi = pt.Permutation([1, 0, 2])
+    with pytest.raises(ValueError, match=f"^{name} {error}"):
+        call(f, pi)
+
+
+@pytest.mark.parametrize("n", [64, 65, 130])
+@pytest.mark.parametrize("k", range(7))
+def test_core_eval_many_reads_every_core_entry_as_call_does(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    f = pt.random_core_spec(n, k, rng)
+    asym = f.asym_mask
+    sym = ((1 << n) - 1) ^ asym
+    # the core's corners: no bit, every asymmetric bit (last row), every
+    # symmetric bit (last column) and both
+    points = [0, asym, sym, asym | sym]
+    points += [from_words(row) for row in random_masks_u64(n, 200, rng)]
+    # every row of the core at a random weight
+    sym_pos = [i for i in range(n) if not asym >> i & 1]
+    for xc in range(1 << k):
+        ones = rng.choice(sym_pos, size=int(rng.integers(0, n - k + 1)), replace=False)
+        points.append(sum(1 << int(a) for c, a in enumerate(f.asym) if xc >> c & 1) + sum(1 << int(p) for p in ones))
+    expected = [f(x) for x in points]
+    assert f.eval_many(points).tolist() == expected
+    if n == 64:
+        assert f.eval_many(np.array(points, dtype=np.uint64)).tolist() == expected
+    assert f.eval_many([asym | sym]).tolist() == [f.core[-1, -1]]
+
+
 CORE_K1_N4 = np.zeros((2, 4), dtype=np.uint8)
 
 
@@ -97,6 +143,9 @@ def test_numpy_integer_indices_are_accepted():
     assert pt.KLinear(8, np.array([3, 0], dtype=np.uint8)).indices == (0, 3)
     assert pt.Permutation(np.arange(3)[::-1]).mapping == (2, 1, 0)
     assert pt.PartiallySymmetricCore(4, np.int64(1), [np.int32(2)], CORE_K1_N4).asym == (2,)
+    f = pt.random_core_spec(8, 2, np.random.default_rng(1))
+    assert f.core_eval(np.int64(3), np.uint8(6)) == f.core[3, 6]
+    assert pt.Permutation([1, 0, 2]).apply(np.uint64(7)) == 7
 
 
 @pytest.mark.parametrize(
