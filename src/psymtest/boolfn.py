@@ -7,7 +7,11 @@ one of two forms: a 1-D integer array at n <= 64, or a sequence of ints at
 any n.  It rejects a bad point with ``ValueError`` as ``__call__`` does (a
 point outside the cube, a float, a bool scalar or array) and turns the
 batch into a (b, ceil(n/64)) uint64 word block, and every structured kind evaluates that
-block with array operations at every n.  Dense truth tables are capped at
+block with array operations at every n.  A relabeling g(x) = f(pi x) of a
+structured kind is again a function of that kind (``permuted`` returns it,
+and a ``Permuted`` wrapper evaluates batches through it); only an opaque
+inner function (a truth table or a counting wrapper) has its points moved by
+``Permutation.apply_many``'s byte tables.  Dense truth tables are capped at
 n <= 25; larger n must use one of the structured kinds.  All functions are
 immutable after construction and safe to query concurrently; the counting
 wrapper's counter is the single mutable spot and needs external
@@ -33,6 +37,14 @@ from ._bits import (
 )
 
 MAX_DENSE_N = 25
+
+
+def _check_top_word(block: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` if a row of the word block has a bit at or above n."""
+    if n % 64 and len(block):
+        top = int(block[:, -1].max())
+        if top >> (n % 64):
+            raise ValueError(f"point with top word {top} outside {{0,1}}^{n}")
 
 
 class Permutation:
@@ -78,14 +90,24 @@ class Permutation:
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """``apply`` over a (b, ceil(n/64)) uint64 word block, one table
-        lookup per byte; returns a block of the same shape.
+        lookup per byte; returns a block of the same shape.  A block of
+        another width, of non-integer or negative words, or with a bit at
+        or above n raises ``ValueError`` as ``apply`` does.
 
         Entry [j, v] of the cached tables holds the words of the image of
         the point v << 8j, so a point's image is the OR of its bytes' images.
         """
+        n = len(self.mapping)
+        width = (n + 63) // 64
+        xs = np.asarray(xs)
+        if xs.dtype.kind not in "iu" or xs.ndim != 2 or xs.shape[1] != width:
+            raise ValueError(f"a block for n = {n} needs (b, {width}) integer words, got {xs.dtype} {xs.shape}")
+        if xs.dtype.kind == "i" and xs.size and xs.min() < 0:
+            raise ValueError(f"word {xs.min()} of a block is negative")
+        xs = np.ascontiguousarray(xs, dtype="<u8")
+        _check_top_word(xs, n)
         if self._tables is None:
             self._tables = self._byte_tables()
-        xs = np.ascontiguousarray(xs, dtype="<u8")
         nbytes = len(self._tables)
         parts = xs.view(np.uint8).reshape(xs.shape[0], 8 * xs.shape[1])[:, :nbytes]
         ys = np.take(self._tables[0], parts[:, 0], axis=0)
@@ -185,17 +207,22 @@ class BooleanFunction:
         except OverflowError:
             raise ValueError(f"points outside {{0,1}}^{n}") from None
         block = np.frombuffer(raw, dtype="<u8").reshape(len(xs), width)
-        if n % 64 and len(xs):
-            top = int(block[:, -1].max())
-            if top >> (n % 64):
-                raise ValueError(f"point with top word {top} outside {{0,1}}^{n}")
+        _check_top_word(block, n)
         return block
 
     def permuted(self, pi: Permutation) -> "BooleanFunction":
-        """Lazy g with g(x) = f(pi x); no table is materialized."""
+        """g with g(x) = f(pi x), no table materialized: the relabeled
+        function itself for a structured kind, else a lazy ``Permuted``.
+        ``pi`` must act on n variables, or ``ValueError`` is raised."""
         if len(pi) != self.n:
             raise ValueError("permutation size mismatch")
-        return Permuted(self, pi)
+        g = self._relabeled(pi)
+        return Permuted(self, pi) if g is None else g
+
+    def _relabeled(self, pi: Permutation) -> "BooleanFunction | None":
+        """Closed form of g(x) = f(pi x) for a ``pi`` of size n, or None
+        when the kind has none and queries must be relabeled point by point."""
+        return None
 
     def truth_table(self) -> np.ndarray:
         if self.n > MAX_DENSE_N:
@@ -246,7 +273,7 @@ class KLinear(BooleanFunction):
     def eval_many(self, xs) -> np.ndarray:
         return (block_weights(self._block(xs) & self._mask_words) & 1).astype(np.uint8)
 
-    def permuted(self, pi: Permutation) -> "BooleanFunction":
+    def _relabeled(self, pi: Permutation) -> "BooleanFunction":
         inv = pi.inverse().mapping
         return KLinear(self.n, (inv[i] for i in self.indices))
 
@@ -270,10 +297,8 @@ class SymmetricProfile(BooleanFunction):
     def eval_many(self, xs) -> np.ndarray:
         return self.profile[block_weights(self._block(xs))]
 
-    def permuted(self, pi: Permutation) -> "BooleanFunction":
+    def _relabeled(self, pi: Permutation) -> "BooleanFunction":
         # weight is permutation-invariant
-        if len(pi) != self.n:
-            raise ValueError("permutation size mismatch")
         return self
 
 
@@ -337,14 +362,23 @@ class PartiallySymmetricCore(BooleanFunction):
             idx += bit.view(np.int64)
         return self._flat_core[idx]
 
-    def permuted(self, pi: Permutation) -> "BooleanFunction":
+    def _relabeled(self, pi: Permutation) -> "BooleanFunction":
         # g(x) = f(pi x) reads asymmetric value c at pi^{-1}(asym[c])
         inv = pi.inverse().mapping
         return PartiallySymmetricCore(self.n, self.k, (inv[a] for a in self.asym), self.core)
 
 
 class Permuted(BooleanFunction):
-    """Lazy wrapper: g(x) = inner(pi x)."""
+    """Lazy wrapper: g(x) = inner(pi x).
+
+    When ``inner`` has a closed-form relabeling (a structured kind, or
+    another ``Permuted``, whose permutation composes with ``pi``),
+    ``eval_many`` hands the batch to that relabeled function, built once
+    here.  Otherwise (a truth table or a counting wrapper) each batch is
+    relabeled by ``pi``'s byte tables and handed to ``inner`` in the public
+    form, so a wrapper sees every query.  A scalar query always relabels its
+    point and calls ``inner``.
+    """
 
     kind = "permuted"
 
@@ -354,16 +388,18 @@ class Permuted(BooleanFunction):
             raise ValueError("permutation size mismatch")
         self.inner = inner
         self.pi = pi
+        self._folded = inner._relabeled(pi)
 
     def _eval(self, x: int) -> int:
         return self.inner(self.pi.apply(x))
 
     def eval_many(self, xs) -> np.ndarray:
-        # the inner function gets the public form, so wrappers see every query
+        if self._folded is not None:
+            return self._folded.eval_many(xs)
         return self.inner.eval_many(block_points(self.pi.apply_many(self._block(xs))))
 
-    def permuted(self, pi: Permutation) -> "BooleanFunction":
-        return Permuted(self.inner, self.pi.compose(pi))
+    def _relabeled(self, pi: Permutation) -> "BooleanFunction":
+        return self.inner.permuted(self.pi.compose(pi))
 
 
 class CountingFunction(BooleanFunction):

@@ -279,6 +279,26 @@ def test_permutation_apply_many_matches_apply(data):
         assert [from_words(y) for y in ys] == [pi.apply(x) for x in xs]
 
 
+@pytest.mark.parametrize(
+    "n, block, error",
+    [
+        pytest.param(3, [[8], [3]], "top word 8 outside", id="n3-bit-past-n"),
+        pytest.param(3, np.array([[3], [1 << 63]], dtype=np.uint64), "outside", id="n3-top-bit"),
+        pytest.param(130, np.zeros((2, 1), dtype=np.uint64), "needs", id="n130-one-word"),
+        pytest.param(130, np.zeros((2, 4), dtype=np.uint64), "needs", id="n130-four-words"),
+        pytest.param(130, [[0, 0, 4]], "top word 4 outside", id="n130-bit-past-n"),
+        pytest.param(64, np.zeros(2, dtype=np.uint64), "needs", id="n64-flat-array"),
+        pytest.param(64, np.array([[1.5]]), "integer words", id="n64-float-words"),
+        pytest.param(64, np.array([[-1]]), "negative", id="n64-negative-word"),
+        pytest.param(64, [[1 << 64]], "integer words", id="n64-word-past-uint64"),
+    ],
+)
+def test_permutation_apply_many_rejects_what_apply_rejects(n, block, error):
+    pi = pt.Permutation(range(n)[::-1])
+    with pytest.raises(ValueError, match=error):
+        pi.apply_many(block)
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 64])
 def test_to_words_matches_one_shift_per_word(width):
     rng = np.random.default_rng(33)

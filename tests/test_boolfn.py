@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psymtest as pt
-from psymtest._bits import from_words, random_masks_u64
+from psymtest._bits import block_points, from_words, random_masks_u64, to_words
 from psymtest.boolfn import MAX_DENSE_N
 
 from helpers import apply_perm_to_point
@@ -395,8 +395,9 @@ def _function_of_kind(kind: str, n: int, rng: np.random.Generator) -> pt.Boolean
 
 @st.composite
 def _batched(draw):
-    """A function of any kind, plain, permuted or counted, and a batch of
-    its points: drawn ones, then uniform ones."""
+    """A function of any kind, plain, permuted (once or twice, over a plain
+    or a counted function) or counted, and a batch of its points: drawn
+    ones, then uniform ones."""
     kind = draw(st.sampled_from(["truth_table", "k_linear", "symmetric_profile", "psym_core"]))
     if kind == "truth_table":
         n = draw(st.integers(1, 12))
@@ -404,7 +405,10 @@ def _batched(draw):
         n = draw(st.sampled_from([1, 63, 64, 65, 130, 256]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = _function_of_kind(kind, n, rng)
-    if draw(st.booleans()):
+    # up to two relabelings, each over a plain or a counted function
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            f = pt.counting_oracle(f)
         f = pt.Permuted(f, pt.Permutation.random(n, rng))
     if draw(st.booleans()):
         f = pt.counting_oracle(f)
@@ -456,3 +460,62 @@ def test_eval_many_past_one_word_makes_no_scalar_call(kind, monkeypatch):
 
     monkeypatch.setattr(pt.BooleanFunction, "__call__", scalar_query)
     assert f.eval_many(points).tolist() == expected
+
+
+@pytest.mark.parametrize("size", [4, 12])
+@pytest.mark.parametrize(
+    "kind",
+    ["truth_table", "k_linear", "symmetric_profile", "psym_core", "permuted_truth_table", "permuted_psym_core",
+     "counted_psym_core"],
+)
+def test_wrong_size_permutation_is_rejected(kind, size):
+    n = 8
+    rng = np.random.default_rng(size)
+    f = _function_of_kind(kind.removeprefix("permuted_").removeprefix("counted_"), n, rng)
+    if kind.startswith("permuted_"):
+        f = pt.Permuted(f, pt.Permutation.random(n, rng))
+    if kind.startswith("counted_"):
+        f = pt.counting_oracle(f)
+    pi = pt.Permutation(range(size)[::-1])
+    for relabel in (f.permuted, lambda pi: pt.apply_permutation(f, pi), lambda pi: pt.Permuted(f, pi)):
+        with pytest.raises(ValueError, match="permutation size mismatch"):
+            relabel(pi)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
+@pytest.mark.parametrize("kind", ["k_linear", "symmetric_profile", "psym_core"])
+def test_permuted_structured_kind_evaluates_without_byte_tables(kind, n):
+    rng = np.random.default_rng(n)
+    f = _function_of_kind(kind, n, rng)
+    pi1, pi2 = pt.Permutation.random(n, rng), pt.Permutation.random(n, rng)
+    block = random_masks_u64(n, 300, rng)
+    block[0] = 0
+    block[1] = to_words((1 << n) - 1, block.shape[1])
+    g = pt.Permuted(f, pi1)
+    gg = pt.Permuted(g, pi2)
+    got, got_nested = g.eval_many(block_points(block)), gg.eval_many(block_points(block))
+    assert pi1._tables is None and pi2._tables is None
+    # references: byte-table relabeling on fresh copies of the permutations,
+    # and scalar queries, which relabel one point at a time
+    moved = pt.Permutation(pi1.mapping).apply_many(block)
+    points = [from_words(row) for row in block]
+    assert got.tolist() == f.eval_many(block_points(moved)).tolist() == [g(x) for x in points]
+    moved_twice = pt.Permutation(pi1.mapping).apply_many(pt.Permutation(pi2.mapping).apply_many(block))
+    assert got_nested.tolist() == f.eval_many(block_points(moved_twice)).tolist() == [gg(x) for x in points]
+
+
+@pytest.mark.parametrize("n", [8, 64, 130])
+def test_permuted_counting_wrapper_sees_every_batch_query(n):
+    rng = np.random.default_rng(n)
+    core = pt.random_core_spec(n, 2, rng)
+    counted = pt.counting_oracle(core)
+    pi1, pi2 = pt.Permutation.random(n, rng), pt.Permutation.random(n, rng)
+    g = pt.Permuted(counted, pi1)
+    gg = pt.Permuted(g, pi2)
+    total = 0
+    for f, plain in ((g, pt.Permuted(core, pi1)), (gg, pt.Permuted(pt.Permuted(core, pi1), pi2))):
+        for size in (0, 1, 257):
+            points = block_points(random_masks_u64(n, size, rng))
+            assert f.eval_many(points).tolist() == plain.eval_many(points).tolist()
+            total += size
+            assert pt.read_count(counted) == total
