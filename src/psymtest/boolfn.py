@@ -164,25 +164,27 @@ class BooleanFunction:
         raise NotImplementedError
 
     def eval_many(self, xs) -> np.ndarray:
-        """Evaluate a batch of points, a uint64 array (n <= 64) or a sequence
-        of ints (any n); one query is counted per element."""
+        """Evaluate a batch of points, a 1-D uint64 array (n <= 64) or a
+        sequence of ints (any n); one query is counted per element."""
         return np.fromiter((self(v) for v in xs), dtype=np.uint8, count=len(xs))
 
     def _block(self, xs) -> np.ndarray:
         """``xs`` as a (b, ceil(n/64)) uint64 word block, checked as in
         ``__call__``: a bad point raises ``ValueError``.
 
-        An array must have an integer dtype (one check per batch, plus a
-        ``min`` pass when it is signed).  A sequence becomes a list of ints
-        in one pass, in which an element other than an exact int goes
-        through ``as_index`` as in ``__call__``, so a float or a bool is
-        rejected.  At n <= 64 the block is a view of the uint64 array,
+        An array must be 1-D with an integer dtype (one check per batch,
+        plus a ``min`` pass when it is signed).  A sequence becomes a list
+        of ints in one pass, in which an element other than an exact int
+        goes through ``as_index`` as in ``__call__``, so a float or a bool
+        is rejected.  At n <= 64 the block is a view of the uint64 array,
         range-checked by one ``max`` pass (none at n = 64, where every
         uint64 is a point).  Above, the ints go through one bytes pass and
         the top word is checked against n % 64.
         """
         n = self.n
         if isinstance(xs, np.ndarray):
+            if xs.ndim != 1:
+                raise ValueError(f"points must be a 1-D array, got shape {xs.shape}")
             if xs.dtype.kind not in "iu":
                 raise ValueError(f"points must be integers, got an array of {xs.dtype}")
             if xs.dtype.kind == "i" and len(xs) and xs.min() < 0:
@@ -448,11 +450,16 @@ def random_function(n: int, rng: np.random.Generator) -> TruthTable:
     return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 
 
+def _check_core_size(n: int, k: int) -> None:
+    """Refuse a core past 2^MAX_DENSE_N entries, testing k before any size."""
+    if 0 <= k <= n and (k > MAX_DENSE_N or (n - k + 1) << k > 1 << MAX_DENSE_N):
+        raise ValueError(f"a core of 2^{k} x {n - k + 1} entries exceeds 2^{MAX_DENSE_N}")
+
+
 def random_core_spec(n: int, k: int, rng: np.random.Generator) -> PartiallySymmetricCore:
     """Uniformly random (n-k)-symmetric function in core form; the core's
     2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N."""
-    if 0 <= k <= n and (n - k + 1) << k > 1 << MAX_DENSE_N:
-        raise ValueError(f"a core of 2^{k} x {n - k + 1} entries exceeds 2^{MAX_DENSE_N}")
+    _check_core_size(n, k)
     asym = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
     core = rng.integers(0, 2, size=(1 << k, n - k + 1), dtype=np.uint8)
     return PartiallySymmetricCore(n, k, asym, core)
@@ -506,6 +513,8 @@ def function_from_json(obj: dict) -> BooleanFunction:
     kind = obj.get("kind")
     if kind == "truth_table":
         n, table_hex = _json_fields(obj, n=int, table_hex=str)
+        if n > MAX_DENSE_N:
+            raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}, got n = {n}")
         return TruthTable(n, hex_to_bits(table_hex, 1 << n))
     if kind == "k_linear":
         return KLinear(*_json_fields(obj, n=int, indices=list))
@@ -518,6 +527,7 @@ def function_from_json(obj: dict) -> BooleanFunction:
         n, k, asym, core_hex = _json_fields(obj, n=int, k=int, asym=list, core_hex=str)
         if not 0 <= k < n:
             raise ValueError(f"field 'k' must satisfy 0 <= k < n = {n}, got {k}")
+        _check_core_size(n, k)
         bits = hex_to_bits(core_hex, (1 << k) * (n - k + 1))
         return PartiallySymmetricCore(n, k, asym, bits.reshape(1 << k, n - k + 1))
     raise ValueError(f"unknown function kind {kind!r}")

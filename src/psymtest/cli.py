@@ -99,20 +99,15 @@ def cmd_measure(args: argparse.Namespace) -> int:
     for spec in args.set:
         members = sorted(int(v) for v in spec.split(",") if v != "")
         entry: dict = {"members": members}
-        if f.n <= influence.MAX_EXACT_INFLUENCE_N:
-            entry["influence"] = float(influence.influence_exact(f, members))
-            entry["influence_method"] = "exact"
-        else:
-            entry["influence"] = influence.influence_mc(f, members, args.mc_trials, rng)
-            entry["influence_method"] = "mc"
-        if f.n <= influence.MAX_EXACT_SYMINF_N:
-            entry["symmetric_influence"] = float(influence.symmetric_influence_exact(f, members))
-            entry["symmetric_influence_method"] = "exact"
-        else:
-            entry["symmetric_influence"] = influence.symmetric_influence_mc(
-                f, members, args.mc_trials, rng
-            )
-            entry["symmetric_influence_method"] = "mc"
+        for key, cap, exact, mc in (
+            ("influence", influence.MAX_EXACT_INFLUENCE_N, influence.influence_exact, influence.influence_mc),
+            ("symmetric_influence", influence.MAX_EXACT_SYMINF_N,
+             influence.symmetric_influence_exact, influence.symmetric_influence_mc),
+        ):
+            if f.n <= cap:
+                entry[key], entry[key + "_method"] = float(exact(f, members)), "exact"
+            else:
+                entry[key], entry[key + "_method"] = mc(f, members, args.mc_trials, rng), "mc"
         report["sets"].append(entry)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._bits import indices_of, mask_from_indices, rearrange_bits_block
+from ._bits import as_index, indices_of, mask_from_indices, rearrange_bits_block
 from .boolfn import BooleanFunction, TruthTable
 from .testers import Partner, _pair_block, _rerandomized
 
@@ -46,9 +46,12 @@ _MC_BLOCK = 1 << 15
 
 
 def _as_mask(f: BooleanFunction, members: Iterable[int]) -> int:
-    mask = mask_from_indices(members)
-    if mask >= (1 << f.n):
-        raise ValueError("set members outside range(n)")
+    mask = 0
+    for v in members:
+        v = v if v.__class__ is int else as_index(v, "set member")
+        if not 0 <= v < f.n:
+            raise ValueError("set members outside range(n)")
+        mask |= 1 << v
     return mask
 
 
@@ -186,7 +189,7 @@ def influence_mc(
     f: BooleanFunction, members: Iterable[int], trials: int, rng: np.random.Generator
 ) -> float:
     """Unbiased Monte Carlo estimate of the influence of J."""
-    if trials < 1:
+    if as_index(trials, "trials") < 1:
         raise ValueError("need at least one trial")
     j_mask = _as_mask(f, members)
     if j_mask == 0:
@@ -218,7 +221,7 @@ def symmetric_influence_mc(
     f: BooleanFunction, members: Iterable[int], trials: int, rng: np.random.Generator
 ) -> float:
     """Unbiased Monte Carlo estimate of the symmetric influence of J."""
-    if trials < 1:
+    if as_index(trials, "trials") < 1:
         raise ValueError("need at least one trial")
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:

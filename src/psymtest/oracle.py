@@ -26,9 +26,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._bits import as_index, mask_from_indices
+from ._bits import as_index, indices_of, mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _fold, _fold_type, _kron, _split
+from .influence import _as_mask, _fold, _fold_type, _kron, _split
 
 MAX_DIST_N = 22
 MAX_TSYM_N = 16
@@ -237,9 +237,7 @@ def is_j_symmetric(f: BooleanFunction, members: Iterable[int]) -> bool:
     n = f.n
     if n > MAX_CORE_N:
         raise ValueError(f"symmetry check is capped at n <= {MAX_CORE_N}")
-    mem = sorted(set(int(v) for v in members))
-    if mem and not (0 <= mem[0] and mem[-1] < n):
-        raise ValueError("set members outside range(n)")
+    mem = indices_of(_as_mask(f, members))
     table = f.truth_table()
     return all(_invariant_transposition(table, a, b) for a, b in itertools.pairwise(mem))
 
@@ -290,7 +288,7 @@ class SetFamily:
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        return cls(n, tuple(frozenset(int(v) for v in s) for s in sets))
+        return cls(n, tuple(frozenset(as_index(v, "set member") for v in s) for s in sets))
 
 
 def is_t_intersecting(family: SetFamily, t: int) -> bool:

@@ -279,7 +279,8 @@ def _draw(
         block = table.block((int(rng.binomial(handle.n, 0.5)) for _ in range(count)), rng)
     xs = np.zeros(count, dtype=np.int64)
     for c, part in enumerate(handle.j_parts):
-        pos = int(handle.partition.positions(part)[0])
+        m = handle.partition.parts[part]
+        pos = (m & -m).bit_length() - 1
         xs |= ((block[:, pos // 64] >> np.uint64(pos % 64)) & np.uint64(1)).astype(np.int64) << c
     ws = block_weights(block).astype(np.int64) - np.bitwise_count(xs)
     return block_points(block), xs, ws

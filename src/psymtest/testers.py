@@ -76,7 +76,8 @@ class TesterConfig:
 
 @dataclass
 class Partition:
-    """Disjoint parts (bit masks) covering range(n); parts may be empty."""
+    """Disjoint parts covering range(n), each an int bit mask and held in no
+    other form (``indices_of`` lists a part's variables); parts may be empty."""
 
     n: int
     parts: list[int]
@@ -89,7 +90,6 @@ class Partition:
             total += mask.bit_count()
         if union != (1 << self.n) - 1 or total != self.n:
             raise ValueError("parts must be disjoint and cover range(n)")
-        self._positions: dict[int, np.ndarray] = {}
         self._chunks: dict[int, list[tuple[int, int]]] = {}
 
     @property
@@ -98,11 +98,6 @@ class Partition:
 
     def size(self, i: int) -> int:
         return self.parts[i].bit_count()
-
-    def positions(self, i: int) -> np.ndarray:
-        if i not in self._positions:
-            self._positions[i] = np.array(indices_of(self.parts[i]), dtype=np.int64)
-        return self._positions[i]
 
     def chunks(self, workspace: int) -> list[tuple[int, int]]:
         """Every non-workspace part split into pieces of at most ceil(|W|/4).
@@ -120,7 +115,7 @@ class Partition:
                 if mask.bit_count() <= cap:
                     out.append((p, mask))
                     continue
-                pos = self.positions(p)
+                pos = indices_of(mask)
                 for start in range(0, len(pos), cap):
                     out.append((p, mask_from_indices(pos[start : start + cap])))
             self._chunks[workspace] = out
@@ -133,26 +128,15 @@ def random_partition(n: int, r: int, rng: np.random.Generator) -> Partition:
     Once r >= n there is nothing to gain from collisions, so the partition
     degenerates to the n single-element sets.
     """
+    r = as_index(r, "r")
     if r < 1:
         raise ValueError("need at least one part")
     if r >= n:
         return Partition(n, [1 << i for i in range(n)])
-    assign = rng.integers(0, r, size=n)
-    # one stable sort groups the positions by part, ascending within each
-    pos = np.argsort(assign, kind="stable")
-    counts = np.bincount(assign, minlength=r)
-    end = np.cumsum(counts)
-    # each part's bytes, from its lowest position's to its highest's, laid
-    # end to end in one buffer; an empty part spans no byte
-    lo = np.where(counts > 0, pos[np.minimum(end - counts, n - 1)] >> 3, 0)
-    span = np.where(counts > 0, (pos[end - 1] >> 3) + 1 - lo, 0)
-    start = np.cumsum(span) - span
-    owner = np.repeat(np.arange(r), counts)
-    buf = np.zeros(int(span.sum()), dtype=np.uint8)
-    np.bitwise_or.at(buf, start[owner] + (pos >> 3) - lo[owner], np.uint8(1) << (pos & 7).astype(np.uint8))
-    raw = buf.tobytes()
-    spans = zip(start.tolist(), span.tolist(), lo.tolist())
-    return Partition(n, [int.from_bytes(raw[a : a + size], "little") << (8 * low) for a, size, low in spans])
+    parts = [0] * r
+    for i, p in enumerate(rng.integers(0, r, size=n).tolist()):
+        parts[p] |= 1 << i
+    return Partition(n, parts)
 
 
 @dataclass
@@ -407,7 +391,7 @@ def _locate_asymmetric_part(
                 raise RuntimeError("chain step changed the Hamming weight")
         if diff & ~cum[-1] or wts[-1] != (y & w_mask).bit_count():
             raise RuntimeError("chain did not end at its endpoint")
-        w_positions = partition.positions(workspace)
+        w_positions = indices_of(w_mask)
 
         def chain_point(i: int) -> int:
             point = ox ^ (diff & cum[i])

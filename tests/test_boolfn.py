@@ -482,6 +482,23 @@ def test_wrong_size_permutation_is_rejected(kind, size):
             relabel(pi)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (), (2, 1, 1)])
+@pytest.mark.parametrize(
+    "kind, n",
+    [("truth_table", 8), ("permuted_truth_table", 8)]
+    + [(kind, n) for kind in ("k_linear", "symmetric_profile", "psym_core", "permuted_psym_core") for n in (8, 130)],
+)
+def test_eval_many_rejects_arrays_that_are_not_1d(kind, n, shape):
+    rng = np.random.default_rng(n)
+    f = _function_of_kind(kind.removeprefix("permuted_"), n, rng)
+    if kind.startswith("permuted_"):
+        f = pt.Permuted(f, pt.Permutation.random(n, rng))
+    counted = pt.counting_oracle(f)
+    with pytest.raises(ValueError, match="1-D"):
+        counted.eval_many(np.zeros(shape, dtype=np.uint64))
+    assert pt.read_count(counted) == 0
+
+
 @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
 @pytest.mark.parametrize("kind", ["k_linear", "symmetric_profile", "psym_core"])
 def test_permuted_structured_kind_evaluates_without_byte_tables(kind, n):

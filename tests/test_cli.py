@@ -193,6 +193,15 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
         ({"kind": "k_linear", "n": 4}, "a k_linear spec needs field 'indices'"),
         ({"kind": "truth_table", "n": 2, "table_hex": "0F"}, "hex must be lowercase"),
         ({"kind": "symmetric_profile", "n": 1, "profile": [True, False]}, "'profile' must hold JSON integers"),
+        # sizes past the caps are refused before they are computed
+        ({"kind": "truth_table", "n": 40, "table_hex": "00"}, "capped at n <= 25, got n = 40"),
+        ({"kind": "truth_table", "n": 20_000_000_000, "table_hex": "00"}, "capped at n <= 25"),
+        ({"kind": "psym_core", "n": 100, "k": 90, "asym": [], "core_hex": "00"}, "x 11 entries exceeds"),
+        (
+            {"kind": "psym_core", "n": 20_000_000_001, "k": 20_000_000_000, "asym": [], "core_hex": "00"},
+            "entries exceeds",
+        ),
+        ({"kind": "psym_core", "n": 2**40, "k": 2, "asym": [], "core_hex": "00"}, "x 1099511627775 entries"),
     ],
 )
 def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):
@@ -234,6 +243,8 @@ def _function_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(_function_files())
 @example({"kind": "symmetric_profile", "n": 1, "profile": [True, False]})
+@example({"kind": "truth_table", "n": 40, "table_hex": "00"})
+@example({"kind": "psym_core", "n": 100, "k": 90, "asym": [], "core_hex": "00"})
 def test_function_files_load_exactly_or_exit_2(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.json")

@@ -36,6 +36,30 @@ def test_influence_exact_matches_brute_on_random_functions():
         assert pt.influence_exact(f, members) == brute_influence(f, members)
 
 
+_PARITY3 = pt.KLinear(3, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda rng: pt.influence_exact(_PARITY3, [1.5]), "set member", id="float-member"),
+        pytest.param(lambda rng: pt.symmetric_influence_exact(_PARITY3, [True, 2]), "set member", id="bool-member"),
+        pytest.param(lambda rng: pt.influence_exact(_PARITY3, [-1]), "set member", id="negative-member"),
+        pytest.param(lambda rng: pt.influence_mc(_PARITY3, [3], 10, rng), "set member", id="member-past-n"),
+        pytest.param(lambda rng: pt.is_j_symmetric(_PARITY3, [1.5, 2]), "set member", id="j-symmetric-float"),
+        pytest.param(lambda rng: pt.is_j_symmetric(_PARITY3, [0, "1"]), "set member", id="j-symmetric-str"),
+        pytest.param(lambda rng: pt.SetFamily.of(3, [[0], [1.5]]), "set member", id="family-float"),
+        pytest.param(lambda rng: pt.influence_mc(_PARITY3, [0], 2.5, rng), "trials", id="float-trials"),
+        pytest.param(lambda rng: pt.symmetric_influence_mc(_PARITY3, [0, 1], True, rng), "trials", id="bool-trials"),
+        pytest.param(lambda rng: pt.random_partition(8, 2.5, rng), "r", id="float-parts"),
+        pytest.param(lambda rng: pt.random_partition(8, True, rng), "r", id="bool-parts"),
+    ],
+)
+def test_set_members_and_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name}"):
+        call(np.random.default_rng(0))
+
+
 def test_influence_exact_cap():
     f = pt.KLinear(20, [0])
     with pytest.raises(ValueError, match="influence_mc"):

@@ -35,6 +35,29 @@ def test_random_partition_is_disjoint_cover():
         assert union == (1 << n) - 1 and total == n
 
 
+@pytest.mark.parametrize("n", [1, 24, 64, 65, 130, 4096])
+@pytest.mark.parametrize(
+    "parts", [lambda n: 1, lambda n: 2, lambda n: 5, lambda n: n - 1, lambda n: n, lambda n: n + 3],
+    ids=["1", "2", "5", "n-1", "n", "n+3"],
+)
+def test_random_partition_is_its_draw(n, parts):
+    """Part p holds the i whose draw is p, from one integers(0, r, n) call;
+    from r = n on, the singletons, with no draw."""
+    r = max(1, parts(n))
+    for s in range(3):
+        rng = np.random.default_rng(s)
+        p = pt.random_partition(n, r, rng)
+        ref = np.random.default_rng(s)
+        if r >= n:
+            expected = [1 << i for i in range(n)]
+        else:
+            expected = [0] * r
+            for i, part in enumerate(ref.integers(0, r, size=n)):
+                expected[part] += 1 << i
+        assert p.n == n and p.parts == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_partition_max_part_size_concentrates():
     n, r = 10_000, 100
     good = 0
