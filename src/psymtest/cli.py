@@ -460,6 +460,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"psymtest: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"psymtest: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ MAX_EXACT_INFLUENCE_N = 15
 MAX_EXACT_SYMINF_N = 20
 MAX_FOURIER_N = 16
 
-# Monte Carlo block rows: 2^15 while a row is one word, 2^15 * 64 / n above (about as many words).
+# Monte Carlo block rows: 2^15 while a row is one word, 2^15 * 64 / n above (about as many words),
+# and at least one row.
 _MC_BLOCK = 1 << 15
 
 
@@ -159,7 +160,7 @@ def _flip_rate(
     f: BooleanFunction, trials: int, partner: Partner, rng: np.random.Generator
 ) -> float:
     """Fraction of ``trials`` uniform pairs (x, partner(x)) on which f differs."""
-    block = _MC_BLOCK * 64 // max(f.n, 64)
+    block = max(1, _MC_BLOCK * 64 // max(f.n, 64))
     hits = done = 0
     while done < trials:
         b = min(block, trials - done)

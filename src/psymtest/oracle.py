@@ -2,14 +2,12 @@
 
 Everything here enumerates, so the caps are tight; results are exact
 (integer counts, rational results).  Table routines read the whole truth
-table with array operations, never point by point: the split of
-``influence._split`` (one column per assignment to a few chosen variables,
-one row per assignment to the rest; isomorphism-class distance), slices of
-the table viewed as (2,)*n (transpositions), the one-variable folds of
-``influence._fold`` (t-symmetric distance: the folds of all the sets of each
-size are stacked, so that one fold call moves a whole stack on; they hold
-uint8 sums through t = 10 and uint16 up to the cap t = 16, and every set is
-scored in that type), or the tensor-power passes
+table with array operations, never point by point: slices of the table
+viewed as (2,)*n (transpositions), the one-variable folds of
+``influence._fold`` (t-symmetric and isomorphism-class distances: the folds
+of all the sets of each size are stacked, so that one fold call moves a
+whole stack on; they hold uint8 sums through t = 10 and uint16 up to the cap
+t = 16, and every t-set is scored from them), or the tensor-power passes
 of ``influence._kron`` (junta distance: superset sums over the table, then a
 Moebius inversion inside every k-subset at once; ceil(n/4) and ceil(k/4)
 passes of four variables in float32, exact because no partial sum passes
@@ -21,18 +19,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Mapping
+from math import comb, factorial
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from ._bits import as_index, indices_of, mask_from_indices
 from .boolfn import BooleanFunction, PartiallySymmetricCore
-from .influence import _as_mask, _fold, _fold_type, _kron, _split
+from .influence import _as_mask, _fold, _fold_type, _kron
 
 MAX_DIST_N = 22
 MAX_TSYM_N = 16
-MAX_ISO_N = 10
+MAX_ISO_N = 16
 MAX_CORE_N = 16
 MAX_MEASURE_N = 16
 
@@ -60,19 +58,9 @@ def dist_exact(f: BooleanFunction, g: BooleanFunction) -> Fraction:
 
 
 def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
-    """Min over |J| = t of the distance to the closest J-symmetric function.
-
-    Variables fold out highest first (``influence._fold``), so a set of s
-    variables, all above the next variable v, folds to an (s+1, 2^(n-s))
-    array that still holds v at bit v.  The sets that can still reach t
-    members are stacked per size s, and one ``_fold`` call at v moves a
-    whole stack to s + 1, while the stack itself stays at s as long as the
-    variables below v can fill it up.  A fold that reaches t is scored at
-    once, in its own type: every layer flips its minority,
-    min(ones, C(t, w) - ones).  While the stacks below a variable would
-    pass ``_TSYM_STACK_BYTES``, it is walked depth first instead, folded in
-    and then left out.
-    """
+    """Min over |J| = t of the distance to the closest J-symmetric function:
+    every layer of a ``_min_over_sets`` fold flips its minority,
+    min(ones, C(t, w) - ones), scored in the fold's own type."""
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"t-symmetric distance is capped at n <= {MAX_TSYM_N}")
@@ -83,30 +71,46 @@ def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
         return Fraction(0)  # no two variables to swap
     sizes = np.array([comb(t, w) for w in range(t + 1)], dtype=np.min_scalar_type(comb(t, t // 2)))
     sizes = sizes.reshape(-1, 1, 1)
-    best = 1 << n
 
-    def score(folds: np.ndarray) -> None:
-        # folds: (t+1, 2^(n-t), sets).  A set's flips add up to at most
-        # 2^(n-1) <= 2^15, so uint16 holds every partial sum.  numpy sums
-        # down a column one row at a time, so the first sum reads rows of at
-        # least 1024 entries, and the second adds up the few rows left
-        nonlocal best
+    def minority(folds: np.ndarray) -> int:
+        # A set's flips add up to at most 2^(n-1) <= 2^15, so uint16 holds every
+        # partial sum.  numpy sums down a column a row at a time, so the first
+        # sum reads rows of >= 1024 entries, and the second adds the few left
         flips = sizes - folds
         np.minimum(folds, flips, out=flips)
         sets = flips.shape[-1]
         rows = min(flips.shape[1], 1 << (-(-1024 // sets) - 1).bit_length())
         part = flips.reshape(-1, rows * sets).sum(axis=0, dtype=np.uint16)
-        best = min(best, int(part.reshape(rows, sets).sum(axis=0, dtype=np.uint16).min()))
+        return int(part.reshape(rows, sets).sum(axis=0, dtype=np.uint16).min())
+
+    return Fraction(_min_over_sets(f.truth_table(), n, t, minority), 1 << n)
+
+
+def _min_over_sets(table: np.ndarray, n: int, t: int, score: Callable[[np.ndarray], int]) -> int:
+    """Least ``score`` over the t-sets of an n-variable table.
+
+    Variables fold out highest first (``influence._fold``), so a set of s
+    variables, all above the next variable v, folds to an (s+1, 2^(n-s))
+    array that still holds v at bit v.  The sets that can still reach t
+    members are stacked per size s, and one ``_fold`` call at v moves a
+    whole stack to s + 1, while the stack itself stays at s as long as the
+    variables below v can fill it up.  Folds that reach t go to ``score`` at
+    once, a (t+1, 2^(n-t), sets) stack with the other variables ascending on
+    its second axis.  While the stacks below a variable would pass
+    ``_TSYM_STACK_BYTES``, it is walked depth first instead, folded in and
+    then left out.  A score of 0 ends the walk."""
+    best = 1 << n
 
     def stacked(a: np.ndarray, s0: int, top: int) -> None:
         # stacks[s] is (s+1, 2^(n-s), room) with counts[s] sets filled in,
         # room for every set of s variables it will hold
+        nonlocal best
         stacks, counts = {s0: a[..., None]}, {s0: 1}
         for v in range(top, -1, -1):
             for s in sorted(stacks, reverse=True):
                 sets = stacks[s][..., : counts[s]]
                 if s + 1 == t:
-                    score(_fold(sets, v))
+                    best = min(best, score(_fold(sets, v)))
                 else:
                     if s + 1 not in stacks:
                         room = _stack_room(t, s0, top, s + 1)
@@ -126,12 +130,13 @@ def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
 
     def walk(a: np.ndarray, s: int, v: int) -> None:
         # a: the fold of s variables above v, which with v..0 can reach t
+        nonlocal best
         if s + v + 1 == t:  # every variable left goes in
             for u in range(v, -1, -1):
                 a = _fold(a, u)
-            score(a[..., None])
+            best = min(best, score(a[..., None]))
         elif s == t:
-            score(a[..., None])
+            best = min(best, score(a[..., None]))
         elif _stack_bytes(n, t, s, v) <= _TSYM_STACK_BYTES:
             stacked(a, s, v)
         else:
@@ -139,8 +144,8 @@ def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
             if best and s + v >= t:
                 walk(a, s, v - 1)
 
-    walk(f.truth_table().reshape(1, -1), 0, n - 1)
-    return Fraction(best, 1 << n)
+    walk(table.reshape(1, -1), 0, n - 1)
+    return best
 
 
 def _stack_room(t: int, s0: int, top: int, s: int) -> int:
@@ -194,27 +199,29 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
 def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fraction:
     """Min distance from g to any relabeling of the core-form function.
 
-    A relabeling is determined by the ordered placement of the k core
-    coordinates; the symmetric block is interchangeable.
-    """
+    A relabeling is the ordered placement of the k core coordinates, and the
+    other t = n - k variables are interchangeable: a k-set reads only its
+    ``_min_over_sets`` fold A[w, y].  Ordering sigma (core bit c reads bit
+    sigma[c] of y) misses sum core C(t, w) + sum (1 - 2 core[x_sigma(y), w])
+    A[w, y] points, one float32 product of the k! signed core tables (refused
+    past ``_TSYM_STACK_BYTES``) with the stack; no partial sum passes 2^16."""
     n = f_spec.n
     if g.n != n:
         raise ValueError("dimension mismatch")
     if n > MAX_ISO_N:
         raise ValueError(f"isomorphism-class distance is capped at n <= {MAX_ISO_N}")
-    k = f_spec.k
-    g_table = g.truth_table()
-    # split rows are the symmetric block's assignments, columns the core's
-    core = f_spec.core.T[np.bitwise_count(np.arange(1 << (n - k)))]
-    best = Fraction(1)
-    for placement in itertools.permutations(range(n), k):
-        diff = int(np.count_nonzero(_split(g_table, n, placement) != core))
-        d = Fraction(diff, 1 << n)
-        if d < best:
-            best = d
-            if best == 0:
-                break
-    return best
+    k, t, core = f_spec.k, n - f_spec.k, f_spec.core
+    if factorial(k) * (t + 1) << (k + 2) > _TSYM_STACK_BYTES:
+        raise ValueError(f"the k! signed core tables at k = {k} pass the {_TSYM_STACK_BYTES >> 20} MB budget")
+    orders = np.array(list(itertools.permutations(range(k))), dtype=np.uint8)[:, None]
+    x = ((np.arange(1 << k, dtype=np.uint8)[:, None] >> orders & 1) << np.arange(k, dtype=np.uint8)).sum(2, np.uint8)
+    tables = np.where(core, np.float32(-1), np.float32(1))[x[:, None], np.arange(t + 1)[:, None]].reshape(len(x), -1)
+    base = sum(comb(t, w) * int(ones) for w, ones in enumerate(core.sum(axis=0)))
+
+    def misses(folds: np.ndarray) -> int:
+        return base + int((tables @ folds.reshape(-1, folds.shape[-1]).astype(np.float32)).min())
+
+    return Fraction(_min_over_sets(g.truth_table(), n, t, misses), 1 << n)
 
 
 def _invariant_transposition(table: np.ndarray, i: int, j: int) -> bool:
@@ -329,6 +336,7 @@ def mu_p(family: SetFamily, p) -> Fraction:
 
 def hypergeometric_pmf(n: int, m: int, k: int) -> list[Fraction]:
     """Exact law of the red count when drawing k of n balls, m of them red."""
+    n, m, k = as_index(n, "n"), as_index(m, "m"), as_index(k, "k")
     if not (0 <= m <= n and 0 <= k <= n):
         raise ValueError("need 0 <= m <= n and 0 <= k <= n")
     denom = comb(n, k)
@@ -338,7 +346,7 @@ def hypergeometric_pmf(n: int, m: int, k: int) -> list[Fraction]:
 def binomial_pmf(k: int, p) -> list[Fraction]:
     """Exact law of successes in k trials at success probability p."""
     pf = Fraction(p)
-    if k < 0 or not 0 <= pf <= 1:
+    if as_index(k, "k") < 0 or not 0 <= pf <= 1:
         raise ValueError("need k >= 0 and p in [0, 1]")
     return [comb(k, i) * pf**i * (1 - pf) ** (k - i) for i in range(k + 1)]
 
@@ -358,7 +366,7 @@ def tv_exact(p, q) -> Fraction:
 def tv_hypergeometric_binomial(n: int, m: int, k: int) -> Fraction:
     """Exact distance between the k-draw hypergeometric law and its binomial
     match at success probability m/n."""
-    if n <= 0:
+    if as_index(n, "n") <= 0:
         raise ValueError("need n >= 1")
     return tv_exact(hypergeometric_pmf(n, m, k), binomial_pmf(k, Fraction(m, n)))
 

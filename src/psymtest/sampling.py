@@ -66,6 +66,7 @@ class SamplerRejected(Exception):
 
 def sample_dstar(n: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
     """Reference core draw: uniform x over {0,1}^k, w ~ Binomial(n-k, 1/2)."""
+    n, k = as_index(n, "n"), as_index(k, "k")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     return random_mask(k, rng), int(rng.binomial(n - k, 0.5))
@@ -73,6 +74,9 @@ def sample_dstar(n: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
 
 def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
     """Exact reference mass of every (x, w) pair."""
+    n, k = as_index(n, "n"), as_index(k, "k")
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
     return {(x, w): Fraction(comb(n - k, w), 1 << n) for x in range(1 << k) for w in range(n - k + 1)}
 
 

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -212,6 +215,35 @@ def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):
     assert run_cli("measure", "--fn", path, "--set", "0") == 2
     err = capsys.readouterr().err
     assert err.startswith("psymtest: error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        json.dumps({"kind": "k_linear", "n": 20_000_000_000, "indices": [0]}),
+        "parity:n=20000000000,k=2",
+        "parity:n=20000000000,vars=0;5",
+        "profile:n=20000000000",
+    ],
+)
+def test_out_of_memory_exits_2(spec, tmp_path):
+    # under an address-space limit of about 1.4 GiB the n / 8-byte masks and the
+    # (n + 1)-entry profile of these specs cannot be allocated
+    if spec.startswith("{"):
+        path = tmp_path / "f.json"
+        path.write_text(spec)
+        spec = str(path)
+    src = os.path.dirname(os.path.dirname(pt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psymtest.cli", "measure", "--fn", spec, "--set", "0,1"],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1_500_000 << 10,) * 2),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("psymtest: error:") and "Traceback" not in proc.stderr
 
 
 # small integers keep every accepted function cheap to measure

@@ -7,6 +7,8 @@ import pytest
 
 import psymtest as pt
 from psymtest.influence import _KRON_CALL, _kron, _wht_signs, symmetric_distance, walsh_hadamard
+from psymtest.oracle import binomial_pmf, hypergeometric_pmf
+from psymtest.sampling import dstar_pmf
 
 from helpers import brute_dist, brute_influence, brute_syminf
 
@@ -53,11 +55,28 @@ _PARITY3 = pt.KLinear(3, [0, 1])
         pytest.param(lambda rng: pt.symmetric_influence_mc(_PARITY3, [0, 1], True, rng), "trials", id="bool-trials"),
         pytest.param(lambda rng: pt.random_partition(8, 2.5, rng), "r", id="float-parts"),
         pytest.param(lambda rng: pt.random_partition(8, True, rng), "r", id="bool-parts"),
+        pytest.param(lambda rng: pt.sample_dstar(4.5, 1, rng), "n", id="dstar-float-n"),
+        pytest.param(lambda rng: pt.sample_dstar(4, True, rng), "k", id="dstar-bool-k"),
+        pytest.param(lambda rng: pt.sample_dstar(4, 1.5, rng), "k", id="dstar-float-k"),
+        pytest.param(lambda rng: dstar_pmf(4, 1.5), "k", id="dstar-pmf-float-k"),
+        pytest.param(lambda rng: hypergeometric_pmf(10, 3, 2.0), "k", id="hypergeometric-float-k"),
+        pytest.param(lambda rng: binomial_pmf(True, 0.5), "k", id="binomial-bool-k"),
+        pytest.param(lambda rng: pt.tv_hypergeometric_binomial(10, True, 2), "m", id="tv-bool-m"),
+        pytest.param(lambda rng: pt.tv_hypergeometric_binomial(10.0, 3, 2), "n", id="tv-float-n"),
     ],
 )
 def test_set_members_and_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name}"):
         call(np.random.default_rng(0))
+
+
+def test_monte_carlo_estimators_run_past_2_to_the_21_variables():
+    # the block of 2^15 * 64 / n rows reaches 0 above n = 2^21; it keeps one row
+    n = (1 << 21) + 64
+    f = pt.KLinear(n, [0, 5])
+    rng = np.random.default_rng(21)
+    assert 0 <= pt.influence_mc(f, [0], 3, rng) <= 1
+    assert 0 <= pt.symmetric_influence_mc(f, [0, 1], 3, rng) <= 1
 
 
 def test_influence_exact_cap():

@@ -164,6 +164,33 @@ def test_dist_to_iso_class_symmetric_target_reduces_to_distance():
     assert pt.dist_to_iso_class(spec, g) == pt.dist_exact(spec, g)
 
 
+def test_iso_class_distance_certifies_criterion_7_pair_up_to_n16(monkeypatch):
+    # criterion 7's far pair, a core and its complement, is 5/8 apart at
+    # every n the oracle reaches, while a relabeled copy is at 0
+    for n in (8, 12, 16):
+        f = strong_core_spec(n)
+        neg = pt.PartiallySymmetricCore(n, 2, f.asym, 1 - f.core)
+        g = pt.apply_permutation(f, pt.Permutation.random(n, np.random.default_rng(n)))
+        assert pt.dist_to_iso_class(f, neg) == Fraction(5, 8)
+        assert pt.dist_to_iso_class(f, g) == 0
+    with monkeypatch.context() as m:
+        # every variable walked depth first, as the top ones are at n = 16 from k = 4 on
+        m.setattr(pt.oracle, "_stack_bytes", lambda *args: 1 << 60)
+        assert pt.dist_to_iso_class(f, neg) == Fraction(5, 8)
+        assert pt.dist_to_iso_class(f, g) == 0
+    # the k! (n - k + 1) 2^k float32 signed core tables must fit the 8 MB budget
+    rng = np.random.default_rng(716)
+    for n, k, fits in [(8, 7, True), (9, 7, True), (9, 8, False), (10, 7, False), (16, 7, False)]:
+        spec = pt.random_core_spec(n, k, rng)
+        g = pt.counting_oracle(pt.random_function(n, rng))
+        if fits:
+            assert 0 < pt.dist_to_iso_class(spec, g) < 1
+        else:
+            with pytest.raises(ValueError, match="pass the 8 MB budget"):
+                pt.dist_to_iso_class(spec, g)
+            assert g.count == 0
+
+
 def test_find_core_symmetric_and_dictator():
     rng = np.random.default_rng(4)
     prof = pt.SymmetricProfile(6, rng.integers(0, 2, size=7, dtype=np.uint8))
