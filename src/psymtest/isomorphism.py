@@ -6,7 +6,9 @@ accepts when some assignment of core coordinates to identified parts agrees
 with a large enough fraction of them.  Only the k! part assignments matter:
 sampled points are constant on parts, so positions inside a part are
 interchangeable.  The vote reads the samples as the x, w and z arrays that
-``draw_core_samples_batch`` returns.
+``draw_core_samples_batch`` returns.  The verdict reports stage one's
+queries plus one per sample, and g must have been read exactly that often
+plus stage one's speculative evaluations.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import numpy as np
 from ._bits import as_index
 from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
 from .sampling import draw_core_samples_batch, handle_from_verdict
-from .testers import (
-    TesterConfig,
-    TestVerdict,
-    partially_symmetric_test,
-    psym_query_bound,
-    _rounds,
-)
+from .testers import TesterConfig, TestVerdict, partially_symmetric_test
 
 MAX_ASSIGNMENT_K = 10
 
@@ -39,9 +35,13 @@ def consistency_fraction(
     """Fraction of the samples (x, w, z), given as the int64 arrays that
     ``draw_core_samples_batch`` returns, whose bit z matches the core read
     through the assignment (sample bit ``assignment[c]`` feeds core
-    coordinate c)."""
+    coordinate c).  A sample outside the core (x not in [0, 2^k), w not in
+    [0, n - k], z not a bit) raises ``ValueError``."""
     if len(xs) == 0 or not len(xs) == len(ws) == len(zs):
         raise ValueError("need x, w and z arrays of one nonzero length")
+    for name, v, top in (("x", xs, (1 << f_spec.k) - 1), ("w", ws, f_spec.n - f_spec.k), ("z", zs, 1)):
+        if v.min() < 0 or v.max() > top:
+            raise ValueError(f"sample {name} entries must lie in 0..{top}, got {v.min()} to {v.max()}")
     a = [as_index(v, "assignment entry") for v in assignment]
     if sorted(a) != list(range(f_spec.k)):
         raise ValueError("assignment must be a bijection on range(k)")
@@ -102,18 +102,11 @@ def iso_test(
     _, frac = best_assignment(xs, ws, zs, f_spec)
     accepted = frac >= 1 - Fraction(eps) / 2
 
-    # every evaluation of g but the psym stage's speculative ones
-    queries = gg.count - inner.speculative
-    budget = q + psym_query_bound(
-        _rounds(cfg, k, eps / 1000),
-        inner.partition.r,
-        g.n,
-        inner.partition.size(inner.workspace),
-    )
-    if queries > budget:
-        raise RuntimeError(f"query count {queries} exceeds budget {budget}")
+    if gg.count != inner.queries + inner.speculative + q:
+        msg = f"the psym stage's {inner.queries} queries + {inner.speculative} speculative + {q} samples"
+        raise RuntimeError(f"g was read {gg.count} times, not {msg}")
     failure = None if accepted else "core_mismatch"
-    return replace(inner, accepted=accepted, queries=queries, failure_reason=failure)
+    return replace(inner, accepted=accepted, queries=inner.queries + q, failure_reason=failure)
 
 
 __all__ = [

@@ -26,14 +26,15 @@ bookkeeping made in one pass and checked at every step, and each point read
 gets a uniform workspace fill and a Hamming-weight check.  The psym partners
 come from ``rearrange_bits_block``, which matches rows to uniform pool words
 of equal weight (exact, integer-only) once a block reaches a few hundred
-rows.
+rows.  ``find_asymmetric_set`` is one psym round, a one-row block of the
+same step.  ``_Probe.verdict`` alone checks the query budgets.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import ceil, log2
+from math import ceil, inf, log2
 from typing import Callable, Iterable
 
 import numpy as np
@@ -45,7 +46,6 @@ from ._bits import (
     indices_of,
     mask_from_indices,
     random_masks_u64,
-    rearrange_bits,
     rearrange_bits_block,
     to_words,
 )
@@ -70,8 +70,9 @@ class TesterConfig:
     c_iters: float = 24.0
 
     def __post_init__(self):
-        if self.c_parts < 1 or self.c_iters < 1:
-            raise ValueError("multipliers must be >= 1")
+        for name, value in (("c_parts", self.c_parts), ("c_iters", self.c_iters)):
+            if not 1 <= value < inf:  # a NaN fails every comparison
+                raise ValueError(f"multiplier {name} must be finite and >= 1, got {value}")
 
 
 @dataclass
@@ -409,6 +410,11 @@ def _locate_asymmetric_part(
     return owner
 
 
+def _workspace_fits(partition: Partition, workspace: int) -> bool:
+    """The rule 2 r |W| >= n under which ``_chain_schedule`` always fits."""
+    return 2 * partition.r * partition.size(workspace) >= partition.n
+
+
 def find_asymmetric_set(
     f: BooleanFunction,
     partition: Partition,
@@ -416,28 +422,29 @@ def find_asymmetric_set(
     workspace: int,
     rng: np.random.Generator,
 ) -> int | None:
-    """One probe for a part holding an asymmetric variable.
-
-    Draws x and a uniform permutation of the coordinates outside the
-    identified parts; on a value flip, binary-searches the weight-preserving
-    chain and returns the part whose step flipped f.  Succeeds with probability equal
-    to the symmetric influence of the unidentified coordinates.
-    """
-    j_parts = list(j_parts)
+    """One round of ``partially_symmetric_test``: a one-row block of its
+    probe step (x and a uniform permutation of the coordinates outside the
+    identified parts) and, on a value flip, the part its localization names.
+    Succeeds with probability equal to the symmetric influence of the
+    unidentified coordinates."""
+    parts = [as_index(p, "part index") for p in (workspace, *j_parts)]
+    if not all(0 <= p < partition.r for p in parts):
+        raise ValueError(f"part indices must lie in 0..{partition.r - 1}, got {parts}")
+    workspace, *j_parts = parts
+    if partition.n != f.n:
+        raise ValueError(f"a partition of {partition.n} variables for a function of {f.n}")
     if workspace in j_parts:
         raise ValueError("workspace cannot be an identified part")
-    n = f.n
-    if 2 * partition.r * partition.size(workspace) < n:
+    if not _workspace_fits(partition, workspace):
         raise ValueError("workspace too small (needs |W| >= n / (2r))")
-    jbar_mask = (1 << n) - 1
+    jbar_mask = (1 << f.n) - 1
     for p in j_parts:
         jbar_mask &= ~partition.parts[p]
-    x = from_words(random_masks_u64(n, 1, rng)[0])
-    y = rearrange_bits(x, jbar_mask, rng)
-    fx = f(x)
-    if f(y) == fx:
+    xs, ys, fx, fy = _pair_block(f, 1, lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng)
+    if fx[0] == fy[0]:
         return None
-    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, fx, rng)
+    x, y = from_words(xs[0]), from_words(ys[0])
+    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, int(fx[0]), rng)
 
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
@@ -478,8 +485,7 @@ def partially_symmetric_test(
     r = psym_partition_size(n, k, eps, cfg)
     partition = random_partition(n, r, rng)
     workspace = int(rng.integers(0, partition.r))
-    w_size = partition.size(workspace)
-    if 2 * partition.r * w_size < n:
+    if not _workspace_fits(partition, workspace):
         return TestVerdict(False, 0, [], partition, workspace, failure_reason="workspace")
 
     probe = _Probe(f, k, eps, cfg)
@@ -489,7 +495,7 @@ def partially_symmetric_test(
         lambda x, y, fx, found: _locate_asymmetric_part(probe.f, x, y, partition, found, workspace, fx, rng),
         rng,
     )
-    bound = psym_query_bound(probe.rounds, partition.r, n, w_size)
+    bound = psym_query_bound(probe.rounds, partition.r, n, partition.size(workspace))
     return probe.verdict(found, partition, bound, workspace)
 
 

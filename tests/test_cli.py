@@ -176,6 +176,22 @@ def test_out_of_range_arguments_exit_2(argv, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--parts-mult", "inf", "c_parts must be finite"),
+        ("--iters-mult", "inf", "c_iters must be finite"),
+        ("--iters-mult", "1e308", "infinity"),  # finite, but its round count is not
+        ("--parts-mult", "nan", "c_parts must be finite"),
+    ],
+)
+def test_non_finite_tester_multipliers_exit_2(flag, value, message, capsys):
+    argv = ["experiment", "--tester", "junta", "--fn", "parity:n=16,k=2", "--k", "1", "--trials", "1"]
+    assert run_cli(*argv, flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psymtest: error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "blob, message",
     [
         ([1, 2], "must be a JSON object, got list"),

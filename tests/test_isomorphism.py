@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest import isomorphism
+from psymtest import isomorphism, testers
 from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import TesterConfig, _rounds, psym_query_bound
 
@@ -148,24 +149,21 @@ def test_iso_test_query_budget():
 
 
 def test_iso_query_budget_check_raises(monkeypatch):
-    monkeypatch.setattr(isomorphism, "psym_query_bound", lambda *args: 0)
+    # the psym stage's budget is the one the tester enforces
+    monkeypatch.setattr(testers, "psym_query_bound", lambda *args: 0)
     f = strong_core_spec(12)
-    eps = 0.5
-    budget = iso_sample_budget(2, eps, TesterConfig())
-    with pytest.raises(RuntimeError, match=f"exceeds budget {budget}$"):
-        pt.iso_test(f, f, eps, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="exceeds budget 0$"):
+        pt.iso_test(f, f, 0.5, np.random.default_rng(0))
 
 
 def test_iso_budget_check_measures_the_sampling_stage(monkeypatch):
-    # with the psym allowance set to what the psym stage used, the budget is
-    # met exactly; one extra oracle read in the sampling stage overruns it
+    # g is read by the psym stage and once per sample; one extra oracle read
+    # in the sampling stage breaks that identity
     f = strong_core_spec(12)
     eps = 0.5
     q = iso_sample_budget(2, eps, TesterConfig())
     v = pt.iso_test(f, f, eps, np.random.default_rng(0))
     assert v.accepted
-    monkeypatch.setattr(isomorphism, "psym_query_bound", lambda *args: v.queries - q)
-    assert pt.iso_test(f, f, eps, np.random.default_rng(0)).queries == v.queries
     draw = isomorphism.draw_core_samples_batch
 
     def one_extra_read(handle, count, rng):
@@ -173,7 +171,11 @@ def test_iso_budget_check_measures_the_sampling_stage(monkeypatch):
         return draw(handle, count, rng)
 
     monkeypatch.setattr(isomorphism, "draw_core_samples_batch", one_extra_read)
-    with pytest.raises(RuntimeError, match=f"query count {v.queries + 1} exceeds budget {v.queries}$"):
+    message = (
+        rf"g was read {v.queries + v.speculative + 1} times, not the psym stage's {v.queries - q}"
+        rf" queries \+ {v.speculative} speculative \+ {q} samples$"
+    )
+    with pytest.raises(RuntimeError, match=message):
         pt.iso_test(f, f, eps, np.random.default_rng(0))
 
 
@@ -205,3 +207,17 @@ def test_consistency_fraction_validates():
         pt.consistency_fraction(empty, empty, empty, f, (0, 1))
     with pytest.raises(ValueError):
         pt.consistency_fraction(one, one, one, f, (0, 0))
+
+
+def test_samples_outside_the_core_are_rejected():
+    # x in {0,1}^k, w in 0..n-k and z a bit; a -1 would read the core's last
+    # row or column
+    f = strong_core_spec(32)
+    good = {"x": np.array([0, 3]), "w": np.array([0, 30]), "z": np.array([0, 0])}
+    assert pt.consistency_fraction(good["x"], good["w"], good["z"], f, (0, 1)) == Fraction(1, 2)
+    for name, bad in [("x", -1), ("x", 4), ("w", -1), ("w", 31), ("z", 2), ("z", -1)]:
+        samples = {**good, name: np.array([0, bad])}
+        with pytest.raises(ValueError, match=f"sample {name} entries"):
+            pt.consistency_fraction(samples["x"], samples["w"], samples["z"], f, (0, 1))
+        with pytest.raises(ValueError, match=f"sample {name} entries"):
+            pt.best_assignment(samples["x"], samples["w"], samples["z"], f)

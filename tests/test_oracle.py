@@ -164,6 +164,16 @@ def test_dist_to_iso_class_symmetric_target_reduces_to_distance():
     assert pt.dist_to_iso_class(spec, g) == pt.dist_exact(spec, g)
 
 
+def test_stack_budget_widths_are_the_fold_types():
+    # the 8 MB budget counts each stack's entries at the width _fold writes
+    from psymtest.influence import _fold
+
+    a = pt.random_function(16, np.random.default_rng(17)).truth_table().reshape(1, -1)
+    for s in range(1, 17):
+        a = _fold(a, 16 - s)
+        assert pt.oracle._fold_bytes(s) == a.itemsize, s
+
+
 def test_iso_class_distance_certifies_criterion_7_pair_up_to_n16(monkeypatch):
     # criterion 7's far pair, a core and its complement, is 5/8 apart at
     # every n the oracle reaches, while a relabeled copy is at 0

@@ -106,42 +106,45 @@ def test_junta_verdict_queries_match_counting_oracle():
 
 
 def test_find_asymmetric_set_on_symmetric_function_returns_none():
-    rng = np.random.default_rng(4)
-    f = pt.SymmetricProfile(32, (np.arange(33) % 2).astype(np.uint8))
-    partition = pt.random_partition(32, 9, rng)
-    w = max(range(partition.r), key=partition.size)
-    for _ in range(100):
-        assert pt.find_asymmetric_set(f, partition, [], w, rng) is None
+    # n = 65 and 130 draw multi-word rows
+    for n, seed in ((32, 4), (65, 40), (130, 41)):
+        rng = np.random.default_rng(seed)
+        f = pt.SymmetricProfile(n, (np.arange(n + 1) % 2).astype(np.uint8))
+        partition = pt.random_partition(n, 9, rng)
+        w = max(range(partition.r), key=partition.size)
+        for _ in range(100):
+            assert pt.find_asymmetric_set(f, partition, [], w, rng) is None
 
 
 def test_find_asymmetric_set_pins_single_asymmetric_variable():
     # f(x) = x_11 and parity(|rest|): one asymmetric variable at 11
-    n = 32
-    core = np.array([[0] * n, [w & 1 for w in range(n)]], dtype=np.uint8)
-    f = pt.PartiallySymmetricCore(n, 1, (11,), core)
-    assert pt.find_core(pt.PartiallySymmetricCore(10, 1, (3,), core[:, :10])) == (
+    assert pt.find_core(pt.PartiallySymmetricCore(10, 1, (3,), [[0] * 10, [w & 1 for w in range(10)]])) == (
         0, 1, 2, 4, 5, 6, 7, 8, 9,
     )
-    rng = np.random.default_rng(5)
-    hits = 0
-    for _ in range(20_000):
-        partition = pt.random_partition(n, 9, rng)
-        candidates = [
-            i
-            for i in range(partition.r)
-            if not (partition.parts[i] >> 11) & 1 and 2 * partition.r * partition.size(i) >= n
-        ]
-        if not candidates:
-            continue
-        w = candidates[0]
-        part = pt.find_asymmetric_set(f, partition, [], w, rng)
-        if part is None:
-            continue
-        hits += 1
-        assert (partition.parts[part] >> 11) & 1
-        if hits == 500:
-            break
-    assert hits == 500
+    # n = 65 and 130 draw multi-word rows
+    for n, seed in ((32, 5), (65, 50), (130, 51)):
+        core = np.array([[0] * n, [w & 1 for w in range(n)]], dtype=np.uint8)
+        f = pt.PartiallySymmetricCore(n, 1, (11,), core)
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for _ in range(20_000):
+            partition = pt.random_partition(n, 9, rng)
+            candidates = [
+                i
+                for i in range(partition.r)
+                if not (partition.parts[i] >> 11) & 1 and 2 * partition.r * partition.size(i) >= n
+            ]
+            if not candidates:
+                continue
+            w = candidates[0]
+            part = pt.find_asymmetric_set(f, partition, [], w, rng)
+            if part is None:
+                continue
+            hits += 1
+            assert (partition.parts[part] >> 11) & 1
+            if hits == 500:
+                break
+        assert hits == 500, n
 
 
 def test_find_asymmetric_set_query_budget_per_invocation():
@@ -166,6 +169,16 @@ def test_find_asymmetric_set_rejects_bad_arguments():
     tiny = pt.Partition(16, [1, (1 << 16) - 2])
     with pytest.raises(ValueError):
         pt.find_asymmetric_set(f, tiny, [], 0, rng)
+    # part indices must be integers in 0..r-1: a -1 would drop the last part
+    w = max(range(partition.r), key=partition.size)
+    other = (w + 1) % partition.r
+    for workspace, j_parts in [(w, [-1]), (w, [partition.r]), (w, [float(other)]), (partition.r, []), (-1, [])]:
+        with pytest.raises(ValueError):
+            pt.find_asymmetric_set(f, partition, j_parts, workspace, rng)
+    # a partition of other variables than f's
+    for wide in (pt.random_partition(24, 4, rng), pt.random_partition(12, 4, rng)):
+        with pytest.raises(ValueError, match="variables for a function of 16"):
+            pt.find_asymmetric_set(f, wide, [], max(range(wide.r), key=wide.size), rng)
 
 
 def _hit_pairs(n: int, r: int, count: int, rng):
