@@ -167,6 +167,12 @@ def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) ->
     return ys
 
 
+def rearrange_bits(x: int, mask: int, rng: np.random.Generator) -> int:
+    """``rearrange_bits_block`` on the single point ``x``."""
+    width = max(1, -(-(x | mask).bit_length() // 64))
+    return from_words(rearrange_bits_block(to_words(x, width)[None, :], mask, rng)[0])
+
+
 def _rearrange_keysort(
     xs: np.ndarray, mk: np.ndarray, positions: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:

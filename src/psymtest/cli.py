@@ -457,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"psymtest: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -29,6 +29,27 @@ from .testers import TesterConfig, TestVerdict, partially_symmetric_test
 MAX_ASSIGNMENT_K = 10
 
 
+def _check_samples(xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore) -> None:
+    """Raises ``ValueError`` unless x, w and z are arrays of one nonzero
+    length whose samples lie in the core: x in [0, 2^k), w in [0, n - k] and
+    z a bit."""
+    if len(xs) == 0 or not len(xs) == len(ws) == len(zs):
+        raise ValueError("need x, w and z arrays of one nonzero length")
+    for name, v, top in (("x", xs, (1 << f_spec.k) - 1), ("w", ws, f_spec.n - f_spec.k), ("z", zs, 1)):
+        if v.min() < 0 or v.max() > top:
+            raise ValueError(f"sample {name} entries must lie in 0..{top}, got {v.min()} to {v.max()}")
+
+
+def _agreement(
+    xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore, assignment: Sequence[int]
+) -> Fraction:
+    """``consistency_fraction`` on checked samples and a checked bijection."""
+    xc = np.zeros(len(xs), dtype=np.int64)
+    for c, slot in enumerate(assignment):
+        xc |= ((xs >> slot) & 1) << c
+    return Fraction(int(np.count_nonzero(f_spec.core[xc, ws] == zs)), len(xs))
+
+
 def consistency_fraction(
     xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore, assignment: Sequence[int]
 ) -> Fraction:
@@ -37,28 +58,23 @@ def consistency_fraction(
     through the assignment (sample bit ``assignment[c]`` feeds core
     coordinate c).  A sample outside the core (x not in [0, 2^k), w not in
     [0, n - k], z not a bit) raises ``ValueError``."""
-    if len(xs) == 0 or not len(xs) == len(ws) == len(zs):
-        raise ValueError("need x, w and z arrays of one nonzero length")
-    for name, v, top in (("x", xs, (1 << f_spec.k) - 1), ("w", ws, f_spec.n - f_spec.k), ("z", zs, 1)):
-        if v.min() < 0 or v.max() > top:
-            raise ValueError(f"sample {name} entries must lie in 0..{top}, got {v.min()} to {v.max()}")
+    _check_samples(xs, ws, zs, f_spec)
     a = [as_index(v, "assignment entry") for v in assignment]
     if sorted(a) != list(range(f_spec.k)):
         raise ValueError("assignment must be a bijection on range(k)")
-    xc = np.zeros(len(xs), dtype=np.int64)
-    for c, slot in enumerate(a):
-        xc |= ((xs >> slot) & 1) << c
-    return Fraction(int(np.count_nonzero(f_spec.core[xc, ws] == zs)), len(xs))
+    return _agreement(xs, ws, zs, f_spec, a)
 
 
 def best_assignment(
     xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore
 ) -> tuple[tuple[int, ...], Fraction]:
     """Maximizing assignment of ``consistency_fraction`` over all k!
-    candidates, first in lexicographic order on ties."""
+    candidates, first in lexicographic order on ties.  The samples are
+    checked once, not once per candidate."""
     if f_spec.k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
-    scored = ((a, consistency_fraction(xs, ws, zs, f_spec, a)) for a in permutations(range(f_spec.k)))
+    _check_samples(xs, ws, zs, f_spec)
+    scored = ((a, _agreement(xs, ws, zs, f_spec, a)) for a in permutations(range(f_spec.k)))
     return max(scored, key=lambda pair: pair[1])
 
 

@@ -162,17 +162,11 @@ def _stack_bytes(n: int, t: int, s0: int, top: int) -> int:
     with its flips."""
 
     def nbytes(s: int, sets: int) -> int:
-        return _fold_bytes(s) * (s + 1) * sets << (n - s)
+        return np.dtype(_fold_type(np.empty((s, 0), np.uint8))).itemsize * (s + 1) * sets << (n - s)
 
     room = [_stack_room(t, s0, top, s) for s in range(s0 + 1, t)]
     stacks = sum(nbytes(s, c) for s, c in enumerate(room, s0 + 1))
     return sum(nbytes(s, 1) for s in range(1, s0 + 1)) + stacks + 2 * nbytes(t, room[-1] if room else 1)
-
-
-def _fold_bytes(s: int) -> int:
-    """Bytes per entry of a 0/1 table's fold of s variables, as ``_fold``
-    types it from the (s, ...) uint8 table or narrower-than-int64 fold below."""
-    return np.dtype(_fold_type(np.empty((s, 0), np.uint8))).itemsize
 
 
 def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:

@@ -26,8 +26,7 @@ bookkeeping made in one pass and checked at every step, and each point read
 gets a uniform workspace fill and a Hamming-weight check.  The psym partners
 come from ``rearrange_bits_block``, which matches rows to uniform pool words
 of equal weight (exact, integer-only) once a block reaches a few hundred
-rows.  ``find_asymmetric_set`` is one psym round, a one-row block of the
-same step.  ``_Probe.verdict`` alone checks the query budgets.
+rows.  ``_Probe.verdict`` alone checks the query budgets.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from ._bits import (
     indices_of,
     mask_from_indices,
     random_masks_u64,
+    rearrange_bits,
     rearrange_bits_block,
     to_words,
 )
@@ -153,8 +153,17 @@ class TestVerdict:
     speculative: int = 0
 
 
+def _scaled_count(count: float, field: str, cfg: TesterConfig) -> int:
+    """``ceil(count)`` for a count that the multiplier ``field`` of cfg
+    scales; a count past the float range raises ``ValueError`` naming it."""
+    if count == inf:
+        value = getattr(cfg, field)
+        raise ValueError(f"multiplier {field} = {value} gives a count past the float range at this k and eps")
+    return ceil(count)
+
+
 def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
-    return ceil(cfg.c_iters * max(k, 1) / eps)
+    return _scaled_count(cfg.c_iters * max(k, 1) / eps, "c_iters", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +298,7 @@ def junta_test(
     cfg = cfg or TesterConfig()
     k = _check_k(k, eps)
     n = f.n
-    r = max(1, ceil(cfg.c_parts * k * k))
+    r = max(1, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg))
     partition = random_partition(n, r, rng)
     probe = _Probe(f, k, eps, cfg)
 
@@ -422,11 +431,14 @@ def find_asymmetric_set(
     workspace: int,
     rng: np.random.Generator,
 ) -> int | None:
-    """One round of ``partially_symmetric_test``: a one-row block of its
-    probe step (x and a uniform permutation of the coordinates outside the
-    identified parts) and, on a value flip, the part its localization names.
-    Succeeds with probability equal to the symmetric influence of the
-    unidentified coordinates."""
+    """One probe for a part holding an asymmetric variable.
+
+    Draws x and a uniform permutation of the coordinates outside the
+    identified parts; on a value flip, binary-searches the weight-preserving
+    chain and returns the part whose step flipped f.  Succeeds with probability equal
+    to the symmetric influence of the unidentified coordinates.  Part
+    indices outside 0..r-1 raise ``ValueError``.
+    """
     parts = [as_index(p, "part index") for p in (workspace, *j_parts)]
     if not all(0 <= p < partition.r for p in parts):
         raise ValueError(f"part indices must lie in 0..{partition.r - 1}, got {parts}")
@@ -435,21 +447,23 @@ def find_asymmetric_set(
         raise ValueError(f"a partition of {partition.n} variables for a function of {f.n}")
     if workspace in j_parts:
         raise ValueError("workspace cannot be an identified part")
+    n = f.n
     if not _workspace_fits(partition, workspace):
         raise ValueError("workspace too small (needs |W| >= n / (2r))")
-    jbar_mask = (1 << f.n) - 1
+    jbar_mask = (1 << n) - 1
     for p in j_parts:
         jbar_mask &= ~partition.parts[p]
-    xs, ys, fx, fy = _pair_block(f, 1, lambda xs: rearrange_bits_block(xs, jbar_mask, rng), rng)
-    if fx[0] == fy[0]:
+    x = from_words(random_masks_u64(n, 1, rng)[0])
+    y = rearrange_bits(x, jbar_mask, rng)
+    fx = f(x)
+    if f(y) == fx:
         return None
-    x, y = from_words(xs[0]), from_words(ys[0])
-    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, int(fx[0]), rng)
+    return _locate_asymmetric_part(f, x, y, partition, j_parts, workspace, fx, rng)
 
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
     """Part count for the partial-symmetry tester: next odd >= c_parts k^2 / eps^2."""
-    r = max(3, ceil(cfg.c_parts * k * k / (eps * eps)))
+    r = max(3, _scaled_count(cfg.c_parts * k * k / (eps * eps), "c_parts", cfg))
     return r if r % 2 == 1 else r + 1
 
 

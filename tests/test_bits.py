@@ -14,6 +14,7 @@ from psymtest._bits import (
     mask_from_indices,
     random_masks_u64,
     randrange_bigint,
+    rearrange_bits,
     rearrange_bits_block,
     to_words,
 )
@@ -118,9 +119,10 @@ def test_block_rows_are_independent():
 def test_one_point_rearrangement_is_a_one_row_block(mask):
     n = _n(mask)
     for seed in range(20):
-        xs = random_masks_u64(n, 1, np.random.default_rng(seed))
-        x = from_words(xs[0])
-        y = from_words(rearrange_bits_block(xs, mask, np.random.default_rng(seed + 100))[0])
+        x = from_words(random_masks_u64(n, 1, np.random.default_rng(seed))[0])
+        y = rearrange_bits(x, mask, np.random.default_rng(seed + 100))
+        row = rearrange_bits_block(to_words(x, n // 64)[None, :], mask, np.random.default_rng(seed + 100))
+        assert y == from_words(row[0])
         assert y & ~mask == x & ~mask and y.bit_count() == x.bit_count()
 
 
@@ -134,6 +136,8 @@ def test_empty_mask_leaves_the_block_as_it_is(rows):
     ys = rearrange_bits_block(xs, 0, rng)
     assert ys.shape == xs.shape and (ys == xs).all()
     assert rng.bit_generator.state == before
+    x = from_words(xs[0])
+    assert rearrange_bits(x, 0, np.random.default_rng(2)) == x
 
 
 def test_pool_path_spreads_bits_over_all_64_slots():

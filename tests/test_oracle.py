@@ -165,13 +165,20 @@ def test_dist_to_iso_class_symmetric_target_reduces_to_distance():
 
 
 def test_stack_budget_widths_are_the_fold_types():
-    # the 8 MB budget counts each stack's entries at the width _fold writes
+    # the 8 MB budget counts each stack's entries at the width _fold writes.
+    # With t = s0 + 1 there are no stacks, and _stack_bytes(n, s, s - 1, .)
+    # is one fold of each size below s plus two of size s.  n = 20 reaches
+    # all three widths: uint8, uint16 and int32
     from psymtest.influence import _fold
 
-    a = pt.random_function(16, np.random.default_rng(17)).truth_table().reshape(1, -1)
-    for s in range(1, 17):
-        a = _fold(a, 16 - s)
-        assert pt.oracle._fold_bytes(s) == a.itemsize, s
+    n = 20
+    a = pt.random_function(n, np.random.default_rng(17)).truth_table().reshape(1, -1)
+    below = 0
+    for s in range(1, n + 1):
+        a = _fold(a, n - s)
+        one = (pt.oracle._stack_bytes(n, s, s - 1, 0) - below) // 2
+        assert one == a.itemsize * (s + 1) << (n - s), s
+        below += one
 
 
 def test_iso_class_distance_certifies_criterion_7_pair_up_to_n16(monkeypatch):

@@ -119,11 +119,7 @@ def test_readme_kron_pass_matches_the_constants():
 
 def test_benchmark_tracer_patches_every_listed_name():
     # the benchmark reads its per-layer spans by these names; a span whose
-    # every listed function the package dropped or renamed goes unmeasured.
-    # The one-point rearrange_bits is gone on purpose (find_asymmetric_set
-    # draws a one-row block); its span read 0 on every workload, and its
-    # patches leave the tracer with the next change to the benchmark
-    retired = {"bits.rearrange_bits"}
+    # every listed function the package dropped or renamed goes unmeasured
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -131,7 +127,7 @@ def test_benchmark_tracer_patches_every_listed_name():
     tracer = tracing.Tracer()
     tracer.install(psymtest)
     try:
-        missing = {name for _, _, name, _ in tracing._PATCHES} - tracer.patched - retired
+        missing = {name for _, _, name, _ in tracing._PATCHES} - tracer.patched
     finally:
         tracer.uninstall()
     assert not missing, f"spans the tracer could not patch: {sorted(missing)}"
