@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, log2
+from math import log2
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from ._bits import as_index
 from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
 from .sampling import draw_core_samples_batch, handle_from_verdict
-from .testers import TesterConfig, TestVerdict, partially_symmetric_test
+from .testers import TesterConfig, TestVerdict, _over_eps_squared, partially_symmetric_test
 
 MAX_ASSIGNMENT_K = 10
 
@@ -81,7 +81,7 @@ def best_assignment(
 def iso_sample_budget(k: int, eps: float, cfg: TesterConfig) -> int:
     """Number of core samples: c_iters * k * log2(k + 2) / eps^2, with k
     floored at 1 so tiny cores still get a positive budget."""
-    return ceil(cfg.c_iters * max(k, 1) * log2(k + 2) / (eps * eps))
+    return _over_eps_squared(cfg.c_iters * max(k, 1) * log2(k + 2), "c_iters", cfg, eps)
 
 
 def iso_test(
@@ -107,13 +107,13 @@ def iso_test(
     if k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
     cfg = cfg or TesterConfig()
+    q = iso_sample_budget(k, eps, cfg)
     gg = CountingFunction(g)
     inner = partially_symmetric_test(gg, k, eps / 1000, rng, cfg=cfg)
     if not inner.accepted:
         reason = "workspace" if inner.failure_reason == "workspace" else "not_partially_symmetric"
         return replace(inner, failure_reason=reason)
     handle = handle_from_verdict(gg, inner, k)
-    q = iso_sample_budget(k, eps, cfg)
     xs, ws, zs = draw_core_samples_batch(handle, q, rng)
     _, frac = best_assignment(xs, ws, zs, f_spec)
     accepted = frac >= 1 - Fraction(eps) / 2

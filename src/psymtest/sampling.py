@@ -10,11 +10,13 @@ A handle holds the function, the partition, the workspace W and the parts
 acting as asymmetric slots; its n is the partition's and its k the number
 of slots.  It keeps one exact subset-sum table over the slot parts, then
 the other nonempty non-workspace parts, whose base row C(|W|, s) counts the
-workspace fills of each weight s.  A draw walks one uniform rank through
-the parts to a set of them and an s, puts s ones on the lowest workspace
-variables, and one ``rearrange_bits_block`` call over the batch spreads
-them uniformly over W; the sampler's exact (x, w) law is read from the
-counts of the parts after the slots.  When every non-workspace part is a
+workspace fills of each weight s: one (parts + 1, n + 1) array, int64 while
+every count fits and Python ints above.  A batch draws all its binomial
+weights in one call and a uniform rank per weight, walks every rank through
+the parts at once to a set of them and an s, puts s ones on the lowest
+workspace variables, and one ``rearrange_bits_block`` call spreads them
+uniformly over W; the sampler's exact (x, w) law is read from the counts of
+the parts after the slots.  When every non-workspace part is a
 singleton the law is uniform on the cube, a batch is one block of uniform
 words and the table is never built.  Either way x and w are read off the
 word block and the batch is one ``eval_many`` call, returned as the x, w
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from ._bits import (
     random_masks_u64,
     randrange_bigint,
     rearrange_bits_block,
+    to_words,
 )
 from .boolfn import BooleanFunction
 from .testers import Partition, TesterConfig, TestVerdict, partially_symmetric_test
@@ -80,26 +83,32 @@ def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
     return {(x, w): Fraction(comb(n - k, w), 1 << n) for x in range(1 << k) for w in range(n - k + 1)}
 
 
-def _suffix_ways(sizes: Sequence[int], width: int) -> list[list[int]]:
-    """suffix[i][s] counts the pairs (a set of parts i.., a subset of a
-    width-variable workspace) with total size s; the last row is C(width, s)."""
-    row = [comb(width, s) for s in range(width + 1)] + [0] * sum(sizes)
-    suffix = [row]
-    for size in reversed(sizes):
-        row = [a + b for a, b in zip(row, [0] * size + row)]
-        suffix.append(row)
-    return suffix[::-1]
+def _suffix_ways(sizes: Sequence[int], width: int) -> np.ndarray:
+    """suffix[i, s] counts the pairs (a set of parts i.., a subset of a
+    width-variable workspace) with total size s; the last row is C(width, s).
+
+    There are 2^(len(sizes) + width) pairs in all, so the counts are int64
+    while len(sizes) + width <= 62 and Python ints in an object array above.
+    """
+    dtype = np.int64 if len(sizes) + width <= 62 else object
+    suffix = np.zeros((len(sizes) + 1, width + 1 + sum(sizes)), dtype=dtype)
+    suffix[-1, : width + 1] = [comb(width, s) for s in range(width + 1)]
+    for i in reversed(range(len(sizes))):
+        suffix[i] = suffix[i + 1]
+        suffix[i, sizes[i] :] += suffix[i + 1, : -sizes[i]]
+    return suffix
 
 
 class _SubsetSumTable:
     """Exact counts, by weight, of the points whose non-workspace parts are
     each constant, for one (partition, workspace, slots), and the walk that
-    turns a rank among them back into a set of parts.
+    turns ranks among them back into sets of parts.
 
     The parts are the slot parts in order, then the other nonempty
     non-workspace parts; a valid point is a set of parts plus s of the |W|
-    workspace variables.  ``suffix`` counts those by part and weight; it is
-    built on first use, which a singleton handle never makes.
+    workspace variables.  ``suffix`` counts those by part and weight in one
+    (parts + 1, n + 1) array; it is built on first use, which a singleton
+    handle never makes.
     """
 
     def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
@@ -114,59 +123,83 @@ class _SubsetSumTable:
         self.n = partition.n
 
     @cached_property
-    def suffix(self) -> list[list[int]]:
+    def suffix(self) -> np.ndarray:
         return _suffix_ways(self.sizes, self.workspace.bit_count())
 
     @cached_property
-    def fills(self) -> list[int]:
-        """fills[s] sets the lowest s workspace variables."""
-        fills = [0]
-        for pos in indices_of(self.workspace):
-            fills.append(fills[-1] | 1 << pos)
-        return fills
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The parts as a (parts, words) block, and the workspace fills:
+        ``low[start[j] + t]`` sets the lowest t workspace variables of word
+        j, for t up to ``stop[j] - start[j]``, so word j of the row that sets
+        the lowest s workspace variables is ``low[clip(s + j, start[j],
+        stop[j])]``."""
+        width = (self.n + 63) // 64
+        parts = np.frombuffer(b"".join(p.to_bytes(8 * width, "little") for p in self.parts), dtype="<u8")
+        low, start = [], []
+        for word in to_words(self.workspace, width).tolist():
+            start.append(len(low))
+            low.append(0)
+            for pos in indices_of(word):
+                low.append(low[-1] | 1 << pos)
+        stop = np.array([*start[1:], len(low)]) - 1
+        return parts.reshape(-1, width), np.array(low, dtype=np.uint64), np.array(start), stop
 
     def count(self, w: int) -> int:
         """Number of valid weight-w points."""
-        return self.suffix[0][w]
+        return int(self.suffix[0, w])
 
-    def unrank(self, w: int, u: int) -> tuple[int, int]:
+    def _walk(self, w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The parts taken by the u-th valid weight-w point, u in
-        [0, count(w)), as one mask, and the point's workspace weight s; each
-        (parts, s) is reached by C(|W|, s) consecutive ranks.
+        [0, count(w)), for every row of the weight and rank arrays at once,
+        as a (parts, rows) bool array, and each point's workspace weight s;
+        each (parts, s) is reached by C(|W|, s) consecutive ranks.
 
-        At part i with weight w left, the ranks below suffix[i + 1][w]
-        leave the part out and the rest take it; the walk must end with
+        At part i with weight w left, the ranks below suffix[i + 1, w]
+        leave the part out and the rest take it; every walk must end with
         s >= 0 and u < C(|W|, s), which is 0 past s = |W|.
         """
         suffix = self.suffix
-        y = 0
-        for i, part in enumerate(self.parts):
-            skip = suffix[i + 1][w]
-            if u >= skip:
-                u -= skip
-                w -= self.sizes[i]
-                y |= part
-        if w < 0 or u >= suffix[-1][w]:
+        w, u = w.copy(), u.copy()
+        takes = np.empty((len(self.sizes), len(w)), dtype=bool)
+        for size, row, take in zip(self.sizes, suffix[1:], takes):
+            skip = row[w]
+            np.greater_equal(u, skip, out=take)
+            np.subtract(u, skip, out=u, where=take)
+            np.subtract(w, size, out=w, where=take)
+        if ((w < 0) | (u >= suffix[-1, w])).any():
             raise RuntimeError("rank walk ended off its rank")
-        return y, w
+        return takes, w
 
-    def block(self, weights: Iterable[int], rng: np.random.Generator) -> np.ndarray:
+    def unrank(self, w: int, u: int) -> tuple[int, int]:
+        """The one-row walk: the parts taken by the u-th valid weight-w
+        point, as one mask, and the point's workspace weight s."""
+        takes, s = self._walk(np.array([w]), np.array([u], dtype=self.suffix.dtype))
+        return sum(part for part, take in zip(self.parts, takes[:, 0]) if take), int(s[0])
+
+    def block(self, weights: np.ndarray | Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """One uniform valid weight-w point per weight w, all zeros when
         there is none, as a word block.
 
-        A row takes the parts and s of one uniform rank, and ``fills[s]``;
-        one ``rearrange_bits_block`` call then spreads every row's ones
-        uniformly over the workspace.  Each weight is read just before its
-        row's rank, so weights drawn lazily from ``rng`` interleave with them.
+        The ranks come from one ``rng.integers`` call on int64 counts, or one
+        ``randrange_bigint`` per row on Python-int counts; a weight with no
+        valid point walks rank 0 at weight 0, the all-zeros row.  Every row
+        walks the parts at once, takes its parts and the lowest s workspace
+        variables, and one ``rearrange_bits_block`` call then spreads every
+        row's workspace ones uniformly over the workspace.
         """
-        nbytes = 8 * ((self.n + 63) // 64)
-        rows = bytearray()
-        for w in weights:
-            total = self.count(w)
-            y, s = self.unrank(w, randrange_bigint(total, rng)) if total else (0, 0)
-            rows += (y | self.fills[s]).to_bytes(nbytes, "little")
-        block = np.frombuffer(rows, dtype="<u8").reshape(-1, nbytes // 8)
-        return rearrange_bits_block(block, self.workspace, rng)
+        w = np.asarray(weights, dtype=np.int64)
+        w = np.where(self.suffix[0, w] > 0, w, 0)
+        totals = self.suffix[0, w]
+        if totals.dtype == object:
+            u = np.array([randrange_bigint(t, rng) for t in totals.tolist()], dtype=object)
+        else:
+            u = rng.integers(0, totals)
+        takes, s = self._walk(w, u)
+        parts, low, start, stop = self.words
+        # the parts are disjoint, so the sum of the taken parts is their union
+        rows = takes.T.astype(np.uint64) @ parts
+        rows |= low[np.clip(s[:, None] + np.arange(len(start)), start, stop)]
+        return rearrange_bits_block(rows, self.workspace, rng)
 
 
 @dataclass(frozen=True)
@@ -217,6 +250,9 @@ def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> Sam
     parts are skipped because a slot must contribute its constant to the
     sample's weight accounting.
     """
+    k = as_index(k, "k")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if not verdict.accepted:
         raise ValueError("cannot build a sampler from a rejecting verdict")
     if verdict.workspace is None:
@@ -269,8 +305,9 @@ def _draw(
     """``count`` constrained points y, as ``eval_many`` takes them, with
     their slot bits x and weights |y| - |x|, all read off one word block.
 
-    A singleton handle draws a block of uniform points, any other a
-    binomial weight per row that its table turns into a row.  A slot part
+    A singleton handle draws a block of uniform points, any other one
+    binomial weight per row, all in one call, that its table turns into
+    rows.  A slot part
     is constant on every row, so its bit is read at its first variable.
     """
     count = as_index(count, "count")
@@ -280,7 +317,7 @@ def _draw(
     if table.uniform:
         block = random_masks_u64(handle.n, count, rng)
     else:
-        block = table.block((int(rng.binomial(handle.n, 0.5)) for _ in range(count)), rng)
+        block = table.block(rng.binomial(handle.n, 0.5, size=count), rng)
     xs = np.zeros(count, dtype=np.int64)
     for c, part in enumerate(handle.j_parts):
         m = handle.partition.parts[part]
@@ -331,12 +368,12 @@ def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction
     """Exact (x, w) law of the handle's sampler, counted from its table at
     every partition: a weight-w draw lands on (x, w - |x|) with probability
     p_w * rest[w - size(x)] / count(w), where size(x) is the total size of
-    the slots x sets and ``rest`` = ``suffix[k]`` counts the sets of the
+    the slots x sets and ``rest``, row k of ``suffix``, counts the sets of the
     parts after the slots, with their workspace fills, by total size.  When
     count(w) = 0 the all-zeros fallback takes p_w whole.
     """
     table, n = handle._table, handle.n
-    rest = table.suffix[handle.k]
+    rest = table.suffix[handle.k].tolist()
     slot_size = [0]
     for part in handle.j_parts:
         slot_size += [size + handle.partition.size(part) for size in slot_size]

@@ -162,6 +162,18 @@ def _scaled_count(count: float, field: str, cfg: TesterConfig) -> int:
     return ceil(count)
 
 
+def _over_eps_squared(count: float, field: str, cfg: TesterConfig, eps: float) -> int:
+    """``ceil(count / eps^2)`` for a count that the multiplier ``field`` of
+    cfg scales; ``ValueError`` naming eps and the multiplier when eps^2
+    underflows to 0 (eps below about 1e-162) or the quotient passes the
+    float range."""
+    square = eps * eps
+    if square == 0 or count / square == inf:
+        value = getattr(cfg, field)
+        raise ValueError(f"eps = {eps} with multiplier {field} = {value} gives a count past the float range")
+    return ceil(count / square)
+
+
 def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
     return _scaled_count(cfg.c_iters * max(k, 1) / eps, "c_iters", cfg)
 
@@ -463,7 +475,7 @@ def find_asymmetric_set(
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
     """Part count for the partial-symmetry tester: next odd >= c_parts k^2 / eps^2."""
-    r = max(3, _scaled_count(cfg.c_parts * k * k / (eps * eps), "c_parts", cfg))
+    r = max(3, _over_eps_squared(cfg.c_parts * k * k, "c_parts", cfg, eps))
     return r if r % 2 == 1 else r + 1
 
 

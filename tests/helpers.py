@@ -78,3 +78,19 @@ def random_junta(n: int, k: int, relevant, table_bits):
     rows = np.asarray(table_bits, dtype=np.uint8).reshape(1 << k, 1)
     core = np.repeat(rows, n - k + 1, axis=1)
     return pt.PartiallySymmetricCore(n, k, tuple(relevant), core)
+
+
+def reference_unrank(table, w: int, u: int):
+    """The sampler table's rank walk one part at a time, in Python ints: the
+    parts taken by the u-th valid weight-w point, as one mask, and the
+    point's workspace weight s."""
+    y = 0
+    for i, part in enumerate(table.parts):
+        skip = int(table.suffix[i + 1, w])
+        if u >= skip:
+            u -= skip
+            w -= table.sizes[i]
+            y |= part
+    if w < 0 or u >= int(table.suffix[-1, w]):
+        raise RuntimeError("rank walk ended off its rank")
+    return y, w

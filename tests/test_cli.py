@@ -191,6 +191,13 @@ def test_non_finite_tester_multipliers_exit_2(flag, value, message, capsys):
     assert err.startswith("psymtest: error:") and message in err and "Traceback" not in err
 
 
+def test_eps_whose_square_underflows_exits_2(capsys):
+    argv = ["experiment", "--tester", "psym", "--fn", "parity:n=16,k=2", "--k", "2", "--trials", "1"]
+    assert run_cli(*argv, "--eps", "1e-200") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psymtest: error:") and "eps = 1e-200" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [

@@ -3,13 +3,13 @@ from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb
+from math import comb, log, sqrt
 
 import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest._bits import random_masks_u64
+from psymtest._bits import random_masks_u64, randrange_bigint
 from psymtest.sampling import (
     _SubsetSumTable,
     core_marginal_exact,
@@ -19,7 +19,7 @@ from psymtest.sampling import (
     handle_from_verdict,
 )
 
-from helpers import strong_core_spec
+from helpers import reference_unrank, strong_core_spec
 
 
 def test_sample_dstar_edge_cases():
@@ -72,7 +72,7 @@ def test_sample_diw_parts_constant_every_draw():
         partition = pt.random_partition(n, r, rng)
         w_part = int(rng.integers(0, partition.r))
         table = _SubsetSumTable(partition, w_part, ())
-        block = table.block((int(rng.binomial(n, 0.5)) for _ in range(50)), rng)
+        block = table.block(rng.binomial(n, 0.5, size=50), rng)
         for y in block[:, 0].tolist():
             for p in range(partition.r):
                 if p == w_part:
@@ -319,6 +319,15 @@ def test_handle_padding_uses_low_nonempty_parts():
     assert list(handle.j_parts) == expected
 
 
+@pytest.mark.parametrize("k, message", [(1.5, "k must be an integer"), (True, "k must be an integer"), (-1, "k must be >= 0")])
+def test_handle_from_verdict_checks_k(k, message):
+    f = pt.SymmetricProfile(32, np.zeros(33, dtype=np.uint8))
+    v = pt.partially_symmetric_test(f, 2, 0.2, np.random.default_rng(8))
+    assert v.accepted
+    with pytest.raises(ValueError, match=message):
+        handle_from_verdict(f, v, k)
+
+
 def test_draw_core_sample_symmetric_profile_reads_profile():
     profile = (np.arange(33) % 2).astype(np.uint8)
     f = pt.SymmetricProfile(32, profile)
@@ -541,6 +550,103 @@ def test_rank_walk_checks_where_it_ends():
     assert table.unrank(3, table.count(3) - 1) == (0b11, 1)
     with pytest.raises(RuntimeError, match="ended off its rank"):
         table.unrank(3, table.count(3))
+
+
+def _random_table(n, r, seed):
+    """The table of a random r-part partition with its largest part as the
+    workspace and one slot."""
+    partition = pt.random_partition(n, r, np.random.default_rng(seed))
+    w_part = max(range(partition.r), key=partition.size)
+    slot = next(p for p in range(partition.r) if p != w_part and partition.parts[p])
+    return _SubsetSumTable(partition, w_part, (slot,))
+
+
+def _random_ranks(table, count, rng):
+    """``count`` (w, u) pairs with u uniform in [0, count(w)): half at
+    binomial weights, half at uniform weights that have a valid point."""
+    n = table.n
+    feasible = [w for w in range(n + 1) if table.count(w)]
+    ws = [int(w) for w in rng.binomial(n, 0.5, size=count // 2)]
+    ws += [feasible[i] for i in rng.integers(0, len(feasible), size=count - count // 2)]
+    return ws, [randrange_bigint(table.count(w), rng) for w in ws]
+
+
+@pytest.mark.parametrize(
+    "n, r, dtype", [(64, 9, np.int64), (256, 9, np.int64), (4096, 9, object), (256, 200, object)]
+)
+def test_array_walk_matches_the_scalar_walk(n, r, dtype):
+    table = _random_table(n, r, 44)
+    assert table.suffix.dtype == dtype
+    ws, us = _random_ranks(table, 300, np.random.default_rng(45))
+    takes, s = table._walk(np.array(ws), np.array(us, dtype=dtype))
+    for row, (w, u) in enumerate(zip(ws, us)):
+        expected = reference_unrank(table, w, u)
+        y = sum(part for part, take in zip(table.parts, takes[:, row]) if take)
+        assert (y, int(s[row])) == expected
+        assert table.unrank(w, u) == expected
+
+
+def test_counts_are_int64_exactly_while_parts_and_workspace_fit_62_bits():
+    # two 2-variable parts beside a workspace of 60 and of 61 variables
+    for n, dtype in [(64, np.int64), (65, object)]:
+        table = _SubsetSumTable(pt.Partition(n, [0b11, 0b1100, ((1 << n) - 1) ^ 0b1111]), 2, (0,))
+        assert len(table.sizes) + table.workspace.bit_count() == n - 2
+        assert table.suffix.dtype == dtype
+    rng = np.random.default_rng(46)
+    for _ in range(40):
+        n = int(rng.integers(40, 90))
+        table = _random_table(n, int(rng.integers(2, 40)), rng)
+        bits = len(table.sizes) + table.workspace.bit_count()
+        assert table.suffix.dtype == (np.int64 if bits <= 62 else object)
+        # row i counts every pair of a set of parts i.. and a workspace subset once
+        for i, row in enumerate(table.suffix):
+            assert sum(row.tolist()) == 1 << (bits - i)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_counts_cast_to_object_walk_to_the_same_rows(n):
+    table = _random_table(n, 9, 47)
+    wide = _random_table(n, 9, 47)
+    wide.__dict__["suffix"] = table.suffix.astype(object)
+    assert table.suffix.dtype == np.int64
+    ws, us = _random_ranks(table, 500, np.random.default_rng(48))
+    walks = [t._walk(np.array(ws), np.array(us, dtype=t.suffix.dtype)) for t in (table, wide)]
+    assert all((a == b).all() for a, b in zip(*walks))
+    # ranks below 2^63 read the same stream drawn per row as drawn at once
+    weights = np.random.default_rng(49).binomial(n, 0.5, size=2000)
+    rows = [t.block(weights, np.random.default_rng(50)) for t in (table, wide)]
+    assert (rows[0] == rows[1]).all()
+    for t in (table, wide):
+        with pytest.raises(RuntimeError, match="ended off its rank"):
+            t._walk(np.array([ws[0]]), np.array([t.count(ws[0])], dtype=t.suffix.dtype))
+
+
+def _tv_and_bound(xs, ws, exact, alpha: float):
+    """Total-variation distance of the (x, w) histogram of D draws from the
+    ``exact`` law, and the level it passes with probability at most alpha
+    when the draws follow that law: E[TV] <= sum_i sqrt(p_i (1 - p_i) / D) / 2,
+    and one draw moves TV by at most 1/D (McDiarmid)."""
+    d = len(xs)
+    keys, counts = np.unique(np.stack([xs, ws], axis=1), axis=0, return_counts=True)
+    hist = {(int(x), int(w)): int(c) for (x, w), c in zip(keys, counts)}
+    probs = {key: float(p) for key, p in exact.items()}
+    tv = 0.5 * sum(abs(hist.get(key, 0) / d - probs.get(key, 0.0)) for key in set(hist) | set(probs))
+    bound = 0.5 * sum(sqrt(p * (1 - p) / d) for p in probs.values()) + sqrt(log(1 / alpha) / (2 * d))
+    return tv, bound
+
+
+@pytest.mark.parametrize("n, draws", [(64, 20_000), (256, 20_000), (4096, 4_000)])
+def test_general_batch_law_matches_core_marginal_exact(n, draws):
+    # the rule the benchmark's sampler check uses: TV within the McDiarmid
+    # bound that a correct sampler exceeds with probability 1e-6
+    partition = pt.random_partition(n, 9, np.random.default_rng(51))
+    w_part = max(range(partition.r), key=partition.size)
+    slots = tuple(p for p in range(partition.r) if p != w_part and partition.parts[p])[:2]
+    handle = pt.SamplerHandle(pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8)), partition, w_part, slots)
+    assert handle._table.suffix.dtype == (object if n == 4096 else np.int64)
+    xs, ws, _ = draw_core_samples_batch(handle, draws, np.random.default_rng(52))
+    tv, bound = _tv_and_bound(xs, ws, core_marginal_exact(handle), 1e-6)
+    assert tv <= bound, (tv, bound)
 
 
 class _BatchRecorder(pt.BooleanFunction):

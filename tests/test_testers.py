@@ -6,6 +6,7 @@ import pytest
 
 import psymtest as pt
 from psymtest import testers
+from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import psym_partition_size, psym_query_bound
 
 from helpers import random_junta, strong_core_spec
@@ -535,6 +536,21 @@ def test_psym_partition_size_is_odd():
     for k in range(7):
         for eps in (0.05, 0.1, 0.3, 0.9):
             assert psym_partition_size(256, k, eps, cfg) % 2 == 1
+
+
+@pytest.mark.parametrize("call", ["psym_partition_size", "iso_sample_budget", "build_sampler", "iso_test"])
+def test_eps_whose_square_underflows_is_rejected_by_name(call):
+    # eps^2 is 0 below about 1e-162, and subnormal just above
+    cfg, rng = pt.TesterConfig(), np.random.default_rng(0)
+    f = pt.KLinear(16, [0, 1])
+    calls = {
+        "psym_partition_size": lambda: psym_partition_size(16, 2, 1e-200, cfg),
+        "iso_sample_budget": lambda: iso_sample_budget(2, 1e-200, cfg),
+        "build_sampler": lambda: pt.build_sampler(f, 1, 1e-100, 1e-100, rng),
+        "iso_test": lambda: pt.iso_test(pt.random_core_spec(16, 2, rng), f, 1e-160, rng),
+    }
+    with pytest.raises(ValueError, match=r"eps = 1e-(200|160) with multiplier"):
+        calls[call]()
 
 
 def test_tester_config_validation():
