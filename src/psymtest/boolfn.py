@@ -458,7 +458,11 @@ def _check_core_size(n: int, k: int) -> None:
 
 def random_core_spec(n: int, k: int, rng: np.random.Generator) -> PartiallySymmetricCore:
     """Uniformly random (n-k)-symmetric function in core form; the core's
-    2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N."""
+    2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N; k must lie in
+    0..n-1, as the core form requires, and is checked before any draw."""
+    n, k = as_index(n, "n"), as_index(k, "k")
+    if not 0 <= k < n:
+        raise ValueError(f"core size k must satisfy 0 <= k < n = {n}, got {k}")
     _check_core_size(n, k)
     asym = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
     core = rng.integers(0, 2, size=(1 << k, n - k + 1), dtype=np.uint8)

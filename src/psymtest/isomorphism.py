@@ -24,15 +24,19 @@ import numpy as np
 from ._bits import as_index
 from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
 from .sampling import draw_core_samples_batch, handle_from_verdict
-from .testers import TesterConfig, TestVerdict, _over_eps_squared, partially_symmetric_test
+from .testers import TesterConfig, TestVerdict, _scaled_count, partially_symmetric_test
 
 MAX_ASSIGNMENT_K = 10
 
 
 def _check_samples(xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore) -> None:
-    """Raises ``ValueError`` unless x, w and z are arrays of one nonzero
-    length whose samples lie in the core: x in [0, 2^k), w in [0, n - k] and
-    z a bit."""
+    """Raises ``ValueError`` unless x, w and z are 1-D integer arrays of one
+    nonzero length whose samples lie in the core: x in [0, 2^k), w in
+    [0, n - k] and z a bit."""
+    for name, v in (("x", xs), ("w", ws), ("z", zs)):
+        if not isinstance(v, np.ndarray) or v.dtype.kind not in "iu" or v.ndim != 1:
+            got = f"{v.dtype} array of shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
+            raise ValueError(f"sample {name} must be a 1-D integer array, got {got}")
     if len(xs) == 0 or not len(xs) == len(ws) == len(zs):
         raise ValueError("need x, w and z arrays of one nonzero length")
     for name, v, top in (("x", xs, (1 << f_spec.k) - 1), ("w", ws, f_spec.n - f_spec.k), ("z", zs, 1)):
@@ -81,7 +85,7 @@ def best_assignment(
 def iso_sample_budget(k: int, eps: float, cfg: TesterConfig) -> int:
     """Number of core samples: c_iters * k * log2(k + 2) / eps^2, with k
     floored at 1 so tiny cores still get a positive budget."""
-    return _over_eps_squared(cfg.c_iters * max(k, 1) * log2(k + 2), "c_iters", cfg, eps)
+    return _scaled_count(cfg.c_iters * max(k, 1) * log2(k + 2), "c_iters", cfg, eps, 2)
 
 
 def iso_test(

@@ -290,11 +290,12 @@ class SetFamily:
 
     def __post_init__(self):
         for s in self.sets:
-            if any(not 0 <= v < self.n for v in s):
+            if any(not 0 <= as_index(v, "set member") < self.n for v in s):
                 raise ValueError("family member outside the ground set")
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        # members are checked before a set can merge a True into a 1
         return cls(n, tuple(frozenset(as_index(v, "set member") for v in s) for s in sets))
 
 

@@ -8,20 +8,24 @@ core triplet whose marginal approaches the reference law.
 
 A handle holds the function, the partition, the workspace W and the parts
 acting as asymmetric slots; its n is the partition's and its k the number
-of slots.  It keeps one exact subset-sum table over the slot parts, then
-the other nonempty non-workspace parts, whose base row C(|W|, s) counts the
-workspace fills of each weight s: one (parts + 1, n + 1) array, int64 while
-every count fits and Python ints above.  A batch draws all its binomial
-weights in one call and a uniform rank per weight, walks every rank through
-the parts at once to a set of them and an s, puts s ones on the lowest
-workspace variables, and one ``rearrange_bits_block`` call spreads them
-uniformly over W; the sampler's exact (x, w) law is read from the counts of
-the parts after the slots.  When every non-workspace part is a
-singleton the law is uniform on the cube, a batch is one block of uniform
-words and the table is never built.  Either way x and w are read off the
-word block and the batch is one ``eval_many`` call, returned as the x, w
-and z int64 arrays that the isomorphism vote reads; a single draw is the
-first row of a one-draw batch.
+of slots.  Its one table checks W and the slots (``Partition.index``:
+integer part indices; the slots distinct, nonempty and not W) and orders
+the slot parts first, then the other nonempty non-workspace parts.  The
+table keeps one exact subset-sum count over those parts, whose base row
+C(|W|, s) counts the workspace fills of each weight s: one (parts + 1,
+n + 1) array, int64 while every count fits and Python ints above.  A batch
+draws all its binomial weights in one call and a uniform rank per weight,
+walks every rank through the parts at once to a set of them and an s, ORs
+in row s of the table's fills block (the lowest s workspace variables),
+and one ``rearrange_bits_block`` call spreads those ones uniformly over W;
+the sampler's exact (x, w) law is read from the counts of the parts after
+the slots.  When every non-workspace part is a singleton the law is uniform
+on the cube, a batch is one block of uniform words and the table is never
+walked.  Either way x and w are read off the word block (slot c's bit at
+the first variable of the table's part c) and the batch is one
+``eval_many`` call, returned as the x, w and z int64 arrays that the
+isomorphism vote reads; a single draw is the first row of a one-draw
+batch.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from ._bits import (
     random_masks_u64,
     randrange_bigint,
     rearrange_bits_block,
-    to_words,
 )
 from .boolfn import BooleanFunction
 from .testers import Partition, TesterConfig, TestVerdict, partially_symmetric_test
@@ -104,16 +107,25 @@ class _SubsetSumTable:
     each constant, for one (partition, workspace, slots), and the walk that
     turns ranks among them back into sets of parts.
 
-    The parts are the slot parts in order, then the other nonempty
-    non-workspace parts; a valid point is a set of parts plus s of the |W|
-    workspace variables.  ``suffix`` counts those by part and weight in one
-    (parts + 1, n + 1) array; it is built on first use, which a singleton
-    handle never makes.
+    The constructor is the one check of the workspace and the slots: each
+    a part index (``Partition.index``), the slots distinct, nonempty and
+    not the workspace.  The parts are the slot parts in order, then the
+    other nonempty non-workspace parts; a valid point is a set of parts plus
+    s of the |W| workspace variables.  ``suffix`` counts those by part and
+    weight in one (parts + 1, n + 1) array, and ``words`` holds the parts
+    and the workspace fills as word blocks; both are built on first use,
+    which a singleton handle never makes.
     """
 
     def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
-        if not 0 <= workspace < partition.r:
-            raise ValueError("workspace is not a part index")
+        workspace = partition.index(workspace, "workspace")
+        slots = [partition.index(p, "asymmetric slot") for p in slots]
+        if len(set(slots)) != len(slots):
+            raise ValueError("asymmetric slots must be distinct parts")
+        if workspace in slots:
+            raise ValueError("workspace cannot be an asymmetric slot")
+        if any(not partition.parts[p] for p in slots):
+            raise ValueError("asymmetric slots must be nonempty parts")
         others = (p for p in range(partition.r) if p != workspace and partition.parts[p] and p not in slots)
         self.parts = [partition.parts[p] for p in (*slots, *others)]
         self.sizes = [part.bit_count() for part in self.parts]
@@ -127,22 +139,16 @@ class _SubsetSumTable:
         return _suffix_ways(self.sizes, self.workspace.bit_count())
 
     @cached_property
-    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The parts as a (parts, words) block, and the workspace fills:
-        ``low[start[j] + t]`` sets the lowest t workspace variables of word
-        j, for t up to ``stop[j] - start[j]``, so word j of the row that sets
-        the lowest s workspace variables is ``low[clip(s + j, start[j],
-        stop[j])]``."""
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """The parts as a (parts, words) block, and the workspace fills as
+        one (|W| + 1, words) block whose row s sets the lowest s workspace
+        variables: the cumulative OR of the workspace's one-hot rows."""
         width = (self.n + 63) // 64
         parts = np.frombuffer(b"".join(p.to_bytes(8 * width, "little") for p in self.parts), dtype="<u8")
-        low, start = [], []
-        for word in to_words(self.workspace, width).tolist():
-            start.append(len(low))
-            low.append(0)
-            for pos in indices_of(word):
-                low.append(low[-1] | 1 << pos)
-        stop = np.array([*start[1:], len(low)]) - 1
-        return parts.reshape(-1, width), np.array(low, dtype=np.uint64), np.array(start), stop
+        pos = np.array(indices_of(self.workspace), dtype=np.int64)
+        fills = np.zeros((len(pos) + 1, width), dtype=np.uint64)
+        fills[np.arange(1, len(pos) + 1), pos // 64] = np.uint64(1) << (pos % 64).astype(np.uint64)
+        return parts.reshape(-1, width), np.bitwise_or.accumulate(fills, axis=0, out=fills)
 
     def count(self, w: int) -> int:
         """Number of valid weight-w points."""
@@ -183,9 +189,10 @@ class _SubsetSumTable:
         The ranks come from one ``rng.integers`` call on int64 counts, or one
         ``randrange_bigint`` per row on Python-int counts; a weight with no
         valid point walks rank 0 at weight 0, the all-zeros row.  Every row
-        walks the parts at once, takes its parts and the lowest s workspace
-        variables, and one ``rearrange_bits_block`` call then spreads every
-        row's workspace ones uniformly over the workspace.
+        walks the parts at once, takes its parts and ORs in row s of the
+        fills block (the lowest s workspace variables), and one
+        ``rearrange_bits_block`` call then spreads every row's workspace ones
+        uniformly over the workspace.
         """
         w = np.asarray(weights, dtype=np.int64)
         w = np.where(self.suffix[0, w] > 0, w, 0)
@@ -195,10 +202,10 @@ class _SubsetSumTable:
         else:
             u = rng.integers(0, totals)
         takes, s = self._walk(w, u)
-        parts, low, start, stop = self.words
+        parts, fills = self.words
         # the parts are disjoint, so the sum of the taken parts is their union
         rows = takes.T.astype(np.uint64) @ parts
-        rows |= low[np.clip(s[:, None] + np.arange(len(start)), start, stop)]
+        rows |= fills[s]
         return rearrange_bits_block(rows, self.workspace, rng)
 
 
@@ -206,10 +213,11 @@ class _SubsetSumTable:
 class SamplerHandle:
     """Frozen outcome of the preprocessing test, ready to draw core samples.
 
-    ``j_parts`` lists the distinct parts acting as asymmetric slots, in
-    order; the sample's bit c is the constant of part ``j_parts[c]``.  The
-    core size ``k`` is ``len(j_parts)`` and ``n`` is the partition's, which
-    must be the function's.
+    ``j_parts`` lists the distinct nonempty parts acting as asymmetric
+    slots, in order; the sample's bit c is the constant of part
+    ``j_parts[c]``.  The core size ``k`` is ``len(j_parts)`` and ``n`` is the
+    partition's, which must be the function's; the table checks the
+    workspace and the slots.
     """
 
     f: BooleanFunction
@@ -222,14 +230,6 @@ class SamplerHandle:
     def __post_init__(self):
         if self.partition.n != self.f.n:
             raise ValueError("the partition's n and the function's n must agree")
-        if any(not 0 <= p < self.partition.r for p in self.j_parts):
-            raise ValueError("asymmetric slots must be part indices")
-        if len(set(self.j_parts)) != len(self.j_parts):
-            raise ValueError("asymmetric slots must be distinct parts")
-        if self.workspace in self.j_parts:
-            raise ValueError("workspace cannot be an asymmetric slot")
-        if any(not self.partition.parts[p] for p in self.j_parts):
-            raise ValueError("asymmetric slots must be nonempty parts")
         object.__setattr__(self, "_table", _SubsetSumTable(self.partition, self.workspace, self.j_parts))
 
     @property
@@ -319,8 +319,7 @@ def _draw(
     else:
         block = table.block(rng.binomial(handle.n, 0.5, size=count), rng)
     xs = np.zeros(count, dtype=np.int64)
-    for c, part in enumerate(handle.j_parts):
-        m = handle.partition.parts[part]
+    for c, m in enumerate(table.parts[: handle.k]):
         pos = (m & -m).bit_length() - 1
         xs |= ((block[:, pos // 64] >> np.uint64(pos % 64)) & np.uint64(1)).astype(np.int64) << c
     ws = block_weights(block).astype(np.int64) - np.bitwise_count(xs)
@@ -339,7 +338,7 @@ def draw_core_samples_batch(
 def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Generator) -> float:
     """Empirical total-variation distance of the (x, w) marginal from the
     reference law, binning w within six standard deviations of its mean
-    and lumping the tails."""
+    and lumping the tails: one histogram of the (x, w) pairs drawn."""
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials for a stable estimate")
     n, k = handle.n, handle.k
@@ -349,19 +348,11 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
     lo = max(0, int(np.floor(mean - 6 * sd)))
     hi = min(m, int(np.ceil(mean + 6 * sd)))
     _, xs, ws = _draw(handle, trials, rng)
-    keys, counts = np.unique(xs * (n + 1) + ws, return_counts=True)
-    counts = {divmod(int(key), n + 1): int(c) for key, c in zip(keys, counts)}
-    total = 0.0
-    tail_ref = 1.0
-    for x in range(1 << k):
-        for w in range(lo, hi + 1):
-            ref = comb(m, w) / 2**n
-            emp = counts.pop((x, w), 0) / trials
-            total += abs(emp - ref)
-            tail_ref -= ref
-    tail_emp = sum(counts.values()) / trials
-    total += abs(tail_emp - tail_ref)
-    return total / 2
+    counts = np.bincount(xs * (n + 1) + ws, minlength=(n + 1) << k).reshape(1 << k, n + 1)[:, lo : hi + 1]
+    ref = np.array([comb(m, w) / 2**n for w in range(lo, hi + 1)])
+    tail_emp = (trials - counts.sum()) / trials
+    tail_ref = 1.0 - (1 << k) * ref.sum()
+    return float(np.abs(counts / trials - ref).sum() + abs(tail_emp - tail_ref)) / 2
 
 
 def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction]:
@@ -375,8 +366,8 @@ def core_marginal_exact(handle: SamplerHandle) -> dict[tuple[int, int], Fraction
     table, n = handle._table, handle.n
     rest = table.suffix[handle.k].tolist()
     slot_size = [0]
-    for part in handle.j_parts:
-        slot_size += [size + handle.partition.size(part) for size in slot_size]
+    for part_size in table.sizes[: handle.k]:
+        slot_size += [size + part_size for size in slot_size]
     mass: dict[tuple[int, int], Fraction] = {}
     for w in range(n + 1):
         p_w = Fraction(comb(n, w), 1 << n)

@@ -100,6 +100,14 @@ class Partition:
     def size(self, i: int) -> int:
         return self.parts[i].bit_count()
 
+    def index(self, p, name: str) -> int:
+        """``p`` as a part index: an integer (``as_index``) in 0..r-1, or
+        ``ValueError`` naming ``name``."""
+        p = as_index(p, name)
+        if not 0 <= p < self.r:
+            raise ValueError(f"{name} is not a part index ({name}s must be part indices in 0..{self.r - 1}), got {p}")
+        return p
+
     def chunks(self, workspace: int) -> list[tuple[int, int]]:
         """Every non-workspace part split into pieces of at most ceil(|W|/4).
 
@@ -153,29 +161,20 @@ class TestVerdict:
     speculative: int = 0
 
 
-def _scaled_count(count: float, field: str, cfg: TesterConfig) -> int:
-    """``ceil(count)`` for a count that the multiplier ``field`` of cfg
-    scales; a count past the float range raises ``ValueError`` naming it."""
-    if count == inf:
-        value = getattr(cfg, field)
-        raise ValueError(f"multiplier {field} = {value} gives a count past the float range at this k and eps")
-    return ceil(count)
-
-
-def _over_eps_squared(count: float, field: str, cfg: TesterConfig, eps: float) -> int:
-    """``ceil(count / eps^2)`` for a count that the multiplier ``field`` of
-    cfg scales; ``ValueError`` naming eps and the multiplier when eps^2
-    underflows to 0 (eps below about 1e-162) or the quotient passes the
-    float range."""
-    square = eps * eps
-    if square == 0 or count / square == inf:
+def _scaled_count(count: float, field: str, cfg: TesterConfig, eps: float, power: int) -> int:
+    """``ceil(count / eps^power)``, power 0, 1 or 2, for a count that the
+    multiplier ``field`` of cfg scales; ``ValueError`` naming eps and the
+    multiplier when eps^power underflows to 0 (eps^2 below about 1e-162) or
+    the quotient passes the float range."""
+    divisor = (1.0, eps, eps * eps)[power]
+    if divisor == 0 or count / divisor == inf:
         value = getattr(cfg, field)
         raise ValueError(f"eps = {eps} with multiplier {field} = {value} gives a count past the float range")
-    return ceil(count / square)
+    return ceil(count / divisor)
 
 
 def _rounds(cfg: TesterConfig, k: int, eps: float) -> int:
-    return _scaled_count(cfg.c_iters * max(k, 1) / eps, "c_iters", cfg)
+    return _scaled_count(cfg.c_iters * max(k, 1), "c_iters", cfg, eps, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ def junta_test(
     cfg = cfg or TesterConfig()
     k = _check_k(k, eps)
     n = f.n
-    r = max(1, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg))
+    r = max(1, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg, eps, 0))
     partition = random_partition(n, r, rng)
     probe = _Probe(f, k, eps, cfg)
 
@@ -449,12 +448,10 @@ def find_asymmetric_set(
     identified parts; on a value flip, binary-searches the weight-preserving
     chain and returns the part whose step flipped f.  Succeeds with probability equal
     to the symmetric influence of the unidentified coordinates.  Part
-    indices outside 0..r-1 raise ``ValueError``.
+    indices outside 0..r-1 raise ``ValueError`` (``Partition.index``).
     """
-    parts = [as_index(p, "part index") for p in (workspace, *j_parts)]
-    if not all(0 <= p < partition.r for p in parts):
-        raise ValueError(f"part indices must lie in 0..{partition.r - 1}, got {parts}")
-    workspace, *j_parts = parts
+    workspace = partition.index(workspace, "workspace")
+    j_parts = [partition.index(p, "identified part") for p in j_parts]
     if partition.n != f.n:
         raise ValueError(f"a partition of {partition.n} variables for a function of {f.n}")
     if workspace in j_parts:
@@ -475,7 +472,7 @@ def find_asymmetric_set(
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
     """Part count for the partial-symmetry tester: next odd >= c_parts k^2 / eps^2."""
-    r = max(3, _over_eps_squared(cfg.c_parts * k * k, "c_parts", cfg, eps))
+    r = max(3, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg, eps, 2))
     return r if r % 2 == 1 else r + 1
 
 

@@ -536,3 +536,22 @@ def test_permuted_counting_wrapper_sees_every_batch_query(n):
             assert f.eval_many(points).tolist() == plain.eval_many(points).tolist()
             total += size
             assert pt.read_count(counted) == total
+
+
+class _LowBit(pt.BooleanFunction):
+    """A subclass that defines only ``_eval``."""
+
+    def _eval(self, x: int) -> int:
+        return x & 1
+
+
+def test_base_eval_many_reads_each_point_through_call():
+    f = _LowBit(5)
+    points = [0, 1, 6, 31, np.int64(7)]
+    for xs in (points, np.array([0, 1, 6, 31, 7], dtype=np.uint64)):
+        out = f.eval_many(xs)
+        assert out.dtype == np.uint8 and out.tolist() == [0, 1, 0, 1, 1]
+    assert f.eval_many([]).tolist() == []
+    for bad in ([0, 32], [0, -1], [0, 1.0], [True]):
+        with pytest.raises(ValueError):
+            f.eval_many(bad)

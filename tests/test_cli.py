@@ -106,6 +106,56 @@ def test_experiment_iso_needs_target(capsys):
     )
 
 
+def test_experiment_iso_runs_its_trials_against_a_core_target(tmp_path, capsys):
+    from psymtest.isomorphism import iso_sample_budget
+
+    rng = np.random.default_rng(12)
+    f = strong_core_spec(64)
+    fp, gp, hp = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "neg.json"
+    pt.save_function(f, fp)
+    pt.save_function(pt.apply_permutation(f, pt.Permutation.random(64, rng)), gp)
+    pt.save_function(pt.PartiallySymmetricCore(64, 2, f.asym, 1 - f.core), hp)
+    budget = iso_sample_budget(2, 0.1, pt.TesterConfig())
+    for g, code in ((gp, 0), (hp, 1)):
+        out = tmp_path / "iso.csv"
+        argv = ["experiment", "--tester", "iso", "--fn", g, "--target", fp, "--k", "2", "--trials", "3"]
+        assert run_cli(*argv, "--seed", "4", "--out", out) == code
+        rows = out.read_text().strip().splitlines()
+        assert rows[0].split(",") == ["trial", "seed", "accepted", "queries", "parts_found"]
+        trials = [row.split(",") for row in rows[1:-1]]
+        assert [t[0] for t in trials] == ["0", "1", "2"]
+        # every trial ran; a trial that reached the vote paid for its samples
+        assert all(int(t[3]) > 0 and (t[2] == "0" or int(t[3]) > budget) for t in trials)
+        accepted = sum(t[2] == "1" for t in trials)
+        assert accepted >= 2 if code == 0 else accepted == 0
+
+
+def test_experiment_iso_with_a_non_core_target_exits_2(capsys):
+    argv = ["experiment", "--tester", "iso", "--fn", "core:n=16,k=2", "--target", "parity:n=16,k=2", "--k", "2"]
+    assert run_cli(*argv, "--trials", "1") == 2
+    err = capsys.readouterr().err
+    assert "--target must be a psym_core function" in err and "Traceback" not in err
+
+
+def test_measure_core_descriptor_checks_k_first(capsys):
+    for k in ("9", "8", "-1"):
+        assert run_cli("measure", "--fn", f"core:n=8,k={k}", "--set", "0") == 2
+        err = capsys.readouterr().err
+        assert f"core size k must satisfy 0 <= k < n = 8, got {k}" in err and "larger sample" not in err
+
+
+def test_brute_iso_once_relabels_a_non_core_function_in_full():
+    from psymtest.cli import brute_iso_once
+
+    rng = np.random.default_rng(13)
+    f = pt.random_function(6, rng)
+    g = pt.apply_permutation(f, pt.Permutation.random(6, rng))
+    assert brute_iso_once(f, g, 0.1, rng)
+    assert not brute_iso_once(f, pt.TruthTable(6, 1 - f.truth_table()), 0.1, rng)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        brute_iso_once(f, pt.random_function(7, rng), 0.1, rng)
+
+
 def test_experiment_sampler(tmp_path):
     out = tmp_path / "sampler.csv"
     code = run_cli(

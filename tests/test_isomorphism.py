@@ -221,3 +221,22 @@ def test_samples_outside_the_core_are_rejected():
             pt.consistency_fraction(samples["x"], samples["w"], samples["z"], f, (0, 1))
         with pytest.raises(ValueError, match=f"sample {name} entries"):
             pt.best_assignment(samples["x"], samples["w"], samples["z"], f)
+
+
+def test_samples_must_be_integer_arrays():
+    # a float x would shift by a slot, and a list has no min: both name the array
+    f = strong_core_spec(32)
+    good = {"x": np.array([0, 3]), "w": np.array([0, 30]), "z": np.array([0, 0])}
+    for name, bad in [
+        ("x", np.array([0.0, 3.0])),
+        ("w", np.array([0.0, 30.0])),
+        ("z", np.array([False, False])),
+        ("x", [0, 3]),
+        ("w", (0, 30)),
+        ("z", np.array([[0, 0]])),
+    ]:
+        samples = {**good, name: bad}
+        with pytest.raises(ValueError, match=f"sample {name} must be a 1-D integer array"):
+            pt.consistency_fraction(samples["x"], samples["w"], samples["z"], f, (0, 1))
+        with pytest.raises(ValueError, match=f"sample {name} must be a 1-D integer array"):
+            pt.best_assignment(samples["x"], samples["w"], samples["z"], f)

@@ -381,3 +381,14 @@ def test_binomial_pmf_matches_direct_formula():
     pmf = binomial_pmf(4, Fraction(1, 3))
     assert sum(pmf) == 1
     assert pmf[2] == 6 * Fraction(1, 9) * Fraction(4, 9)
+
+
+@pytest.mark.parametrize("member", [1.5, 1.0, True, np.float64(1.0)])
+def test_set_family_built_directly_checks_its_members(member):
+    # a 1.5 was measured as {1} by mu_p while is_t_intersecting saw no 1 in it
+    with pytest.raises(ValueError, match="set member must be an integer"):
+        SetFamily(3, (frozenset({member}),))
+    with pytest.raises(ValueError, match="set member must be an integer"):
+        SetFamily.of(3, [[0, member]])
+    fam = SetFamily(3, (frozenset({np.int64(1)}),))
+    assert pt.mu_p(fam, Fraction(1, 3)) == Fraction(1, 3) and pt.is_t_intersecting(fam, 1)

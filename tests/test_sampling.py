@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest._bits import random_masks_u64, randrange_bigint
+from psymtest._bits import from_words, indices_of, mask_from_indices, random_masks_u64, randrange_bigint, to_words
 from psymtest.sampling import (
     _SubsetSumTable,
+    _draw,
     core_marginal_exact,
     draw_core_sample,
     draw_core_samples_batch,
@@ -113,6 +114,81 @@ def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
     f = pt.SymmetricProfile(f_n, np.zeros(f_n + 1, dtype=np.uint8))
     with pytest.raises(ValueError, match=message):
         pt.SamplerHandle(f, partition, 2, j_parts)
+
+
+@pytest.mark.parametrize(
+    "workspace, slots, message",
+    [
+        (2.0, (0,), "workspace must be an integer, got float"),
+        (True, (0,), "workspace must be an integer, got bool"),
+        (2, (0.0,), "asymmetric slot must be an integer, got float"),
+        (2, (np.int64(4),), "slots must be part indices"),
+        (2, (0, 1, 0), "slots must be distinct parts"),
+        (2, (2,), "workspace cannot be an asymmetric slot"),
+        (2, (3,), "slots must be nonempty parts"),
+    ],
+)
+def test_table_alone_checks_the_workspace_and_slots(workspace, slots, message):
+    # the handle checks only n and hands the parts to its table, which owns every part rule
+    partition = pt.Partition(6, [0b11, 0b1100, 0b110000, 0])
+    f = pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8))
+    with pytest.raises(ValueError, match=message):
+        _SubsetSumTable(partition, workspace, slots)
+    with pytest.raises(ValueError, match=message):
+        pt.SamplerHandle(f, partition, workspace, slots)
+
+
+def test_numpy_integer_parts_draw_as_ints():
+    partition = pt.Partition(9, [0b11, 0b11100, 0b111100000])
+    f = pt.SymmetricProfile(9, np.arange(10, dtype=np.uint8) % 2)
+    plain = pt.SamplerHandle(f, partition, 2, (1, 0))
+    wrapped = pt.SamplerHandle(f, partition, np.int64(2), (np.int32(1), np.uint8(0)))
+    draws = [draw_core_samples_batch(h, 500, np.random.default_rng(41)) for h in (plain, wrapped)]
+    assert all(np.array_equal(a, b) for a, b in zip(*draws))
+    assert core_marginal_exact(plain) == core_marginal_exact(wrapped)
+
+
+@pytest.mark.parametrize("n", [64, 65, 256])
+def test_fills_row_s_sets_the_lowest_s_workspace_variables(n):
+    rng = np.random.default_rng(n)
+    partition = pt.random_partition(n, 5, rng)
+    w = max(range(partition.r), key=partition.size)
+    table = _SubsetSumTable(partition, w, ())
+    parts, fills = table.words
+    width = (n + 63) // 64
+    assert parts.tolist() == [to_words(p, width).tolist() for p in table.parts]
+    pos = indices_of(partition.parts[w])
+    assert fills.shape == (len(pos) + 1, width) and fills.dtype == np.uint64
+    assert [from_words(row) for row in fills] == [mask_from_indices(pos[:s]) for s in range(len(pos) + 1)]
+
+
+def reference_tv_estimate(handle, trials, rng):
+    """The TV estimate's bin loop over every (x, w) of the window."""
+    n, k = handle.n, handle.k
+    m = n - k
+    lo = max(0, int(np.floor(m / 2 - 3 * m**0.5)))
+    hi = min(m, int(np.ceil(m / 2 + 3 * m**0.5)))
+    _, xs, ws = _draw(handle, trials, rng)
+    counts = Counter(zip(xs.tolist(), ws.tolist()))
+    total, tail_ref = 0.0, 1.0
+    for x in range(1 << k):
+        for w in range(lo, hi + 1):
+            ref = comb(m, w) / 2**n
+            total += abs(counts.pop((x, w), 0) / trials - ref)
+            tail_ref -= ref
+    return (total + abs(sum(counts.values()) / trials - tail_ref)) / 2
+
+
+@pytest.mark.parametrize("n, r", [(16, 5), (64, 9), (256, 9), (64, 64)])
+def test_tv_estimate_histogram_matches_the_bin_loop(n, r):
+    rng = np.random.default_rng(50 + n + r)
+    partition = pt.random_partition(n, r, rng)
+    w = max(range(partition.r), key=partition.size)
+    slots = tuple(p for p in range(partition.r) if p != w and partition.parts[p])[:2]
+    handle = pt.SamplerHandle(pt.SymmetricProfile(n, np.zeros(n + 1, dtype=np.uint8)), partition, w, slots)
+    tv = pt.marginal_tv_estimate(handle, 20_000, np.random.default_rng(60 + n))
+    assert isinstance(tv, float)
+    assert abs(tv - reference_tv_estimate(handle, 20_000, np.random.default_rng(60 + n))) <= 1e-12
 
 
 def check_rank_bijection(partition, workspace, slots):

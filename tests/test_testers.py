@@ -182,6 +182,56 @@ def test_find_asymmetric_set_rejects_bad_arguments():
             pt.find_asymmetric_set(f, wide, [], max(range(wide.r), key=wide.size), rng)
 
 
+def test_partition_index_is_the_one_part_rule():
+    partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
+    p = partition.index(np.int64(2), "slot")
+    assert p == 2 and type(p) is int
+    cases = [
+        (1.0, "slot must be an integer, got float"),
+        (True, "slot must be an integer, got bool"),
+        (-1, "slot is not a part index"),
+        (3, r"slots must be part indices in 0\.\.2\), got 3"),
+    ]
+    for p, message in cases:
+        with pytest.raises(ValueError, match=message):
+            partition.index(p, "slot")
+
+
+def test_find_asymmetric_set_skips_identified_parts():
+    # f is the dictator x_a: once a's part is identified, every permutation of
+    # the rest keeps f, so each call returns None after its two queries, x and
+    # its partner; with nothing identified, the flips name a's part
+    n, a = 16, 5
+    f = pt.PartiallySymmetricCore(n, 1, (a,), np.repeat(np.array([[0], [1]], dtype=np.uint8), n, axis=1))
+    rng = np.random.default_rng(23)
+    free_hits = 0
+    for _ in range(40):
+        partition = pt.random_partition(n, 5, rng)
+        owner = next(p for p in range(partition.r) if partition.parts[p] >> a & 1)
+        w = max((p for p in range(partition.r) if p != owner), key=partition.size)
+        if 2 * partition.r * partition.size(w) < n:
+            continue
+        wrapped = pt.counting_oracle(f)
+        assert pt.find_asymmetric_set(wrapped, partition, [owner], w, rng) is None
+        assert pt.read_count(wrapped) == 2
+        free_hits += pt.find_asymmetric_set(f, partition, [], w, rng) == owner
+    assert free_hits >= 5
+
+
+@pytest.mark.parametrize("c_parts, c_iters", [(3.0, 24.0), (1.7, 5.3), (1.0, 1.0)])
+def test_scaled_counts_are_their_formulas_bit_for_bit(c_parts, c_iters):
+    cfg = pt.TesterConfig(c_parts, c_iters)
+    for k in range(8):
+        for eps in (0.9, 0.3, 0.1, 0.05, 1e-3, 1e-100):
+            assert testers._scaled_count(c_parts * k * k, "c_parts", cfg, eps, 0) == ceil(c_parts * k * k)
+            assert testers._rounds(cfg, k, eps) == ceil(c_iters * max(k, 1) / eps)
+            r = max(3, ceil(c_parts * k * k / (eps * eps)))
+            assert psym_partition_size(256, k, eps, cfg) == r + 1 - r % 2
+            assert iso_sample_budget(k, eps, cfg) == ceil(c_iters * max(k, 1) * log2(k + 2) / (eps * eps))
+    v = pt.junta_test(pt.KLinear(256, [0, 1]), 3, 0.3, np.random.default_rng(0), cfg=cfg)
+    assert v.partition.r == ceil(c_parts * 9)
+
+
 def _hit_pairs(n: int, r: int, count: int, rng):
     """``count`` (partition, workspace, x, y) with y a uniform rearrangement
     of x; the workspace is the largest part."""
