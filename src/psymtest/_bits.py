@@ -4,12 +4,15 @@ Points of the hypercube are plain Python ints used as bit masks: variable i
 is bit i (variable 0 least significant), so a mask doubles as the truth-table
 index of the point it encodes.  Blocks of points are (b, ceil(n/64)) uint64
 word arrays for every n, variable i being bit i % 64 of word i // 64; at
-n <= 64 a block is a single column.
+n <= 64 a block is a single column.  ``block_points`` hands a block to
+``eval_many`` as that column at n <= 64 and as a ``WordPoints`` above: a
+sequence of ints that keeps its words, so a library function reads the
+words and only an oracle that iterates the points builds their ints.
 
 Weight-preserving rearrangement of a block matches rows against a pool of
 uniform words of the same weight, all in integers and with no redraws:
 rows and pool words are each sorted by weight once, and a row's partner is
-read off the two orders by its class's offset, with no per-class loop.
+read off the two orders as one range per class, with no per-class loop.
 Rows the pool cannot serve, and blocks too small to amortize the pool, fall
 back to an exact float-key sort.
 """
@@ -17,6 +20,7 @@ back to an exact float-key sort.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from typing import Iterable
 
 import numpy as np
@@ -89,12 +93,45 @@ def from_words(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def block_points(xs: np.ndarray) -> np.ndarray | list[int]:
-    """A block as ``eval_many`` takes it: its uint64 column at n <= 64,
-    Python ints above."""
+class WordPoints(Sequence):
+    """The points of a word block as a read-only sequence of ints that
+    keeps the block.
+
+    ``words`` is a read-only view of the (b, width) uint64 block.  ``len``,
+    indexing and iteration give the ints that ``from_words`` reads off its
+    rows; an iteration reads them all from one ``tobytes`` pass, and a
+    slice is again a ``WordPoints``.  ``BooleanFunction._block`` takes the words of a
+    sequence whose width matches its n as they are, so a library function
+    evaluates the block without building its ints.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        if words.dtype != np.uint64 or words.ndim != 2 or not words.shape[1]:
+            raise ValueError(f"a word block needs (b, width) uint64 words, got {words.dtype} {words.shape}")
+        self.words = words.view()
+        self.words.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WordPoints(self.words[i])
+        return from_words(self.words[i])
+
+    def __iter__(self):
+        rows = np.frombuffer(self.words.tobytes(), dtype=f"V{8 * self.words.shape[1]}")
+        return iter([int.from_bytes(row, "little") for row in rows.tolist()])
+
+
+def block_points(xs: np.ndarray) -> np.ndarray | WordPoints:
+    """A block as ``eval_many`` takes it: its uint64 column at n <= 64, a
+    ``WordPoints`` sequence of ints over the block above."""
     if xs.shape[1] == 1:
         return xs[:, 0]
-    return [from_words(row) for row in xs]
+    return WordPoints(xs)
 
 
 def block_weights(xs: np.ndarray) -> np.ndarray:
@@ -129,42 +166,46 @@ def rearrange_bits_block(xs: np.ndarray, mask: int, rng: np.random.Generator) ->
     a pool of uniform words cut to ``mask``: a pool word is a uniform subset
     of the masked slots, and conditioned on its weight m a uniform m-subset.
     The t-th row of weight m takes the t-th pool word of weight m: with
-    rows and pool words each stably sorted by weight, the row at sorted
-    position j of class m is paired when j < rstart[m] + wc[m] and takes
-    the pool word at sorted position j + wstart[m] - rstart[m], where
-    rstart and wstart are the classes' starts in the two orders and wc[m]
-    counts the pool words of weight m.  The matching reads weights only, so every matched row gets an
-    independent uniform subset of its own weight.  Rows without a partner
-    (mostly tail weights), lightest first, and small blocks go through
+    rows and pool words each stably sorted by weight, class m pairs its
+    first min(rc[m], wc[m]) rows with as many pool words, rc and wc
+    counting the rows and pool words of weight m, so the pairs are one
+    range per class in each order.  The matching reads weights only, so
+    every matched row gets an independent uniform subset of its own weight.
+    Rows without a partner (the rest of each class's range, mostly tail
+    weights), lightest first, and small blocks go through
     ``_rearrange_keysort``.
     """
     if not mask:
         return xs.copy()  # nothing to permute, and nothing drawn
     b, width = xs.shape
     mk = to_words(mask, width)
-    positions = np.flatnonzero(np.unpackbits(mk.view(np.uint8), bitorder="little"))
     if b < _POOL_MIN_ROWS:
-        return _rearrange_keysort(xs, mk, positions, rng)
+        return _rearrange_keysort(xs, mk, rng)
     pool = random_masks_u64(64 * width, b + b // 4, rng) & mk
     m = block_weights(xs & mk)
     pm = block_weights(pool)
     rows = np.argsort(m, kind="stable")
     words = np.argsort(pm, kind="stable")
-    rc = np.bincount(m, minlength=len(positions) + 1)
-    wc = np.bincount(pm, minlength=len(positions) + 1)
+    classes = mask.bit_count() + 1
+    rc = np.bincount(m, minlength=classes)
+    wc = np.bincount(pm, minlength=classes)
     rstart = np.cumsum(rc) - rc
-    wstart = np.cumsum(wc) - wc
-    ms = m[rows].astype(np.intp)
-    j = np.arange(b)
-    paired = j < (rstart + wc)[ms]
-    # the clipped picks of unpaired rows are overwritten below
+    # sorted row j of class m reads sorted pool word j + wstart[m] - rstart[m];
+    # the clipped reads of rows past their class's pool words are overwritten
     src = np.empty(b, dtype=np.intp)
-    src[rows] = words.take(j + (wstart - rstart)[ms], mode="clip")
-    ys = np.take(pool, src, axis=0) | (xs & ~mk)
-    left = rows[~paired]
+    src[rows] = words.take(np.arange(b) + np.repeat(np.cumsum(wc) - wc - rstart, rc), mode="clip")
+    ys = np.take(pool, src, axis=0)
+    ys |= xs & ~mk
+    paired = np.minimum(rc, wc)
+    left = rows[_ranges(rstart + paired, rc - paired)]
     if len(left):
-        ys[left] = _rearrange_keysort(xs[left], mk, positions, rng)
+        ys[left] = _rearrange_keysort(xs[left], mk, rng)
     return ys
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]), one after another."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def rearrange_bits(x: int, mask: int, rng: np.random.Generator) -> int:
@@ -173,32 +214,32 @@ def rearrange_bits(x: int, mask: int, rng: np.random.Generator) -> int:
     return from_words(rearrange_bits_block(to_words(x, width)[None, :], mask, rng)[0])
 
 
-def _rearrange_keysort(
-    xs: np.ndarray, mk: np.ndarray, positions: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _rearrange_keysort(xs: np.ndarray, mk: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``rearrange_bits_block`` by float keys.
 
     A uniform arrangement of m ones among L slots is the indicator of the m
-    smallest of L iid keys; rows where float ties spoil the count are
-    redrawn, so the result is exact.
+    smallest of L iid keys, those at or below the m-th smallest key (none
+    when m = 0).  A row where the m-th and the (m+1)-th smallest keys tie
+    would get more than m ones; it is redrawn, so the result is exact.
     """
     b, width = xs.shape
+    positions = np.flatnonzero(np.unpackbits(mk.view(np.uint8), bitorder="little"))
     length = len(positions)
-    m = block_weights(xs & mk).astype(np.int64)
+    m = block_weights(xs & mk).astype(np.intp)
 
-    def draw(counts: np.ndarray) -> np.ndarray:
+    def draw(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keys = rng.random((len(counts), length), dtype=np.float32)
         skeys = np.sort(keys, axis=1)
-        idx = np.maximum(counts - 1, 0)
-        thresh = np.take_along_axis(skeys, idx[:, None], axis=1)
-        return (keys <= thresh) & (counts > 0)[:, None]
+        rows = np.arange(len(counts))
+        thresh = np.where(counts > 0, skeys[rows, counts - 1], -1)  # keys lie in [0, 1)
+        tied = (counts < length) & (skeys[rows, np.minimum(counts, length - 1)] == thresh)
+        return keys <= thresh[:, None], tied
 
-    bits = draw(m)
-    todo = np.flatnonzero(bits.sum(axis=1) != m)
+    bits, tied = draw(m)
+    todo = np.flatnonzero(tied)
     while len(todo):
-        cand = draw(m[todo])
-        bits[todo] = cand
-        todo = todo[cand.sum(axis=1) != m[todo]]
+        bits[todo], tied = draw(m[todo])
+        todo = todo[tied]
     raw = np.ascontiguousarray(xs).view(np.uint8).reshape(b, 8 * width)
     full = np.unpackbits(raw, axis=1, bitorder="little")
     full[:, positions] = bits

@@ -6,8 +6,11 @@ truth-table index of the point).  ``eval_many`` takes a batch of points in
 one of two forms: a 1-D integer array at n <= 64, or a sequence of ints at
 any n.  It rejects a bad point with ``ValueError`` as ``__call__`` does (a
 point outside the cube, a float, a bool scalar or array) and turns the
-batch into a (b, ceil(n/64)) uint64 word block, and every structured kind evaluates that
-block with array operations at every n.  A relabeling g(x) = f(pi x) of a
+batch into a (b, ceil(n/64)) uint64 word block, and every structured kind
+evaluates that block with array operations at every n.  The batches that
+the library draws above n = 64 are ``WordPoints`` sequences, whose words
+every library kind and wrapper takes as they are; an oracle of its own
+that iterates such a batch reads its ints.  A relabeling g(x) = f(pi x) of a
 structured kind is again a function of that kind (``permuted`` returns it,
 and a ``Permuted`` wrapper evaluates batches through it); only an opaque
 inner function (a truth table or a counting wrapper) has its points moved by
@@ -26,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._bits import (
+    WordPoints,
     as_bits,
     as_index,
     bits_to_hex,
@@ -172,16 +176,23 @@ class BooleanFunction:
         """``xs`` as a (b, ceil(n/64)) uint64 word block, checked as in
         ``__call__``: a bad point raises ``ValueError``.
 
-        An array must be 1-D with an integer dtype (one check per batch,
-        plus a ``min`` pass when it is signed).  A sequence becomes a list
-        of ints in one pass, in which an element other than an exact int
-        goes through ``as_index`` as in ``__call__``, so a float or a bool
-        is rejected.  At n <= 64 the block is a view of the uint64 array,
-        range-checked by one ``max`` pass (none at n = 64, where every
-        uint64 is a point).  Above, the ints go through one bytes pass and
-        the top word is checked against n % 64.
+        A ``WordPoints`` sequence of ceil(n/64) words per point (the form
+        ``block_points`` gives above n = 64) is taken as its words, uint64
+        since it was built, once its top word is checked against n % 64;
+        one of another width is read as its ints.  An array must be 1-D
+        with an integer dtype (one check per batch, plus a ``min`` pass when
+        it is signed).  A sequence becomes a list of ints in one pass, in
+        which an element other than an exact int goes through ``as_index``
+        as in ``__call__``, so a float or a bool is rejected.  At n <= 64
+        the block is a view of the uint64 array, range-checked by one
+        ``max`` pass (none at n = 64, where every uint64 is a point).
+        Above, the ints go through one bytes pass and the top word is
+        checked as for a ``WordPoints``.
         """
         n = self.n
+        if isinstance(xs, WordPoints) and xs.words.shape[1] == (n + 63) // 64:
+            _check_top_word(xs.words, n)
+            return xs.words
         if isinstance(xs, np.ndarray):
             if xs.ndim != 1:
                 raise ValueError(f"points must be a 1-D array, got shape {xs.shape}")

@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ._bits import (
+    WordPoints,
     as_index,
     block_points,
     block_weights,
@@ -301,7 +302,7 @@ def draw_core_sample(handle: SamplerHandle, rng: np.random.Generator) -> CoreSam
 
 def _draw(
     handle: SamplerHandle, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray | list[int], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | WordPoints, np.ndarray, np.ndarray]:
     """``count`` constrained points y, as ``eval_many`` takes them, with
     their slot bits x and weights |y| - |x|, all read off one word block.
 

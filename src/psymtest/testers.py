@@ -499,6 +499,15 @@ def partially_symmetric_test(
     more than k identified parts reject with
     ``failure_reason="too_many_parts"``.  The verdict keeps the partition,
     workspace, and parts for reuse by the core sampler.
+
+    A member (an (n-k)-symmetric f) is rejected for one of two causes
+    only: the workspace meets the core, or the rule 2 r |W| >= n fails.  A
+    run whose workspace misses the core and passes the rule accepts.  At
+    k = 2 and eps = 0.1 (r = 1201, so the partition is n singletons up to
+    n = 1200) the workspace meets the core with chance k/n: 32 of 200
+    seeds rejected at n = 14 and 3 at n = 64.  Past n = r, |W| is
+    Binomial(n, 1/r), and the rule failed on 30 of 200 seeds at n = 4096
+    and 4 at n = 16384.
     """
     cfg = cfg or TesterConfig()
     n = f.n

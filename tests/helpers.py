@@ -94,3 +94,13 @@ def reference_unrank(table, w: int, u: int):
     if w < 0 or u >= int(table.suffix[-1, w]):
         raise RuntimeError("rank walk ended off its rank")
     return y, w
+
+
+def member_rejection_cause(v, core_mask: int) -> str | None:
+    """What can make a run on a member reject, fixed by its partition and
+    workspace before any query: "workspace" when the rule 2 r |W| >= n
+    fails, "meets core" when the workspace holds a core variable, or None."""
+    part = v.partition.parts[v.workspace]
+    if 2 * v.partition.r * part.bit_count() < v.partition.n:
+        return "workspace"
+    return "meets core" if part & core_mask else None

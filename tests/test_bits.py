@@ -220,8 +220,7 @@ def _pool_reference(xs: np.ndarray, mask: int, rng) -> np.ndarray:
             else:
                 left.append(i)
     if left:
-        positions = np.array(_bits.indices_of(mask))
-        ys[left] = _bits._rearrange_keysort(xs[left], mk, positions, rng)
+        ys[left] = _bits._rearrange_keysort(xs[left], mk, rng)
     return ys
 
 
@@ -254,6 +253,57 @@ def test_pool_pairing_of_a_block_in_one_tail_class():
     assert np.array_equal(ys, _pool_reference(xs, mask, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert (block_weights(ys & np.uint64(mask)) == 2).all()
+
+
+class _CoarseKeys:
+    """A generator whose float keys take 4 L values for L slots, so that
+    rows tie often; ``calls`` counts its draws."""
+
+    def __init__(self, seed: int, slots: int):
+        self.rng = np.random.default_rng(seed)
+        self.levels = 4 * slots
+        self.calls = 0
+
+    def random(self, size, dtype):
+        self.calls += 1
+        return (np.floor(self.rng.random(size, dtype=dtype) * self.levels) / self.levels).astype(dtype)
+
+
+def _keysort_reference(xs: np.ndarray, mask: int, rng) -> np.ndarray:
+    """The key sort with its tie check as a count of each row's ones: the
+    rows whose count of keys at or below their m-th key is not m are
+    redrawn, together, until none is left."""
+    positions = _bits.indices_of(mask)
+    m = block_weights(xs & to_words(mask, xs.shape[1])).astype(np.int64)
+
+    def draw(counts):
+        keys = rng.random((len(counts), len(positions)), dtype=np.float32)
+        thresh = np.take_along_axis(np.sort(keys, axis=1), np.maximum(counts - 1, 0)[:, None], axis=1)
+        return (keys <= thresh) & (counts > 0)[:, None]
+
+    bits = draw(m)
+    todo = np.flatnonzero(bits.sum(axis=1) != m)
+    while len(todo):
+        bits[todo] = draw(m[todo])
+        todo = todo[bits[todo].sum(axis=1) != m[todo]]
+    ys = xs.copy()
+    for i, row in enumerate(bits):
+        y = from_words(xs[i]) & ~mask | mask_from_indices(p for p, bit in zip(positions, row) if bit)
+        ys[i] = to_words(y, xs.shape[1])
+    return ys
+
+
+@pytest.mark.parametrize("mask", [GAPPED6, FULL, GAPPED24_N128])
+def test_key_sort_redraws_exactly_the_rows_whose_keys_tie(mask):
+    xs = random_masks_u64(_n(mask), 150, np.random.default_rng(5))
+    xs[0] = 0
+    xs[1] = to_words(mask, xs.shape[1])
+    slots = mask.bit_count()
+    rng, ref_rng = _CoarseKeys(6, slots), _CoarseKeys(6, slots)
+    ys = _bits._rearrange_keysort(xs, to_words(mask, xs.shape[1]), rng)
+    assert np.array_equal(ys, _keysort_reference(xs, mask, ref_rng))
+    assert rng.calls == ref_rng.calls > 2
+    assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4096])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psymtest as pt
-from psymtest._bits import block_points, from_words, random_masks_u64, to_words
+from psymtest._bits import WordPoints, block_points, from_words, random_masks_u64, to_words
 from psymtest.boolfn import MAX_DENSE_N
 
 from helpers import apply_perm_to_point
@@ -555,3 +555,77 @@ def test_base_eval_many_reads_each_point_through_call():
     for bad in ([0, 32], [0, -1], [0, 1.0], [True]):
         with pytest.raises(ValueError):
             f.eval_many(bad)
+
+
+def _library_functions(n: int, rng: np.random.Generator) -> list[pt.BooleanFunction]:
+    """Every structured kind, a counting wrapper, and a relabeled core-form
+    function both folded and opaque (over a counting wrapper)."""
+    core = pt.random_core_spec(n, 2, rng)
+    return [
+        _function_of_kind("k_linear", n, rng),
+        _function_of_kind("symmetric_profile", n, rng),
+        core,
+        pt.counting_oracle(core),
+        pt.Permuted(core, pt.Permutation.random(n, rng)),
+        pt.Permuted(pt.counting_oracle(core), pt.Permutation.random(n, rng)),
+    ]
+
+
+class _NoInts(WordPoints):
+    """A word-backed batch that refuses to be read as ints."""
+
+    def __iter__(self):
+        raise AssertionError("the batch was read as ints")
+
+    def __getitem__(self, i):
+        raise AssertionError("the batch was read as ints")
+
+
+@pytest.mark.parametrize("n", [65, 128, 130, 256])
+def test_word_points_are_the_ints_of_their_rows(n):
+    block = random_masks_u64(n, 40, np.random.default_rng(n))
+    block[0] = 0
+    block[1] = to_words((1 << n) - 1, block.shape[1])
+    points = block_points(block)
+    ints = [from_words(row) for row in block]
+    assert isinstance(points, WordPoints) and len(points) == 40
+    assert list(points) == ints and list(points) == ints
+    assert [points[i] for i in range(-40, 40)] == ints + ints
+    assert list(points[5:11]) == ints[5:11] and 0 in points and points.index(ints[7]) == 7
+    with pytest.raises(IndexError):
+        points[40]
+    with pytest.raises(ValueError):
+        points.words[0, 0] = 1
+    for bad in (block.astype(np.int64), block[:, :0], block[0]):
+        with pytest.raises(ValueError, match="uint64"):
+            WordPoints(bad)
+
+
+@pytest.mark.parametrize("n", [65, 128, 130, 256])
+def test_word_points_evaluate_as_their_ints(n):
+    rng = np.random.default_rng(n + 1)
+    block = random_masks_u64(n, 60, rng)
+    block[0] = to_words((1 << n) - 1, block.shape[1])
+    ints = [from_words(row) for row in block]
+    for f in _library_functions(n, rng) + [_LowBit(n)]:
+        expected = [f(x) for x in ints]
+        assert f.eval_many(block_points(block)).tolist() == f.eval_many(ints).tolist() == expected
+        if not isinstance(f, _LowBit):
+            # a library function reads the words and builds no int
+            assert f.eval_many(_NoInts(block)).tolist() == expected
+        # a narrower block is read as its ints
+        narrow = block_points(block[:, :-1])
+        assert f.eval_many(narrow).tolist() == [f(x) for x in narrow]
+
+
+@pytest.mark.parametrize("n", [65, 130])
+def test_word_points_past_n_are_rejected_as_their_ints(n):
+    rng = np.random.default_rng(n + 2)
+    block = random_masks_u64(n, 30, rng)
+    block[17, -1] |= np.uint64(1 << (n % 64))
+    for f in _library_functions(n, rng) + [_LowBit(n)]:
+        with pytest.raises(ValueError) as words_error:
+            f.eval_many(block_points(block))
+        with pytest.raises(ValueError) as ints_error:
+            f.eval_many(list(block_points(block)))
+        assert str(words_error.value) == str(ints_error.value)

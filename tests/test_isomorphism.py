@@ -9,7 +9,7 @@ from psymtest import isomorphism, testers
 from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import TesterConfig, _rounds, psym_query_bound
 
-from helpers import strong_core_spec
+from helpers import member_rejection_cause, strong_core_spec
 
 
 def _samples_from(handle, count, seed):
@@ -188,6 +188,24 @@ def test_iso_relabeling_invariance_of_acceptance_rate():
     r1 = sum(pt.iso_test(f, g1, eps, np.random.default_rng(s)).accepted for s in range(runs))
     r2 = sum(pt.iso_test(f, g2, eps, np.random.default_rng(s)).accepted for s in range(runs))
     assert abs(r1 - r2) / runs <= 0.1
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_iso_test_rejects_a_relabeled_member_only_for_its_two_causes(n):
+    # the psym stage's partition is n singletons here, so the workspace
+    # meets g's core with chance k / n
+    causes = []
+    for seed in range(16):
+        rng = np.random.default_rng([n, seed])
+        f = pt.random_core_spec(n, 2, rng)
+        g = f.permuted(pt.Permutation.random(n, rng))
+        v = pt.iso_test(f, g, 0.2, rng)
+        cause = member_rejection_cause(v, g.asym_mask)
+        # every rejection has a cause, and a run without one accepts
+        assert v.accepted or cause is not None
+        assert v.failure_reason in (None, "not_partially_symmetric")
+        causes.append(None if v.accepted else cause)
+    assert "meets core" in causes
 
 
 def test_iso_test_validates_arguments():

@@ -9,7 +9,7 @@ from psymtest import testers
 from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import psym_partition_size, psym_query_bound
 
-from helpers import random_junta, strong_core_spec
+from helpers import member_rejection_cause, random_junta, strong_core_spec
 
 
 def test_random_partition_single_part_and_singletons():
@@ -614,3 +614,24 @@ def test_non_integer_k_is_rejected(tester, k):
     f = pt.KLinear(16, [0, 1])
     with pytest.raises(ValueError, match="^k must be an integer"):
         tester(f, k, 0.1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [14, 24, 64, 65, 130, 2048])
+def test_psym_rejects_a_member_only_for_its_two_causes(n):
+    causes = []
+    for seed in range(20):
+        rng = np.random.default_rng([n, seed])
+        core = pt.random_core_spec(n, 2, rng)
+        relabeled = core.permuted(pt.Permutation.random(n, rng))
+        profile = pt.SymmetricProfile(n, rng.integers(0, 2, size=n + 1))
+        for f, k, core_mask in ((core, 2, core.asym_mask), (relabeled, 2, relabeled.asym_mask), (profile, 0, 0)):
+            v = pt.partially_symmetric_test(f, k, 0.1, rng)
+            cause = member_rejection_cause(v, core_mask)
+            # every rejection has a cause, and a run without one accepts
+            assert v.accepted or cause is not None
+            assert (v.failure_reason == "workspace") == (cause == "workspace")
+            causes.append(None if v.accepted else cause)
+    if n == 14:
+        assert "meets core" in causes
+    if n == 2048:
+        assert "workspace" in causes
