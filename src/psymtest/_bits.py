@@ -135,11 +135,13 @@ def block_points(xs: np.ndarray) -> np.ndarray | WordPoints:
 
 
 def block_weights(xs: np.ndarray) -> np.ndarray:
-    """Hamming weight of every row, summed over the words; uint8 while a row
-    has at most 192 bits, uint16 above.  A one-word block skips the sum."""
-    if xs.shape[1] == 1:
+    """Hamming weight of every row, summed over the words: uint8 through 3
+    words, uint16 through 1,023 (65,472 bits), uint32 from 1,024 words on.
+    A one-word block skips the sum."""
+    width = xs.shape[1]
+    if width == 1:
         return np.bitwise_count(xs[:, 0])
-    return np.bitwise_count(xs).sum(axis=1, dtype=np.uint8 if xs.shape[1] < 4 else np.uint16)
+    return np.bitwise_count(xs).sum(axis=1, dtype=np.uint8 if width < 4 else np.uint16 if width < 1024 else np.uint32)
 
 
 def random_masks_u64(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -291,30 +291,6 @@ class KLinear(BooleanFunction):
         return KLinear(self.n, (inv[i] for i in self.indices))
 
 
-class SymmetricProfile(BooleanFunction):
-    """Output depends only on the Hamming weight: f(x) = profile[|x|]."""
-
-    kind = "symmetric_profile"
-
-    def __init__(self, n: int, profile):
-        super().__init__(n)
-        p = as_bits(profile, "profile")
-        if p.shape != (n + 1,):
-            raise ValueError("profile needs n + 1 entries")
-        self.profile = p
-        self.profile.flags.writeable = False
-
-    def _eval(self, x: int) -> int:
-        return int(self.profile[x.bit_count()])
-
-    def eval_many(self, xs) -> np.ndarray:
-        return self.profile[block_weights(self._block(xs))]
-
-    def _relabeled(self, pi: Permutation) -> "BooleanFunction":
-        # weight is permutation-invariant
-        return self
-
-
 class PartiallySymmetricCore(BooleanFunction):
     """Function symmetric outside k distinguished variables.
 
@@ -376,9 +352,27 @@ class PartiallySymmetricCore(BooleanFunction):
         return self._flat_core[idx]
 
     def _relabeled(self, pi: Permutation) -> "BooleanFunction":
-        # g(x) = f(pi x) reads asymmetric value c at pi^{-1}(asym[c])
+        # g(x) = f(pi x) reads asymmetric value c at pi^{-1}(asym[c]); at k = 0
+        # g is f, since weight is permutation-invariant
+        if not self.k:
+            return self
         inv = pi.inverse().mapping
         return PartiallySymmetricCore(self.n, self.k, (inv[a] for a in self.asym), self.core)
+
+
+class SymmetricProfile(PartiallySymmetricCore):
+    """Output depends only on the Hamming weight: f(x) = profile[|x|].  It is
+    the core form with k = 0, evaluated, relabeled and tested against as a
+    core; ``profile`` is a read-only view of its one core row."""
+
+    kind = "symmetric_profile"
+
+    def __init__(self, n: int, profile):
+        p = as_bits(profile, "profile")
+        if p.shape != (n + 1,):
+            raise ValueError("profile needs n + 1 entries")
+        super().__init__(n, 0, (), p[None, :])
+        self.profile = self.core[0]
 
 
 class Permuted(BooleanFunction):

@@ -154,7 +154,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             raise ValueError("iso experiments need --target (core-form function file)")
         target = resolve_function(args.target, gen_rng)
         if not isinstance(target, boolfn.PartiallySymmetricCore):
-            raise ValueError("--target must be a psym_core function")
+            raise ValueError("--target must be a psym_core function (a symmetric_profile is one with k = 0)")
 
     rows = []
     accepted = 0
@@ -201,9 +201,8 @@ def _monotonicity_violations(tables: np.ndarray, n: int) -> int:
     scale = lcm(*(comb(j, w) for j in range(n + 1) for w in range(j + 1)))
     scores = []
     for j_mask in range(1 << n):
-        ones, sizes = influence._layer_counts(tables.T, n, j_mask)
-        size = sizes[:, None]
-        scores.append((2 * ones * (size - ones) * (scale // size)).sum(axis=(0, 1)))
+        ones, sizes = (a.astype(np.int64) for a in influence._layer_sums(tables.T, n, j_mask))
+        scores.append((2 * ones * (sizes - ones) * (scale // sizes)).sum(axis=(0, 1)))
     violations = 0
     for k_mask in range(1 << n):
         sub = k_mask

@@ -4,14 +4,14 @@ Influence of J: probability that rerandomizing the J-coordinates of a uniform
 point changes the output.  Symmetric influence of J: probability that a
 uniformly random permutation of the J-coordinates changes the output.  Exact
 variants return rationals so that order relations between these quantities
-can be checked without float tolerances.  Influence reads the truth table as
-a (2^(n-j), 2^j) split, one row per assignment to the bits outside J and one
-column per assignment inside J, and sums its rows.  Layer sums (fixed bits
-outside J, fixed weight inside J) fold J's variables out of the table one at
-a time, highest first (``_fold``), a 0/1 table in the narrowest integer
-type that holds C(j, j // 2) after j folds (uint8, uint16, then int32), and
-the layers are scored in that type; when folding low variables in place
-would cost more, one copy first moves J's variables to the top of the table
+can be checked without float tolerances.  Every exact routine over J reads
+the layer sums of J (``_layer_sums``: fixed bits outside J, fixed weight
+inside J); influence adds each assignment's layers over the weights.  The
+sums fold J's variables out of the table one at a time, highest first
+(``_fold``), a 0/1 table in the narrowest integer type that holds
+C(j, j // 2) after j folds (uint8, uint16, then int32), and the layers are
+scored in that type; when folding low variables in place would cost more,
+one copy first moves J's variables to the top of the table
 (``_j_on_top``).  The closest J-symmetric function maps each layer's
 majority back by the inverse steps.  The Walsh-Hadamard transform is
 ``_kron`` on the 0/1 table, -2 folded into the first pass: ceil(n/4) passes,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,20 +54,6 @@ def _as_mask(f: BooleanFunction, members: Iterable[int]) -> int:
             raise ValueError("set members outside range(n)")
         mask |= 1 << v
     return mask
-
-
-def _split(table: np.ndarray, n: int, cols: Sequence[int]) -> np.ndarray:
-    """View a table as a (2^(n-j), 2^j, ...) array, j = len(cols).
-
-    The table reshapes to (2,)*n with variable v on axis n-1-v.  Column bit c
-    of the split is variable ``cols[c]``; the row index holds the other
-    variables in ascending order, lowest bit first.  Axes past the first are
-    kept, so a stack of tables splits at once.
-    """
-    j = len(cols)
-    cube = table.reshape((2,) * n + table.shape[1:])
-    cube = np.moveaxis(cube, [n - 1 - v for v in reversed(cols)], range(n - j, n))
-    return cube.reshape((1 << (n - j), 1 << j) + table.shape[1:])
 
 
 def _fold_type(a: np.ndarray) -> type:
@@ -143,14 +129,6 @@ def _layer_sums(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.
     return a, sizes.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
-def _layer_counts(table: np.ndarray, n: int, j_mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_layer_sums`` in int64 with one row per assignment outside J: the
-    (2^(n-j), j+1, ...) sums, a view of a weight-first array, so that sums
-    over the rows run along memory, and the layer sizes C(j, w)."""
-    a, sizes = _layer_sums(table, n, j_mask)
-    return np.moveaxis(a.astype(np.int64), 0, 1), sizes.ravel().astype(np.int64)
-
-
 def _over_sizes(nums: np.ndarray, sizes: np.ndarray) -> Fraction:
     """sum over w of nums[w] / sizes[w], exact."""
     return sum((Fraction(int(a), int(b)) for a, b in zip(nums, sizes)), Fraction(0))
@@ -171,7 +149,8 @@ def _flip_rate(
 
 
 def influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fraction:
-    """Exact Pr[f(x) != f(x with J rerandomized)] by cube enumeration."""
+    """Exact Pr[f(x) != f(x with J rerandomized)] by cube enumeration: an
+    assignment outside J with ``ones`` ones over J adds 2 ones (2^j - ones)."""
     if f.n > MAX_EXACT_INFLUENCE_N:
         raise ValueError(
             f"exact influence enumerates 2^n points and is capped at n <= "
@@ -181,7 +160,7 @@ def influence_exact(f: BooleanFunction, members: Iterable[int]) -> Fraction:
     j = j_mask.bit_count()
     if j == 0:
         return Fraction(0)
-    ones = _split(f.truth_table(), f.n, indices_of(j_mask)).sum(axis=1, dtype=np.int64)
+    ones = _layer_sums(f.truth_table(), f.n, j_mask)[0].sum(axis=0, dtype=np.int64)
     num = int(np.sum(2 * ones * ((1 << j) - ones)))
     return Fraction(num, 1 << (f.n + j))
 
@@ -418,11 +397,11 @@ def symmetric_influence_fourier(f: BooleanFunction, members: Iterable[int]) -> F
     j_mask = _as_mask(f, members)
     n = f.n
     raw = _wht_signs(f.truth_table(), n).astype(np.int64)
-    sums, sizes = _layer_counts(raw, n, j_mask)
-    sums_sq, _ = _layer_counts(raw * raw, n, j_mask)
+    sums, sizes = _layer_sums(raw, n, j_mask)
+    sums_sq, _ = _layer_sums(raw * raw, n, j_mask)
     if int(sums_sq.sum()) != 1 << (2 * n):
         raise RuntimeError("orbit sums of squared coefficients break Parseval's identity")
-    return _over_sizes(np.sum(sizes * sums_sq - sums**2, axis=0), sizes) / (1 << (2 * n + 1))
+    return _over_sizes(np.sum(sizes * sums_sq - sums**2, axis=1), sizes.ravel()) / (1 << (2 * n + 1))
 
 
 __all__ = [

@@ -300,7 +300,11 @@ class SetFamily:
 
 
 def is_t_intersecting(family: SetFamily, t: int) -> bool:
-    """Every two members (a member with itself included) share >= t elements."""
+    """Every two members (a member with itself included) share >= t elements;
+    t must be an integer >= 0 (``as_index``), or ``ValueError`` is raised."""
+    t = as_index(t, "t")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     sets = family.sets
     for i in range(len(sets)):
         for j in range(i, len(sets)):

@@ -10,22 +10,22 @@ A handle holds the function, the partition, the workspace W and the parts
 acting as asymmetric slots; its n is the partition's and its k the number
 of slots.  Its one table checks W and the slots (``Partition.index``:
 integer part indices; the slots distinct, nonempty and not W) and orders
-the slot parts first, then the other nonempty non-workspace parts.  The
-table keeps one exact subset-sum count over those parts, whose base row
-C(|W|, s) counts the workspace fills of each weight s: one (parts + 1,
-n + 1) array, int64 while every count fits and Python ints above.  A batch
-draws all its binomial weights in one call and a uniform rank per weight,
-walks every rank through the parts at once to a set of them and an s, ORs
-in row s of the table's fills block (the lowest s workspace variables),
-and one ``rearrange_bits_block`` call spreads those ones uniformly over W;
-the sampler's exact (x, w) law is read from the counts of the parts after
-the slots.  When every non-workspace part is a singleton the law is uniform
-on the cube, a batch is one block of uniform words and the table is never
-walked.  Either way x and w are read off the word block (slot c's bit at
-the first variable of the table's part c) and the batch is one
-``eval_many`` call, returned as the x, w and z int64 arrays that the
-isomorphism vote reads; a single draw is the first row of a one-draw
-batch.
+the slot parts first, then the free parts outside the slots and W
+(``Partition.free``).  The table keeps one exact subset-sum count over those
+parts, whose base row C(|W|, s) counts the workspace fills of each weight
+s: one (parts + 1, n + 1) array, int64 while every count fits and Python
+ints above.  A batch draws all its binomial weights in one call and a
+uniform rank per weight, walks every rank through the parts at once to a
+set of them and an s, ORs in row s of the table's fills block (the lowest s
+workspace variables), and one ``rearrange_bits_block`` call spreads those
+ones uniformly over W; the sampler's exact (x, w) law is read from the
+counts of the parts after the slots.  When every non-workspace part is a
+singleton the law is uniform on the cube, a batch is one block of uniform
+words and the table is never walked.  Either way x and w are read off the
+word block (slot c's bit at the first variable of the table's part c) and
+the batch is one ``eval_many`` call, returned as the x, w and z int64
+arrays that the isomorphism vote reads; a single draw is the first row of a
+one-draw batch.
 """
 
 from __future__ import annotations
@@ -111,11 +111,12 @@ class _SubsetSumTable:
     The constructor is the one check of the workspace and the slots: each
     a part index (``Partition.index``), the slots distinct, nonempty and
     not the workspace.  The parts are the slot parts in order, then the
-    other nonempty non-workspace parts; a valid point is a set of parts plus
-    s of the |W| workspace variables.  ``suffix`` counts those by part and
-    weight in one (parts + 1, n + 1) array, and ``words`` holds the parts
-    and the workspace fills as word blocks; both are built on first use,
-    which a singleton handle never makes.
+    free parts outside them and the workspace (``Partition.free``); a valid
+    point is a set of parts plus s of the |W| workspace variables.
+    ``suffix`` counts those by part and weight in one (parts + 1, n + 1)
+    array, and ``words`` holds the parts and the workspace fills as word
+    blocks; both are built on first use, which a singleton handle never
+    makes.
     """
 
     def __init__(self, partition: Partition, workspace: int, slots: Sequence[int]):
@@ -127,8 +128,7 @@ class _SubsetSumTable:
             raise ValueError("workspace cannot be an asymmetric slot")
         if any(not partition.parts[p] for p in slots):
             raise ValueError("asymmetric slots must be nonempty parts")
-        others = (p for p in range(partition.r) if p != workspace and partition.parts[p] and p not in slots)
-        self.parts = [partition.parts[p] for p in (*slots, *others)]
+        self.parts = [partition.parts[p] for p in (*slots, *partition.free([workspace, *slots]))]
         self.sizes = [part.bit_count() for part in self.parts]
         self.workspace = partition.parts[workspace]
         # binomial weight + uniform valid point collapses to a uniform point
@@ -245,11 +245,11 @@ class SamplerHandle:
 def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> SamplerHandle:
     """Freeze an accepting verdict into a sampler handle.
 
-    When fewer than k parts were identified, the lowest-indexed unused
-    nonempty parts fill the remaining slots; for accepted functions they
-    carry no asymmetric variable, so the core marginal is unaffected.  Empty
-    parts are skipped because a slot must contribute its constant to the
-    sample's weight accounting.
+    When fewer than k parts were identified, the first free parts outside
+    them and the workspace (``Partition.free``) fill the remaining slots;
+    for accepted functions they carry no asymmetric variable, so the core
+    marginal is unaffected.  Free parts are nonempty because a slot must
+    contribute its constant to the sample's weight accounting.
     """
     k = as_index(k, "k")
     if k < 0:
@@ -262,12 +262,7 @@ def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> Sam
     j_parts = list(verdict.found_parts)
     if len(j_parts) > k:
         raise ValueError("verdict identified more than k parts")
-    for p in range(partition.r):
-        if len(j_parts) == k:
-            break
-        if p == verdict.workspace or p in j_parts or not partition.parts[p]:
-            continue
-        j_parts.append(p)
+    j_parts += partition.free([verdict.workspace, *j_parts])[: k - len(j_parts)]
     if len(j_parts) < k:
         raise ValueError("not enough nonempty parts to pad the handle")
     return SamplerHandle(f, partition, verdict.workspace, tuple(j_parts), preprocessing_queries=verdict.queries)
@@ -340,6 +335,7 @@ def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Gene
     """Empirical total-variation distance of the (x, w) marginal from the
     reference law, binning w within six standard deviations of its mean
     and lumping the tails: one histogram of the (x, w) pairs drawn."""
+    trials = as_index(trials, "trials")
     if trials < 10_000:
         raise ValueError("need at least 10^4 trials for a stable estimate")
     n, k = handle.n, handle.k

@@ -108,8 +108,13 @@ class Partition:
             raise ValueError(f"{name} is not a part index ({name}s must be part indices in 0..{self.r - 1}), got {p}")
         return p
 
+    def free(self, taken: Iterable[int]) -> list[int]:
+        """The nonempty parts outside ``taken``, in index order."""
+        taken = set(taken)
+        return [p for p, mask in enumerate(self.parts) if mask and p not in taken]
+
     def chunks(self, workspace: int) -> list[tuple[int, int]]:
-        """Every non-workspace part split into pieces of at most ceil(|W|/4).
+        """Each free part outside the workspace in pieces of at most ceil(|W|/4).
 
         Returns (owner part index, chunk mask) pairs; owners repeat when a
         part splits.  Small pieces keep every weight adjustment within the
@@ -118,9 +123,8 @@ class Partition:
         if workspace not in self._chunks:
             cap = max(1, -(-self.size(workspace) // 4))
             out = []
-            for p, mask in enumerate(self.parts):
-                if p == workspace or not mask:
-                    continue
+            for p in self.free([workspace]):
+                mask = self.parts[p]
                 if mask.bit_count() <= cap:
                     out.append((p, mask))
                     continue
@@ -315,7 +319,7 @@ def junta_test(
 
     def locate(x: int, z: int, fx: int, found: list[int]) -> int:
         # hybrid point i takes z's bits on the first i unidentified parts
-        order = [p for p in range(partition.r) if p not in found and partition.parts[p]]
+        order = partition.free(found)
         cum = [0]
         for p in order:
             cum.append(cum[-1] | partition.parts[p])
@@ -391,7 +395,8 @@ def _locate_asymmetric_part(
     A point is built only when the search reads it, so a localization makes
     at most ceil(log2 t) workspace fills; the fills do not depend on f, so
     the points the search visits keep their joint law.  When x and y differ
-    only inside W, the step goes to the lowest-indexed free part, if any.
+    only inside W, the step goes to the first free part outside W and the
+    identified parts (``Partition.free``), if any.
     """
     owners, cum, wts = _chain_schedule(x, y, partition, workspace)
     w_mask = partition.parts[workspace]
@@ -401,7 +406,7 @@ def _locate_asymmetric_part(
     if not owners:
         if diff:
             raise RuntimeError("chain endpoints differ outside the workspace")
-        owner = next((p for p in range(partition.r) if p != workspace and p not in j_parts), None)
+        owner = next(iter(partition.free([workspace, *j_parts])), None)
         if owner is None:
             return None
     else:

@@ -52,6 +52,18 @@ def brute_syminf(f, members) -> Fraction:
     return Fraction(hits, total)
 
 
+def split_table(table: np.ndarray, n: int, cols) -> np.ndarray:
+    """A table as a (2^(n-j), 2^j, ...) array, j = len(cols), by one axis
+    move of its (2,)*n cube: column bit c is variable ``cols[c]``, and the
+    row index holds the other variables in ascending order, lowest bit
+    first.  Axes past the first are kept, so a stack of tables splits at
+    once."""
+    j = len(cols)
+    cube = table.reshape((2,) * n + table.shape[1:])
+    cube = np.moveaxis(cube, [n - 1 - v for v in reversed(cols)], range(n - j, n))
+    return cube.reshape((1 << (n - j), 1 << j) + table.shape[1:])
+
+
 def brute_dist(f, g) -> Fraction:
     n = f.n
     hits = sum(f(x) != g(x) for x in range(1 << n))

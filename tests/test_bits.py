@@ -379,3 +379,33 @@ def test_ranks_near_and_past_one_word_stay_in_range(bound):
     assert all(isinstance(u, int) and 0 <= u < bound for u in draws)
     # a uniform draw's mean fraction of the bound is 1/2 with sd 0.29 / 20
     assert abs(np.mean([u / bound for u in draws]) - 0.5) < 0.1
+
+
+@pytest.mark.parametrize("n", [70_000, 140_000])
+def test_weights_past_65535_ones_do_not_wrap(n, monkeypatch):
+    # rows of 1,024 words and more hold weights past uint16: the all-ones
+    # row, uniform rows (about n/2 ones) and rows with about 31/32 ones
+    rng = np.random.default_rng(n)
+    width = (n + 63) // 64
+    uniform = random_masks_u64(n, 12, rng)
+    sparse = random_masks_u64(n, 12, rng)
+    for _ in range(4):
+        sparse &= random_masks_u64(n, 12, rng)
+    heavy = ~sparse
+    heavy[:, -1] &= np.uint64((1 << (n % 64)) - 1)
+    block = np.concatenate((to_words((1 << n) - 1, width)[None, :], uniform, heavy))
+    points = list(_bits.block_points(block))
+    weights = [x.bit_count() for x in points]
+    assert max(weights) == n and sum(w > 65_535 for w in weights) >= 12
+    assert block_weights(block).tolist() == weights
+    # a batch reads each point as a scalar query does
+    profile = pt.SymmetricProfile(n, rng.integers(0, 2, size=n + 1))
+    core = pt.random_core_spec(n, 2, rng)
+    for f in (profile, core):
+        assert f.eval_many(_bits.block_points(block)).tolist() == [f(x) for x in points]
+    # both rearrangement paths keep every row's weight: the key sort on a
+    # small block, and the pool on a block of at least its threshold
+    mask = (1 << n) - 1
+    assert block_weights(rearrange_bits_block(block[:4], mask, rng)).tolist() == weights[:4]
+    monkeypatch.setattr(_bits, "_POOL_MIN_ROWS", 8)
+    assert block_weights(rearrange_bits_block(block, mask, rng)).tolist() == weights

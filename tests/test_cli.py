@@ -137,6 +137,18 @@ def test_experiment_iso_with_a_non_core_target_exits_2(capsys):
     assert "--target must be a psym_core function" in err and "Traceback" not in err
 
 
+def test_a_profile_is_a_core_form_target(tmp_path, capsys):
+    # a weight profile is the core form with k = 0: the iso tester and the
+    # brute-force check take it as a target, past brute-iso's n <= 8 too
+    fp = tmp_path / "profile.json"
+    pt.save_function(pt.SymmetricProfile(12, (np.arange(13) % 3 == 0).astype(np.uint8)), fp)
+    argv = ["experiment", "--tester", "iso", "--fn", fp, "--target", fp, "--k", "0", "--eps", "0.3"]
+    assert run_cli(*argv, "--trials", "2", "--seed", "5") == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("SUMMARY,5,1.000000")
+    assert run_cli("brute-iso", "--fn", fp, "--g", fp, "--trials", "2", "--seed", "5") == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"] == [True, True]
+
+
 def test_measure_core_descriptor_checks_k_first(capsys):
     for k in ("9", "8", "-1"):
         assert run_cli("measure", "--fn", f"core:n=8,k={k}", "--set", "0") == 2

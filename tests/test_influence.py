@@ -10,7 +10,7 @@ from psymtest.influence import _KRON_CALL, _kron, _wht_signs, symmetric_distance
 from psymtest.oracle import binomial_pmf, hypergeometric_pmf
 from psymtest.sampling import dstar_pmf
 
-from helpers import brute_dist, brute_influence, brute_syminf
+from helpers import brute_dist, brute_influence, brute_syminf, split_table
 
 DICTATOR2 = pt.TruthTable(2, [0, 1, 0, 1])  # f(x) = x_0
 AND2 = pt.TruthTable(2, [0, 0, 0, 1])
@@ -484,20 +484,19 @@ def reference_layer_counts(table, n, j_mask):
     from math import comb
 
     from psymtest._bits import indices_of
-    from psymtest.influence import _split
 
     cols = indices_of(j_mask)
     j = len(cols)
     weights = np.bitwise_count(np.arange(1 << j))
     sizes = np.array([comb(j, w) for w in range(j + 1)], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    by_weight = _split(table, n, cols)[:, np.argsort(weights, kind="stable")]
+    by_weight = split_table(table, n, cols)[:, np.argsort(weights, kind="stable")]
     return np.add.reduceat(by_weight, starts, axis=1, dtype=np.int64), sizes, weights
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fold_matches_sorted_reduceat_sums_for_every_j(n):
-    from psymtest.influence import _layer_counts, _wht_signs
+    from psymtest.influence import _layer_sums, _wht_signs
 
     rng = np.random.default_rng(700 + n)
     table = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
@@ -506,10 +505,11 @@ def test_fold_matches_sorted_reduceat_sums_for_every_j(n):
     stacked = rng.integers(0, 2, size=(1 << n, 5), dtype=np.uint32)
     for values in (table, raw, stacked):
         for j_mask in range(1 << n):
-            sums, sizes = _layer_counts(values, n, j_mask)
+            sums, sizes = _layer_sums(values, n, j_mask)
             want, want_sizes, _ = reference_layer_counts(values, n, j_mask)
-            assert sums.dtype == np.int64 and sums.shape == want.shape
-            assert np.array_equal(sums, want) and np.array_equal(sizes, want_sizes)
+            # weight first: entry [w, row] of the sums is entry [row, w] of the reference
+            assert np.moveaxis(sums, 0, 1).shape == want.shape
+            assert np.array_equal(np.moveaxis(sums, 0, 1), want) and np.array_equal(sizes.ravel(), want_sizes)
 
 
 @pytest.mark.parametrize("kind", ["dictator", "outside", "dense"])
@@ -518,7 +518,7 @@ def test_layer_sums_past_int32_at_n20(kind):
     dictator on a member of J has layer products 2 c (L - c) that add up past
     2^31 over the rows; the dictator on a variable outside J fills whole
     layers, so its sums pass 2^15."""
-    from psymtest.influence import _over_sizes, _split
+    from psymtest.influence import _over_sizes
 
     n = 20
     rng = np.random.default_rng(20)
@@ -538,23 +538,24 @@ def test_layer_sums_past_int32_at_n20(kind):
     assert pt.symmetric_distance(f, members) == Fraction(flips, 1 << n)
     closest = pt.closest_j_symmetric(f, members).truth_table()
     majority = (2 * ones > sizes).astype(np.uint8)
-    assert np.array_equal(_split(closest, n, members), majority[:, weights])
+    assert np.array_equal(split_table(closest, n, members), majority[:, weights])
 
 
 def test_fold_types_hold_full_layers():
     """On the constant-one table every layer sum is its size C(|J|, w), the
     largest a fold type must hold: uint8 ends after 10 folded variables and
-    uint16 after 18."""
-    from psymtest.influence import _layer_counts
+    uint16 after 18, each the type the sums come in."""
+    from psymtest.influence import _layer_sums
 
     rng = np.random.default_rng(1011)
     n = 20
     one = pt.TruthTable(n, np.ones(1 << n, dtype=np.uint8))
     for j in (10, 11, 18, 19, 20):
         members = sorted(int(v) for v in rng.choice(n, size=j, replace=False))
-        ones, sizes = _layer_counts(one.truth_table(), n, sum(1 << v for v in members))
-        assert list(sizes) == [comb(j, w) for w in range(j + 1)]
-        assert ones.dtype == np.int64 and ones.shape == (1 << (n - j), j + 1)
+        ones, sizes = _layer_sums(one.truth_table(), n, sum(1 << v for v in members))
+        assert list(sizes.ravel()) == [comb(j, w) for w in range(j + 1)]
+        assert ones.dtype == (np.uint8 if j <= 10 else np.uint16 if j <= 18 else np.int32)
+        assert ones.shape == (j + 1, 1 << (n - j))
         assert np.array_equal(ones, np.broadcast_to(sizes, ones.shape))
         assert symmetric_distance(one, members) == 0
         assert np.array_equal(pt.closest_j_symmetric(one, members).truth_table(), one.table)
@@ -567,7 +568,7 @@ def test_layer_sizes_are_binomial_counts():
     from math import comb
 
     from psymtest._bits import mask_from_indices
-    from psymtest.influence import _layer_counts
+    from psymtest.influence import _layer_sums
 
     rng = np.random.default_rng(16)
     n = 8
@@ -575,7 +576,8 @@ def test_layer_sizes_are_binomial_counts():
     members = [1, 3, 4, 6]
     rest = [v for v in range(n) if v not in members]
     j_mask = mask_from_indices(members)
-    ones, sizes = _layer_counts(f.truth_table(), n, j_mask)
+    ones, sizes = _layer_sums(f.truth_table(), n, j_mask)
+    ones, sizes = ones.T, sizes.ravel()
     # per-point enumeration: row = the bits outside J packed in order, column = weight in J
     want_ones = np.zeros((1 << len(rest), len(members) + 1), dtype=np.int64)
     want_sizes = np.zeros_like(want_ones)
@@ -584,7 +586,7 @@ def test_layer_sizes_are_binomial_counts():
         w = (x & j_mask).bit_count()
         want_ones[row, w] += f(x)
         want_sizes[row, w] += 1
-    assert ones.dtype == np.int64 and np.array_equal(ones, want_ones)
+    assert np.array_equal(ones, want_ones)
     assert np.array_equal(want_sizes, np.broadcast_to(sizes, want_sizes.shape))
     assert list(sizes) == [comb(len(members), w) for w in range(len(members) + 1)]
     assert np.all(2 * np.minimum(ones, sizes - ones) <= sizes)  # minority fraction <= 1/2
@@ -593,14 +595,14 @@ def test_layer_sizes_are_binomial_counts():
 def test_fourier_parseval_check_fires_when_a_layer_is_lost(monkeypatch):
     from psymtest import influence
 
-    real = influence._layer_counts
+    real = influence._layer_sums
 
     def drop_weight_zero(table, n, j_mask):
         sums, sizes = real(table, n, j_mask)
-        return sums[:, 1:], sizes[1:]
+        return sums[1:], sizes[1:]
 
     assert pt.symmetric_influence_fourier(X0_AND_NOT_X1, [0, 1]) == Fraction(1, 4)
-    monkeypatch.setattr(influence, "_layer_counts", drop_weight_zero)
+    monkeypatch.setattr(influence, "_layer_sums", drop_weight_zero)
     with pytest.raises(RuntimeError, match="Parseval"):
         pt.symmetric_influence_fourier(X0_AND_NOT_X1, [0, 1])
 

@@ -10,7 +10,7 @@ import psymtest as pt
 from psymtest import influence, isomorphism, oracle
 from psymtest.boolfn import MAX_DENSE_N
 from psymtest.oracle import SetFamily
-from psymtest.sampling import dstar_pmf, handle_from_verdict, sample_dstar
+from psymtest.sampling import dstar_pmf, handle_from_verdict, marginal_tv_estimate, sample_dstar
 
 
 def _core(n: int, k: int) -> pt.PartiallySymmetricCore:
@@ -74,6 +74,18 @@ _CASES = [
     ("random_core_spec k < 0", "0 <= k < n = 8, got -1", lambda: pt.random_core_spec(8, -1, _rng())),
     ("mu_p p > 1", "p outside [0, 1]", lambda: oracle.mu_p(SetFamily.of(4, [[0]]), 1.5)),
     ("mu_p p < 0", "p outside [0, 1]", lambda: oracle.mu_p(SetFamily.of(4, [[0]]), -0.25)),
+    # is_t_intersecting's t follows the integer input rule
+    ("is_t_intersecting t float", "t must be an integer, got float", lambda: oracle.is_t_intersecting(
+        SetFamily.of(4, [[0, 1]]), 1.5)),
+    ("is_t_intersecting t bool", "t must be an integer, got bool", lambda: oracle.is_t_intersecting(
+        SetFamily.of(4, [[0, 1]]), True)),
+    ("is_t_intersecting t str", "t must be an integer, got str", lambda: oracle.is_t_intersecting(
+        SetFamily.of(4, [[0, 1]]), "1")),
+    ("is_t_intersecting t < 0", "t must be >= 0, got -1", lambda: oracle.is_t_intersecting(
+        SetFamily.of(4, [[0, 1]]), -1)),
+    # marginal_tv_estimate names its own argument
+    ("marginal_tv_estimate trials float", "trials must be an integer, got float", lambda: marginal_tv_estimate(
+        handle_from_verdict(_lin(4), _verdict(True, [0], 2), 1), 1e5, _rng())),
     # constructors
     ("Permutation repeat", "not a bijection", lambda: pt.Permutation([0, 0, 1])),
     ("Permutation gap", "not a bijection", lambda: pt.Permutation([0, 2])),

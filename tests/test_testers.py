@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, comb, log2
 
 import numpy as np
 import pytest
@@ -195,6 +195,69 @@ def test_partition_index_is_the_one_part_rule():
     for p, message in cases:
         with pytest.raises(ValueError, match=message):
             partition.index(p, "slot")
+
+
+def test_partition_free_is_the_one_free_part_rule(monkeypatch):
+    from psymtest.sampling import _SubsetSumTable, handle_from_verdict
+    from psymtest.testers import _locate_asymmetric_part
+
+    def parts():
+        # part 3 is empty and part 4 is the workspace W, of 8 variables
+        return pt.Partition(14, [0b11, 0b1100, 0b110000, 0, 0xFF << 6])
+
+    f = pt.KLinear(14, [6])
+    x, y = 1 << 6, 1 << 7  # differ only inside W
+    x2_and_x9 = random_junta(16, 2, (2, 9), [0, 0, 0, 1])
+
+    def orders():
+        partition = parts()  # a fresh one: chunks are cached per partition
+        return (
+            [owner for owner, _ in partition.chunks(4)],
+            [partition.parts.index(part) for part in _SubsetSumTable(partition, 4, [1]).parts],
+            handle_from_verdict(f, pt.TestVerdict(True, 0, [1], partition, 4), 2).j_parts,
+            _locate_asymmetric_part(f, x, y, partition, [1], 4, f(x), np.random.default_rng(0)),
+            [pt.junta_test(x2_and_x9, 1, 0.3, np.random.default_rng(s)).found_parts for s in range(40)],
+        )
+
+    assert parts().free([]) == [0, 1, 2, 4] and parts().free([4, 1]) == [0, 2]
+    chunks, table, padding, fallback, juntas = orders()
+    assert (chunks, table, padding, fallback) == ([0, 1, 2], [1, 0, 2], (1, 0), 0)
+    # every rule that takes free parts takes them in the order free gives
+    real = testers.Partition.free
+    monkeypatch.setattr(testers.Partition, "free", lambda self, taken: real(self, taken)[::-1])
+    chunks, table, padding, fallback, reversed_ = orders()
+    assert (chunks, table, padding, fallback) == ([2, 1, 0], [1, 2, 0], (1, 2), 2)
+    # when both of x_2 and x_9 change, the bisection names the part of the
+    # one that the chain settles first or last; no draw depends on the order
+    assert all(sorted(u) == sorted(v) for u, v in zip(juntas, reversed_))
+    assert any(u != v for u, v in zip(juntas, reversed_))
+
+
+class _Values(pt.BooleanFunction):
+    """Records the value of every scalar query."""
+
+    def __init__(self, inner):
+        super().__init__(inner.n)
+        self.inner = inner
+        self.seen = []
+
+    def _eval(self, x: int) -> int:
+        self.seen.append(self.inner(x))
+        return self.seen[-1]
+
+
+def test_find_asymmetric_set_never_names_an_empty_part():
+    # x_4 lies in the workspace W = 0xf0; with part 1 identified the only
+    # part left is the empty part 0, so a flip inside W names no part
+    partition = pt.Partition(8, [0, 0x0F, 0xF0])
+    rng = np.random.default_rng(28)
+    flips = 0
+    for _ in range(40):
+        f = _Values(pt.KLinear(8, [4]))
+        assert pt.find_asymmetric_set(f, partition, [1], 2, rng) is None
+        assert len(f.seen) == 2
+        flips += f.seen[0] != f.seen[1]
+    assert flips >= 5
 
 
 def test_find_asymmetric_set_skips_identified_parts():
@@ -635,3 +698,42 @@ def test_psym_rejects_a_member_only_for_its_two_causes(n):
         assert "meets core" in causes
     if n == 2048:
         assert "workspace" in causes
+
+
+def _cause_probability(n: int, k: int, r: int) -> Fraction:
+    """Exact chance that a psym run on a member with core size k draws one
+    of its two rejection causes, from the partition law.  At r >= n the
+    parts are the n singletons and the workspace is one of them, so it
+    meets the core with chance k/n and always passes the rule.  Below,
+    every variable lies in the uniform workspace part independently with
+    chance 1/r: no cause needs the workspace to miss the k core variables
+    and to hold at least n / (2r) of the n - k others."""
+    if r >= n:
+        return Fraction(k, n)
+    q = Fraction(1, r)
+    least = -(-n // (2 * r))
+    holds = sum(comb(n - k, w) * q**w * (1 - q) ** (n - k - w) for w in range(least, n - k + 1))
+    return 1 - (1 - q) ** k * holds
+
+
+@pytest.mark.parametrize("n, eps, runs", [(24, 0.1, 200), (64, 0.5, 300)])
+def test_psym_member_rejection_rate_is_within_a_binomial_bound_of_its_causes(n, eps, runs):
+    # n = 24 is singleton parts (r = 1201), n = 64 a random partition of
+    # r = 49 parts, where both causes occur
+    from scipy.stats import binom
+
+    k = 2
+    r = psym_partition_size(n, k, eps, pt.TesterConfig())
+    p = float(_cause_probability(n, k, r))
+    causes = rejections = 0
+    for seed in range(runs):
+        rng = np.random.default_rng([n, 9, seed])
+        f = pt.random_core_spec(n, k, rng)
+        v = pt.partially_symmetric_test(f, k, eps, rng)
+        cause = member_rejection_cause(v, f.asym_mask)
+        causes += cause is not None
+        rejections += not v.accepted
+    # two-sided at 1e-6 on the causes, one-sided on the rejections they allow
+    lo, hi = binom.ppf(1e-6, runs, p), binom.isf(1e-6, runs, p)
+    assert lo <= causes <= hi, (causes, runs * p, lo, hi)
+    assert rejections <= hi
