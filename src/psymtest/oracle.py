@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -196,6 +196,42 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     return Fraction(best, 1 << n)
 
 
+def _orderings(k: int, row_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The k! orderings sigma of k core coordinates, in the order of
+    ``permutations(range(k))``, in blocks of at most
+    max(1, ``_TSYM_STACK_BYTES`` // row_bytes), where row_bytes is what the
+    caller holds per ordering.  A block is the (m, k) orderings and their
+    (m, 2^k) index maps x_sigma(y) = sum_c (bit sigma[c] of y) << c: the core
+    row that core bits y read when core bit c reads bit sigma[c]."""
+    per_block = max(1, _TSYM_STACK_BYTES // row_bytes)
+    dtype = np.min_scalar_type((1 << k) - 1)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    for start in range(0, factorial(k), per_block):
+        m = min(per_block, factorial(k) - start)
+        orders = np.fromiter(flat, np.uint8, m * k).reshape(m, k)
+        # bit j of y feeds core bit c where sigma[c] = j, so the map doubles
+        # from y < 2^j to y < 2^(j+1) by that bit
+        bit = np.empty((m, k), dtype)
+        bit[np.arange(m)[:, None], orders] = 1 << np.arange(k, dtype=dtype)
+        x = np.zeros((m, 1 << k), dtype)
+        for j in range(k):
+            np.bitwise_or(x[:, : 1 << j], bit[:, j : j + 1], out=x[:, 1 << j : 2 << j])
+        yield orders, x
+
+
+def _best_ordering(k: int, row_bytes: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple[int, ...], int]:
+    """The ordering of ``_orderings`` with the highest score, the first on
+    ties, and its score; ``score`` maps a block of index maps to one integer
+    per ordering."""
+    best: tuple[tuple[int, ...], int] | None = None
+    for orders, x in _orderings(k, row_bytes):
+        scores = score(x)
+        i = int(np.argmax(scores))
+        if best is None or scores[i] > best[1]:
+            best = tuple(int(c) for c in orders[i]), int(scores[i])
+    return best
+
+
 def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fraction:
     """Min distance from g to any relabeling of the core-form function.
 
@@ -203,18 +239,19 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
     other t = n - k variables are interchangeable: a k-set reads only its
     ``_min_over_sets`` fold A[w, y].  Ordering sigma (core bit c reads bit
     sigma[c] of y) misses sum core C(t, w) + sum (1 - 2 core[x_sigma(y), w])
-    A[w, y] points, one float32 product of the k! signed core tables (refused
-    past ``_TSYM_STACK_BYTES``) with the stack; no partial sum passes 2^16."""
+    A[w, y] points, one float32 product of the k! signed core tables
+    (refused past ``_TSYM_STACK_BYTES``), reordered through the index maps
+    of ``_orderings``, with the stack; no partial sum passes 2^16."""
     n = f_spec.n
     if g.n != n:
         raise ValueError("dimension mismatch")
     if n > MAX_ISO_N:
         raise ValueError(f"isomorphism-class distance is capped at n <= {MAX_ISO_N}")
     k, t, core = f_spec.k, n - f_spec.k, f_spec.core
-    if factorial(k) * (t + 1) << (k + 2) > _TSYM_STACK_BYTES:
+    row_bytes = (t + 1) << (k + 2)
+    if factorial(k) * row_bytes > _TSYM_STACK_BYTES:
         raise ValueError(f"the k! signed core tables at k = {k} pass the {_TSYM_STACK_BYTES >> 20} MB budget")
-    orders = np.array(list(itertools.permutations(range(k))), dtype=np.uint8)[:, None]
-    x = ((np.arange(1 << k, dtype=np.uint8)[:, None] >> orders & 1) << np.arange(k, dtype=np.uint8)).sum(2, np.uint8)
+    ((_, x),) = _orderings(k, row_bytes)
     tables = np.where(core, np.float32(-1), np.float32(1))[x[:, None], np.arange(t + 1)[:, None]].reshape(len(x), -1)
     base = sum(comb(t, w) * int(ones) for w, ones in enumerate(core.sum(axis=0)))
 

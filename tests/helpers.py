@@ -116,3 +116,20 @@ def member_rejection_cause(v, core_mask: int) -> str | None:
     if 2 * v.partition.r * part.bit_count() < v.partition.n:
         return "workspace"
     return "meets core" if part & core_mask else None
+
+
+def reference_vote(xs, ws, zs, core: np.ndarray, k: int):
+    """The isomorphism vote sample by sample: every assignment in
+    ``permutations(range(k))`` order reads each sample's core row (sample
+    bit ``assignment[c]`` feeds core bit c), and the first with the most
+    agreeing z wins.  Returns it and its exact fraction."""
+    xs = np.asarray(xs, dtype=np.int64)
+    best = None
+    for assignment in permutations(range(k)):
+        xc = np.zeros(len(xs), dtype=np.int64)
+        for c, slot in enumerate(assignment):
+            xc |= ((xs >> slot) & 1) << c
+        agree = Fraction(int(np.count_nonzero(core[xc, ws] == zs)), len(xs))
+        if best is None or agree > best[1]:
+            best = assignment, agree
+    return best

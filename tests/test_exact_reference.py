@@ -177,7 +177,7 @@ def test_transpositions_and_core_match_reference(n):
         assert pt.find_core(f) == max(symmetric, key=lambda m: (len(m), -m[0]))
 
 
-@pytest.mark.parametrize("n, k", [(3, 0), (4, 1), (5, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize("n, k", [(3, 0), (4, 1), (5, 2), (6, 2), (6, 3), (7, 4)])
 def test_iso_class_distance_matches_reference(n, k):
     rng = np.random.default_rng(400 + 10 * n + k)
     spec = pt.random_core_spec(n, k, rng)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import psymtest as pt
-from psymtest import isomorphism, testers
+from psymtest import isomorphism, oracle, testers
 from psymtest.isomorphism import iso_sample_budget
 from psymtest.testers import TesterConfig, _rounds, psym_query_bound
 
-from helpers import member_rejection_cause, strong_core_spec
+from helpers import member_rejection_cause, reference_vote, strong_core_spec
 
 
 def _samples_from(handle, count, seed):
@@ -258,3 +258,70 @@ def test_samples_must_be_integer_arrays():
             pt.consistency_fraction(samples["x"], samples["w"], samples["z"], f, (0, 1))
         with pytest.raises(ValueError, match=f"sample {name} must be a 1-D integer array"):
             pt.best_assignment(samples["x"], samples["w"], samples["z"], f)
+
+
+def _vote_case(k, kind, seed):
+    """A target and samples at n = 16: uniform samples ("random"), samples
+    at binomial weights read through a random assignment, with 10 % of z
+    flipped ("noisy"), or uniform samples of a core that is constant in x,
+    where every assignment ties ("tied").  k = 0 is a weight profile."""
+    n, q = 16, 600
+    rng = np.random.default_rng([k, seed])
+    if kind == "tied":
+        core = np.repeat(rng.integers(0, 2, (1, n - k + 1), dtype=np.uint8), 1 << k, axis=0)
+    else:
+        core = rng.integers(0, 2, (1 << k, n - k + 1), dtype=np.uint8)
+    f = pt.SymmetricProfile(n, core[0]) if k == 0 else pt.PartiallySymmetricCore(n, k, range(k), core)
+    xs = rng.integers(0, 1 << k, q)
+    ws = rng.integers(0, n - k + 1, q)
+    zs = rng.integers(0, 2, q)
+    if kind == "noisy":
+        ws = rng.binomial(n - k, 0.5, q)
+        sigma = rng.permutation(k)
+        xc = sum(((xs >> int(slot)) & 1) << c for c, slot in enumerate(sigma))
+        zs = core[xc, ws] ^ (rng.random(q) < 0.1)
+    return f, xs, ws, zs.astype(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["random", "noisy", "tied"])
+@pytest.mark.parametrize("k", range(6))
+def test_vote_matches_the_per_sample_reference(k, kind):
+    for seed in range(3):
+        f, xs, ws, zs = _vote_case(k, kind, seed)
+        want = reference_vote(xs, ws, zs, f.core, k)
+        assert pt.best_assignment(xs, ws, zs, f) == want
+        if kind == "tied":
+            assert want[0] == tuple(range(k))
+
+
+@pytest.mark.parametrize("kind", ["random", "tied"])
+def test_vote_keeps_the_first_best_across_blocks(monkeypatch, kind):
+    # blocks of 5 of the 24 orderings at k = 4: the first best of a later
+    # block must not displace an equal one of an earlier block
+    monkeypatch.setattr(oracle, "_TSYM_STACK_BYTES", 5 * (16 << 4))
+    for seed in range(3):
+        f, xs, ws, zs = _vote_case(4, kind, seed)
+        assert pt.best_assignment(xs, ws, zs, f) == reference_vote(xs, ws, zs, f.core, 4)
+
+
+@pytest.mark.parametrize("k, per_block", [(0, 1), (3, 1), (3, 4), (4, 5), (5, 120)])
+def test_orderings_are_the_permutations_and_their_index_maps(k, per_block):
+    blocks = list(oracle._orderings(k, oracle._TSYM_STACK_BYTES // per_block))
+    assert [len(orders) for orders, _ in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+    got = [(tuple(map(int, o)), list(map(int, row))) for orders, x in blocks for o, row in zip(orders, x)]
+    want = [
+        (sigma, [sum(((y >> s) & 1) << c for c, s in enumerate(sigma)) for y in range(1 << k)])
+        for sigma in permutations(range(k))
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+def test_vote_takes_every_integer_dtype(dtype):
+    f = pt.random_core_spec(16, 2, np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    xs, ws, zs = rng.integers(0, 4, 50), rng.integers(0, 15, 50), rng.integers(0, 2, 50)
+    want = reference_vote(xs, ws, zs, f.core, 2)
+    cast = [v.astype(dtype) for v in (xs, ws, zs)]
+    assert pt.best_assignment(*cast, f) == want
+    assert pt.consistency_fraction(*cast, f, want[0]) == want[1]

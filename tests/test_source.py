@@ -89,21 +89,41 @@ def test_readme_quick_start_runs():
 
 def test_readme_caps_match_the_constants():
     # the "Notes on scale" sentence that lists the cap of every exact routine
+    # and of the isomorphism vote
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Notes on scale", 1)[1]
     sentence = " ".join(section.split("carry caps:", 1)[1].split(".", 1)[0].split())
     caps = {
-        "influence": psymtest.influence.MAX_EXACT_INFLUENCE_N,
-        "symmetric influence and transforms": psymtest.influence.MAX_EXACT_SYMINF_N,
-        "coefficient-side identity": psymtest.influence.MAX_FOURIER_N,
-        "distances": psymtest.oracle.MAX_DIST_N,
-        "t-symmetric/junta distances": psymtest.oracle.MAX_TSYM_N,
-        "isomorphism class distance": psymtest.oracle.MAX_ISO_N,
-        "core recovery": psymtest.oracle.MAX_CORE_N,
-        "exact biased measure": psymtest.oracle.MAX_MEASURE_N,
+        "influence n": psymtest.influence.MAX_EXACT_INFLUENCE_N,
+        "symmetric influence and transforms n": psymtest.influence.MAX_EXACT_SYMINF_N,
+        "coefficient-side identity n": psymtest.influence.MAX_FOURIER_N,
+        "distances n": psymtest.oracle.MAX_DIST_N,
+        "t-symmetric/junta distances n": psymtest.oracle.MAX_TSYM_N,
+        "isomorphism class distance n": psymtest.oracle.MAX_ISO_N,
+        "core recovery n": psymtest.oracle.MAX_CORE_N,
+        "exact biased measure n": psymtest.oracle.MAX_MEASURE_N,
+        "isomorphism vote k": psymtest.isomorphism.MAX_ASSIGNMENT_K,
     }
-    stated = {label: re.findall(rf"(?:^|, |\(){re.escape(label)} n ≤ (\d+)", sentence) for label in caps}
+    stated = {label: re.findall(rf"(?:^|, |\(){re.escape(label)} ≤ (\d+)", sentence) for label in caps}
     assert stated == {label: [str(cap)] for label, cap in caps.items()}, sentence
+
+
+def test_core_orderings_are_enumerated_in_one_function():
+    # the isomorphism vote and the isomorphism-class distance read the k!
+    # orderings of a core through oracle._orderings alone
+    found = []
+    for module in (psymtest.isomorphism, psymtest.oracle):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls = {
+                    node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                }
+                if "permutations" in calls:
+                    found.append(f"{module.__name__}.{fn.name}")
+    assert found == ["psymtest.oracle._orderings"]
 
 
 def test_readme_kron_pass_matches_the_constants():
