@@ -19,6 +19,8 @@ back to an exact float-key sort.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from collections.abc import Sequence
 from typing import Iterable
@@ -49,16 +51,39 @@ def indices_of(mask: int) -> list[int]:
     return out
 
 
-def as_index(value, name: str) -> int:
-    """``value`` as an int if it is a Python or NumPy integer other than a
-    bool; anything else (a float, a string, a bool) raises ``ValueError``
-    naming ``name``."""
-    if not isinstance(value, bool):
+def as_index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, not a bool,
+    in lo..hi (an end given as None is open): the one integer input rule.
+    Anything else raises ``ValueError`` naming ``name``, "must be an
+    integer" or "must be in lo..hi" (">= lo"); a top end 2^m - 1 past 2^16,
+    such as the last point of {0,1}^m, is written so."""
+    if value.__class__ is not int:  # an exact int skips the type check
         try:
-            return operator.index(value)
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
         except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+            raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}") from None
+    if (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    top = f"2^{hi.bit_length()} - 1" if hi is not None and hi > 0xFFFF and not hi & (hi + 1) else hi
+    span = f">= {lo}" if hi is None else f"<= {top}" if lo is None else f"in {lo}..{top}"
+    raise ValueError(f"{name} must be {span}, got {value}")
+
+
+def as_real(value, name: str, lo, hi, closed: bool = False):
+    """``value`` if it is a finite real number (a Python or NumPy int or
+    float, or a ``Fraction``; not a bool) between lo and hi, the ends
+    included only if ``closed``: as given if rational, else as a float,
+    which ``Fraction`` takes.  Anything else raises ``ValueError`` naming
+    ``name``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    if -math.inf < value < math.inf and (lo < value < hi or closed and lo <= value <= hi):
+        return value if isinstance(value, numbers.Rational) else float(value)
+    ends = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+    span = f"finite and {'>=' if closed else '>'} {lo}" if hi == math.inf else f"in {ends}"
+    raise ValueError(f"{name} must be {span}, got {value}")
 
 
 def as_bits(values, name: str) -> np.ndarray:

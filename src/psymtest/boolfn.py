@@ -81,10 +81,8 @@ class Permutation:
 
     def apply(self, x: int) -> int:
         """Move each set bit i of ``x`` to position mapping[i]; ``x`` must
-        be an integer point of {0,1}^n, or ``ValueError`` is raised."""
-        x = as_index(x, "x")
-        if not 0 <= x < (1 << len(self.mapping)):
-            raise ValueError(f"x = {x} outside {{0,1}}^{len(self.mapping)}")
+        be an integer point of {0,1}^n (``as_index``)."""
+        x = as_index(x, "x", 0, (1 << len(self.mapping)) - 1)
         y = 0
         while x:
             low = x & -x
@@ -141,11 +139,11 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        return cls(range(as_index(n, "n", 0)))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "Permutation":
-        return cls(rng.permutation(n))
+        return cls(rng.permutation(as_index(n, "n", 0)))
 
 
 class BooleanFunction:
@@ -154,15 +152,10 @@ class BooleanFunction:
     kind = "abstract"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one variable")
-        self.n = int(n)
+        self.n = as_index(n, "n", 1)
 
     def __call__(self, x: int) -> int:
-        x = as_index(x, "point")
-        if not 0 <= x < (1 << self.n):
-            raise ValueError(f"point {x} outside {{0,1}}^{self.n}")
-        return self._eval(x)
+        return self._eval(as_index(x, "point", 0, (1 << self.n) - 1))
 
     def _eval(self, x: int) -> int:
         raise NotImplementedError
@@ -248,6 +241,7 @@ class TruthTable(BooleanFunction):
 
     def __init__(self, n: int, table):
         super().__init__(n)
+        n = self.n
         if n > MAX_DENSE_N:
             raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}")
         t = as_bits(table, "table")
@@ -273,12 +267,12 @@ class KLinear(BooleanFunction):
 
     def __init__(self, n: int, indices: Iterable[int]):
         super().__init__(n)
-        idx = tuple(sorted(as_index(i, "index") for i in indices))
-        if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
-            raise ValueError("indices must be distinct and in range(n)")
+        idx = tuple(sorted(as_index(i, "index", 0, self.n - 1) for i in indices))
+        if len(set(idx)) != len(idx):
+            raise ValueError("indices must be distinct")
         self.indices = idx
         self.mask = mask_from_indices(idx)
-        self._mask_words = to_words(self.mask, (n + 63) // 64)
+        self._mask_words = to_words(self.mask, (self.n + 63) // 64)
 
     def _eval(self, x: int) -> int:
         return (x & self.mask).bit_count() & 1
@@ -303,12 +297,13 @@ class PartiallySymmetricCore(BooleanFunction):
 
     def __init__(self, n: int, k: int, asym: Iterable[int], core):
         super().__init__(n)
-        k = as_index(k, "k")
-        asym = tuple(as_index(a, "asym position") for a in asym)
-        if not 0 <= k < n or len(asym) != k:
-            raise ValueError("need 0 <= k < n and k asymmetric positions")
-        if len(set(asym)) != k or any(not 0 <= a < n for a in asym):
-            raise ValueError("asym positions must be distinct and in range(n)")
+        n = self.n
+        k = as_index(k, "k", 0, n - 1)
+        asym = tuple(as_index(a, "asym position", 0, n - 1) for a in asym)
+        if len(asym) != k:
+            raise ValueError(f"need k asymmetric positions, got {len(asym)} for k = {k}")
+        if len(set(asym)) != k:
+            raise ValueError("asym positions must be distinct")
         c = as_bits(core, "core")
         if c.shape != (1 << k, n - k + 1):
             raise ValueError(f"core must have shape (2^{k}, {n - k + 1})")
@@ -322,15 +317,10 @@ class PartiallySymmetricCore(BooleanFunction):
         self._sym_words = to_words(self.sym_mask, (n + 63) // 64)
 
     def core_eval(self, x: int, w: int) -> int:
-        """Value of the core at asymmetric values ``x`` and symmetric weight
-        ``w``; both must be integers in range, or ``ValueError`` is raised."""
-        x = as_index(x, "x")
-        w = as_index(w, "w")
-        if not 0 <= x < (1 << self.k):
-            raise ValueError(f"x = {x} outside {{0,1}}^{self.k}")
-        if not 0 <= w <= self.n - self.k:
-            raise ValueError(f"w = {w} outside 0..{self.n - self.k}")
-        return int(self.core[x, w])
+        """Value of the core at asymmetric values ``x`` in 0..2^k - 1 and
+        symmetric weight ``w`` in 0..n - k (``as_index``)."""
+        x = as_index(x, "x", 0, (1 << self.k) - 1)
+        return int(self.core[x, as_index(w, "w", 0, self.n - self.k)])
 
     def _eval(self, x: int) -> int:
         xc = 0
@@ -368,11 +358,18 @@ class SymmetricProfile(PartiallySymmetricCore):
     kind = "symmetric_profile"
 
     def __init__(self, n: int, profile):
+        n = as_index(n, "n", 1)
         p = as_bits(profile, "profile")
         if p.shape != (n + 1,):
             raise ValueError("profile needs n + 1 entries")
         super().__init__(n, 0, (), p[None, :])
         self.profile = self.core[0]
+
+
+def _check_core_form(f_spec) -> None:
+    """Raise ``ValueError`` unless ``f_spec`` is in core form (a profile is)."""
+    if not isinstance(f_spec, PartiallySymmetricCore):
+        raise ValueError(f"f_spec must be a PartiallySymmetricCore, got {type(f_spec).__name__}")
 
 
 class Permuted(BooleanFunction):
@@ -449,25 +446,25 @@ def apply_permutation(f: BooleanFunction, pi: Permutation) -> BooleanFunction:
 
 
 def random_function(n: int, rng: np.random.Generator) -> TruthTable:
-    """Uniformly random dense function (n <= 25)."""
+    """Uniformly random dense function (1 <= n <= 25)."""
+    n = as_index(n, "n", 1)
     if n > MAX_DENSE_N:
         raise ValueError(f"random dense tables need n <= {MAX_DENSE_N}")
     return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 
 
 def _check_core_size(n: int, k: int) -> None:
-    """Refuse a core past 2^MAX_DENSE_N entries, testing k before any size."""
-    if 0 <= k <= n and (k > MAX_DENSE_N or (n - k + 1) << k > 1 << MAX_DENSE_N):
+    """Refuse a core past 2^MAX_DENSE_N entries, testing k (in 0..n) first."""
+    if k > MAX_DENSE_N or (n - k + 1) << k > 1 << MAX_DENSE_N:
         raise ValueError(f"a core of 2^{k} x {n - k + 1} entries exceeds 2^{MAX_DENSE_N}")
 
 
 def random_core_spec(n: int, k: int, rng: np.random.Generator) -> PartiallySymmetricCore:
     """Uniformly random (n-k)-symmetric function in core form; the core's
-    2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N; k must lie in
-    0..n-1, as the core form requires, and is checked before any draw."""
-    n, k = as_index(n, "n"), as_index(k, "k")
-    if not 0 <= k < n:
-        raise ValueError(f"core size k must satisfy 0 <= k < n = {n}, got {k}")
+    2^k (n - k + 1) entries are capped at 2^MAX_DENSE_N; n >= 1 and k in
+    0..n-1, as the core form requires, are checked before any draw."""
+    n = as_index(n, "n", 1)
+    k = as_index(k, "k", 0, n - 1)
     _check_core_size(n, k)
     asym = tuple(int(a) for a in rng.choice(n, size=k, replace=False))
     core = rng.integers(0, 2, size=(1 << k, n - k + 1), dtype=np.uint8)
@@ -522,6 +519,7 @@ def function_from_json(obj: dict) -> BooleanFunction:
     kind = obj.get("kind")
     if kind == "truth_table":
         n, table_hex = _json_fields(obj, n=int, table_hex=str)
+        as_index(n, "field 'n'", 1)
         if n > MAX_DENSE_N:
             raise ValueError(f"dense tables are capped at n <= {MAX_DENSE_N}, got n = {n}")
         return TruthTable(n, hex_to_bits(table_hex, 1 << n))

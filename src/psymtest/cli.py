@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import boolfn, influence, isomorphism, sampling, testers
-from ._bits import block_points, random_masks_u64
+from ._bits import as_index, as_real, block_points, random_masks_u64
 
 
 def _trial_rng(seed: int, trial: int) -> tuple[int, np.random.Generator]:
@@ -138,13 +138,8 @@ def _run_trial(args, f, target, cfg, rng) -> testers.TestVerdict:
     raise ValueError(f"unknown tester {args.tester!r}")
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
+    as_index(args.trials, "--trials", 1)
     cfg = testers.TesterConfig(c_parts=args.parts_mult, c_iters=args.iters_mult)
     gen_rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xF,)))
     f = resolve_function(args.fn, gen_rng)
@@ -238,11 +233,9 @@ def _xor_of_symmetric(n: int, rng: np.random.Generator):
 
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
+    as_index(args.trials, "--trials", 1)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    n_max = args.n_max
-    if not 4 <= n_max <= 12:
-        raise ValueError(f"lemma suites need 4 <= --n-max <= 12, got {n_max}")
+    n_max = as_index(args.n_max, "--n-max", 4, 12)
     report: dict = {}
 
     pairs = 0
@@ -377,9 +370,8 @@ def brute_iso_once(
 
 
 def cmd_brute_iso(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
-    if not 0 < args.eps < 1:
-        raise ValueError(f"--eps must lie strictly between 0 and 1, got {args.eps}")
+    as_index(args.trials, "--trials", 1)
+    as_real(args.eps, "--eps", 0, 1)
     gen_rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0xF,)))
     f = resolve_function(args.fn, gen_rng)
     g = resolve_function(args.g, gen_rng)

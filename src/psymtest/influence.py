@@ -49,10 +49,7 @@ _MC_BLOCK = 1 << 15
 def _as_mask(f: BooleanFunction, members: Iterable[int]) -> int:
     mask = 0
     for v in members:
-        v = v if v.__class__ is int else as_index(v, "set member")
-        if not 0 <= v < f.n:
-            raise ValueError("set members outside range(n)")
-        mask |= 1 << v
+        mask |= 1 << as_index(v, "set member", 0, f.n - 1)
     return mask
 
 
@@ -169,8 +166,7 @@ def influence_mc(
     f: BooleanFunction, members: Iterable[int], trials: int, rng: np.random.Generator
 ) -> float:
     """Unbiased Monte Carlo estimate of the influence of J."""
-    if as_index(trials, "trials") < 1:
-        raise ValueError("need at least one trial")
+    trials = as_index(trials, "trials", 1)
     j_mask = _as_mask(f, members)
     if j_mask == 0:
         return 0.0
@@ -201,8 +197,7 @@ def symmetric_influence_mc(
     f: BooleanFunction, members: Iterable[int], trials: int, rng: np.random.Generator
 ) -> float:
     """Unbiased Monte Carlo estimate of the symmetric influence of J."""
-    if as_index(trials, "trials") < 1:
-        raise ValueError("need at least one trial")
+    trials = as_index(trials, "trials", 1)
     j_mask = _as_mask(f, members)
     if j_mask.bit_count() <= 1:
         return 0.0

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._bits import as_index
-from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore
+from ._bits import as_index, as_real
+from .boolfn import BooleanFunction, CountingFunction, PartiallySymmetricCore, _check_core_form
 from .oracle import _best_ordering
 from .sampling import draw_core_samples_batch, handle_from_verdict
 from .testers import TesterConfig, TestVerdict, _scaled_count, partially_symmetric_test
@@ -35,9 +35,10 @@ MAX_ASSIGNMENT_K = 10
 def _check_samples(
     xs: np.ndarray, ws: np.ndarray, zs: np.ndarray, f_spec: PartiallySymmetricCore
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, w and z as int64 arrays.  Raises ``ValueError`` unless they are
-    1-D integer arrays of one nonzero length whose samples lie in the core:
-    x in [0, 2^k), w in [0, n - k] and z a bit."""
+    """x, w and z as int64 arrays.  Raises ``ValueError`` unless f_spec is
+    in core form and they are 1-D integer arrays of one nonzero length whose
+    samples lie in its core: x in [0, 2^k), w in [0, n - k] and z a bit."""
+    _check_core_form(f_spec)
     for name, v in (("x", xs), ("w", ws), ("z", zs)):
         if not isinstance(v, np.ndarray) or v.dtype.kind not in "iu" or v.ndim != 1:
             got = f"{v.dtype} array of shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
@@ -87,10 +88,10 @@ def best_assignment(
     candidate over the index maps of ``oracle._orderings``, the one
     enumeration of core orderings, which ``dist_to_iso_class`` scores its
     folds over too (``oracle._best_ordering`` keeps the first best)."""
+    xs, ws, zs = _check_samples(xs, ws, zs, f_spec)
     k = f_spec.k
     if k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")
-    xs, ws, zs = _check_samples(xs, ws, zs, f_spec)
     # only the weights that samples hold: about sqrt(n) of them at large n
     lo = int(ws.min())
     core = f_spec.core[:, lo : int(ws.max()) + 1]
@@ -109,6 +110,7 @@ def best_assignment(
 def iso_sample_budget(k: int, eps: float, cfg: TesterConfig) -> int:
     """Number of core samples: c_iters * k * log2(k + 2) / eps^2, with k
     floored at 1 so tiny cores still get a positive budget."""
+    k = as_index(k, "k", 0)
     return _scaled_count(cfg.c_iters * max(k, 1) * log2(k + 2), "c_iters", cfg, eps, 2)
 
 
@@ -126,11 +128,12 @@ def iso_test(
     assignment reaches consistency at least 1 - eps/2 (ties accept).  A
     rejection by the first stage reports ``"workspace"`` or
     ``"not_partially_symmetric"``, one by the second ``"core_mismatch"``.
+    An f_spec not in core form raises ``ValueError``.
     """
+    _check_core_form(f_spec)
     if f_spec.n != g.n:
         raise ValueError("dimension mismatch")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
+    as_real(eps, "eps", 0, 1)
     k = f_spec.k
     if k > MAX_ASSIGNMENT_K:
         raise ValueError(f"assignment enumeration is capped at k <= {MAX_ASSIGNMENT_K}")

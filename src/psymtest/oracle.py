@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from ._bits import as_index, indices_of, mask_from_indices
-from .boolfn import BooleanFunction, PartiallySymmetricCore
+from ._bits import as_index, as_real, indices_of, mask_from_indices
+from .boolfn import BooleanFunction, PartiallySymmetricCore, _check_core_form
 from .influence import _as_mask, _fold, _fold_type, _kron
 
 MAX_DIST_N = 22
@@ -64,9 +64,7 @@ def dist_to_t_symmetric(f: BooleanFunction, t: int) -> Fraction:
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"t-symmetric distance is capped at n <= {MAX_TSYM_N}")
-    t = as_index(t, "t")
-    if not 0 <= t <= n:
-        raise ValueError("t outside 0..n")
+    t = as_index(t, "t", 0, n)
     if t <= 1:
         return Fraction(0)  # no two variables to swap
     sizes = np.array([comb(t, w) for w in range(t + 1)], dtype=np.min_scalar_type(comb(t, t // 2)))
@@ -174,9 +172,7 @@ def dist_to_k_junta(f: BooleanFunction, k: int) -> Fraction:
     n = f.n
     if n > MAX_TSYM_N:
         raise ValueError(f"junta distance is capped at n <= {MAX_TSYM_N}")
-    k = as_index(k, "k")
-    if not 0 <= k <= n:
-        raise ValueError("k outside 0..n")
+    k = as_index(k, "k", 0, n)
     # above[T]: the ones of f among the points that contain T.  Both passes
     # run in float32, exact below 2^24: every pass value counts ones of f,
     # so no partial sum of a 16-term product passes 16 * 2^n <= 2^20 at n <= 16
@@ -241,7 +237,9 @@ def dist_to_iso_class(f_spec: PartiallySymmetricCore, g: BooleanFunction) -> Fra
     sigma[c] of y) misses sum core C(t, w) + sum (1 - 2 core[x_sigma(y), w])
     A[w, y] points, one float32 product of the k! signed core tables
     (refused past ``_TSYM_STACK_BYTES``), reordered through the index maps
-    of ``_orderings``, with the stack; no partial sum passes 2^16."""
+    of ``_orderings``, with the stack; no partial sum passes 2^16.  An
+    ``f_spec`` not in core form raises ``ValueError``."""
+    _check_core_form(f_spec)
     n = f_spec.n
     if g.n != n:
         raise ValueError("dimension mismatch")
@@ -320,15 +318,16 @@ def find_core(f: BooleanFunction) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Generator sets of a family over the ground set range(n)."""
+    """Generator sets of a family over the ground set range(n), n >= 0."""
 
     n: int
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_index(self.n, "n", 0))
         for s in self.sets:
-            if any(not 0 <= as_index(v, "set member") < self.n for v in s):
-                raise ValueError("family member outside the ground set")
+            for v in s:
+                as_index(v, "set member", 0, self.n - 1)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
@@ -337,11 +336,9 @@ class SetFamily:
 
 
 def is_t_intersecting(family: SetFamily, t: int) -> bool:
-    """Every two members (a member with itself included) share >= t elements;
-    t must be an integer >= 0 (``as_index``), or ``ValueError`` is raised."""
-    t = as_index(t, "t")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    """Every two members (a member with itself included) share >= t elements,
+    for an integer t >= 0 (``as_index``)."""
+    t = as_index(t, "t", 0)
     sets = family.sets
     for i in range(len(sets)):
         for j in range(i, len(sets)):
@@ -360,9 +357,7 @@ def mu_p(family: SetFamily, p) -> Fraction:
     n = family.n
     if n > MAX_MEASURE_N:
         raise ValueError(f"exact biased measure is capped at n <= {MAX_MEASURE_N}")
-    pf = Fraction(p)
-    if not 0 <= pf <= 1:
-        raise ValueError("p outside [0, 1]")
+    pf = Fraction(as_real(p, "p", 0, 1, closed=True))
     js = np.arange(1 << n, dtype=np.int64)
     member = np.zeros(1 << n, dtype=bool)
     for s in family.sets:
@@ -377,19 +372,18 @@ def mu_p(family: SetFamily, p) -> Fraction:
 
 
 def hypergeometric_pmf(n: int, m: int, k: int) -> list[Fraction]:
-    """Exact law of the red count when drawing k of n balls, m of them red."""
-    n, m, k = as_index(n, "n"), as_index(m, "m"), as_index(k, "k")
-    if not (0 <= m <= n and 0 <= k <= n):
-        raise ValueError("need 0 <= m <= n and 0 <= k <= n")
+    """Exact law of the red count when drawing k of n balls, m of them red,
+    for n >= 0 and m and k in 0..n."""
+    n = as_index(n, "n", 0)
+    m, k = as_index(m, "m", 0, n), as_index(k, "k", 0, n)
     denom = comb(n, k)
     return [Fraction(comb(m, i) * comb(n - m, k - i), denom) for i in range(k + 1)]
 
 
 def binomial_pmf(k: int, p) -> list[Fraction]:
-    """Exact law of successes in k trials at success probability p."""
-    pf = Fraction(p)
-    if as_index(k, "k") < 0 or not 0 <= pf <= 1:
-        raise ValueError("need k >= 0 and p in [0, 1]")
+    """Exact law of successes in k >= 0 trials at success probability p in [0, 1]."""
+    k = as_index(k, "k", 0)
+    pf = Fraction(as_real(p, "p", 0, 1, closed=True))
     return [comb(k, i) * pf**i * (1 - pf) ** (k - i) for i in range(k + 1)]
 
 
@@ -408,8 +402,7 @@ def tv_exact(p, q) -> Fraction:
 def tv_hypergeometric_binomial(n: int, m: int, k: int) -> Fraction:
     """Exact distance between the k-draw hypergeometric law and its binomial
     match at success probability m/n."""
-    if as_index(n, "n") <= 0:
-        raise ValueError("need n >= 1")
+    as_index(n, "n", 1)
     return tv_exact(hypergeometric_pmf(n, m, k), binomial_pmf(k, Fraction(m, n)))
 
 

@@ -41,6 +41,7 @@ import numpy as np
 from ._bits import (
     WordPoints,
     as_index,
+    as_real,
     block_points,
     block_weights,
     indices_of,
@@ -72,18 +73,17 @@ class SamplerRejected(Exception):
 
 
 def sample_dstar(n: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Reference core draw: uniform x over {0,1}^k, w ~ Binomial(n-k, 1/2)."""
-    n, k = as_index(n, "n"), as_index(k, "k")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    """Reference core draw: uniform x over {0,1}^k, w ~ Binomial(n-k, 1/2),
+    for integers n >= 0 and k in 0..n."""
+    n = as_index(n, "n", 0)
+    k = as_index(k, "k", 0, n)
     return random_mask(k, rng), int(rng.binomial(n - k, 0.5))
 
 
 def dstar_pmf(n: int, k: int) -> dict[tuple[int, int], Fraction]:
-    """Exact reference mass of every (x, w) pair."""
-    n, k = as_index(n, "n"), as_index(k, "k")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    """Exact reference mass of every (x, w) pair, for n >= 0 and k in 0..n."""
+    n = as_index(n, "n", 0)
+    k = as_index(k, "k", 0, n)
     return {(x, w): Fraction(comb(n - k, w), 1 << n) for x in range(1 << k) for w in range(n - k + 1)}
 
 
@@ -251,9 +251,7 @@ def handle_from_verdict(f: BooleanFunction, verdict: TestVerdict, k: int) -> Sam
     marginal is unaffected.  Free parts are nonempty because a slot must
     contribute its constant to the sample's weight accounting.
     """
-    k = as_index(k, "k")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = as_index(k, "k", 0)
     if not verdict.accepted:
         raise ValueError("cannot build a sampler from a rejecting verdict")
     if verdict.workspace is None:
@@ -281,8 +279,8 @@ def build_sampler(
 
     Raises :class:`SamplerRejected` when the test rejects.
     """
-    if not 0 < delta < 1 or not 0 < eta < 1:
-        raise ValueError("delta and eta must be in (0, 1)")
+    as_real(delta, "delta", 0, 1)
+    as_real(eta, "eta", 0, 1)
     verdict = partially_symmetric_test(f, k, eta * delta, rng, cfg=cfg)
     if not verdict.accepted:
         raise SamplerRejected(verdict)
@@ -306,9 +304,7 @@ def _draw(
     rows.  A slot part
     is constant on every row, so its bit is read at its first variable.
     """
-    count = as_index(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be at least 0, got {count}")
+    count = as_index(count, "count", 0)
     table = handle._table
     if table.uniform:
         block = random_masks_u64(handle.n, count, rng)
@@ -334,10 +330,9 @@ def draw_core_samples_batch(
 def marginal_tv_estimate(handle: SamplerHandle, trials: int, rng: np.random.Generator) -> float:
     """Empirical total-variation distance of the (x, w) marginal from the
     reference law, binning w within six standard deviations of its mean
-    and lumping the tails: one histogram of the (x, w) pairs drawn."""
-    trials = as_index(trials, "trials")
-    if trials < 10_000:
-        raise ValueError("need at least 10^4 trials for a stable estimate")
+    and lumping the tails: one histogram of the (x, w) pairs drawn.  A
+    stable estimate needs ``trials`` >= 10^4."""
+    trials = as_index(trials, "trials", 10_000)
     n, k = handle.n, handle.k
     m = n - k
     mean = m / 2

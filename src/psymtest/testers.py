@@ -40,6 +40,7 @@ import numpy as np
 
 from ._bits import (
     as_index,
+    as_real,
     block_points,
     from_words,
     indices_of,
@@ -70,23 +71,28 @@ class TesterConfig:
     c_iters: float = 24.0
 
     def __post_init__(self):
-        for name, value in (("c_parts", self.c_parts), ("c_iters", self.c_iters)):
-            if not 1 <= value < inf:  # a NaN fails every comparison
-                raise ValueError(f"multiplier {name} must be finite and >= 1, got {value}")
+        as_real(self.c_parts, "c_parts", 1, inf, closed=True)
+        as_real(self.c_iters, "c_iters", 1, inf, closed=True)
 
 
 @dataclass
 class Partition:
-    """Disjoint parts covering range(n), each an int bit mask and held in no
-    other form (``indices_of`` lists a part's variables); parts may be empty."""
+    """Disjoint parts covering range(n), n >= 1, each an int bit mask and
+    held in no other form (``indices_of`` lists a part's variables); parts
+    may be empty.  Parts given as NumPy integers are stored as ints."""
 
     n: int
     parts: list[int]
 
     def __post_init__(self):
+        self.n = as_index(self.n, "n", 1)
         union = 0
         total = 0
         for mask in self.parts:
+            if mask.__class__ is not int:
+                # check every part, then start over on their ints
+                self.parts = [as_index(m, "part") for m in self.parts]
+                return self.__post_init__()
             union |= mask
             total += mask.bit_count()
         if union != (1 << self.n) - 1 or total != self.n:
@@ -101,12 +107,9 @@ class Partition:
         return self.parts[i].bit_count()
 
     def index(self, p, name: str) -> int:
-        """``p`` as a part index: an integer (``as_index``) in 0..r-1, or
-        ``ValueError`` naming ``name``."""
-        p = as_index(p, name)
-        if not 0 <= p < self.r:
-            raise ValueError(f"{name} is not a part index ({name}s must be part indices in 0..{self.r - 1}), got {p}")
-        return p
+        """``p`` as a part index: an integer in 0..r-1 (``as_index``, naming
+        ``name``)."""
+        return as_index(p, name, 0, self.r - 1)
 
     def free(self, taken: Iterable[int]) -> list[int]:
         """The nonempty parts outside ``taken``, in index order."""
@@ -141,9 +144,7 @@ def random_partition(n: int, r: int, rng: np.random.Generator) -> Partition:
     Once r >= n there is nothing to gain from collisions, so the partition
     degenerates to the n single-element sets.
     """
-    r = as_index(r, "r")
-    if r < 1:
-        raise ValueError("need at least one part")
+    n, r = as_index(n, "n", 1), as_index(r, "r", 1)
     if r >= n:
         return Partition(n, [1 << i for i in range(n)])
     parts = [0] * r
@@ -276,16 +277,6 @@ def _bisect(g: BooleanFunction, fx: int, t: int, point: Callable[[int], int]) ->
     return lo
 
 
-def _check_k(k, eps: float) -> int:
-    """``k`` as an int, once it and ``eps`` are checked."""
-    k = as_index(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Junta testing
 
@@ -311,7 +302,8 @@ def junta_test(
     ``failure_reason="too_many_parts"``.
     """
     cfg = cfg or TesterConfig()
-    k = _check_k(k, eps)
+    k = as_index(k, "k", 0)
+    as_real(eps, "eps", 0, 1)
     n = f.n
     r = max(1, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg, eps, 0))
     partition = random_partition(n, r, rng)
@@ -477,6 +469,7 @@ def find_asymmetric_set(
 
 def psym_partition_size(n: int, k: int, eps: float, cfg: TesterConfig) -> int:
     """Part count for the partial-symmetry tester: next odd >= c_parts k^2 / eps^2."""
+    k = as_index(k, "k", 0)
     r = max(3, _scaled_count(cfg.c_parts * k * k, "c_parts", cfg, eps, 2))
     return r if r % 2 == 1 else r + 1
 
@@ -495,7 +488,7 @@ def partially_symmetric_test(
     rng: np.random.Generator,
     cfg: TesterConfig | None = None,
 ) -> TestVerdict:
-    """Tests whether all but at most k variables are interchangeable.
+    """Tests whether all but at most k < n/2 variables are interchangeable.
 
     Draws a random partition with an odd number of parts and a random
     workspace; too small a workspace rejects immediately with
@@ -516,9 +509,8 @@ def partially_symmetric_test(
     """
     cfg = cfg or TesterConfig()
     n = f.n
-    k = _check_k(k, eps)
-    if k >= n / 2:
-        raise ValueError(f"k = {k} too large for n = {n} (need k < n/2)")
+    k = as_index(k, "k", 0, (n - 1) // 2)
+    as_real(eps, "eps", 0, 1)
     r = psym_partition_size(n, k, eps, cfg)
     partition = random_partition(n, r, rng)
     workspace = int(rng.integers(0, partition.r))

@@ -409,3 +409,39 @@ def test_weights_past_65535_ones_do_not_wrap(n, monkeypatch):
     assert block_weights(rearrange_bits_block(block[:4], mask, rng)).tolist() == weights[:4]
     monkeypatch.setattr(_bits, "_POOL_MIN_ROWS", 8)
     assert block_weights(rearrange_bits_block(block, mask, rng)).tolist() == weights
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, message",
+    [
+        (2.0, 0, 3, "v must be an integer, got float 2.0"),
+        (True, None, None, "v must be an integer, got bool True"),
+        (4, 0, 3, "v must be in 0..3, got 4"),
+        (-1, 0, None, "v must be >= 0, got -1"),
+        (9, None, 8, "v must be <= 8, got 9"),
+        (1 << 256, 0, (1 << 256) - 1, f"v must be in 0..2^256 - 1, got {1 << 256}"),
+        (1 << 16, 0, (1 << 16) - 1, "v must be in 0..65535, got 65536"),
+    ],
+)
+def test_as_index_words_its_two_messages(value, lo, hi, message):
+    with pytest.raises(ValueError) as err:
+        _bits.as_index(value, "v", lo, hi)
+    assert str(err.value) == message
+    assert _bits.as_index(np.uint8(3), "v", 0, 3) == 3 and type(_bits.as_index(np.int64(3), "v")) is int
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi, closed, message",
+    [
+        ("0.1", 0, 1, False, "v must be a real number, got str '0.1'"),
+        (True, 0, 1, False, "v must be a real number, got bool True"),
+        (1, 0, 1, False, "v must be in (0, 1), got 1"),
+        (float("nan"), 0, 1, True, "v must be in [0, 1], got nan"),
+        (float("inf"), 1, float("inf"), True, "v must be finite and >= 1, got inf"),
+    ],
+)
+def test_as_real_words_its_two_messages(value, lo, hi, closed, message):
+    with pytest.raises(ValueError) as err:
+        _bits.as_real(value, "v", lo, hi, closed)
+    assert str(err.value) == message
+    assert _bits.as_real(np.float32(0.5), "v", 0, 1) == 0.5 and type(_bits.as_real(np.float32(0.5), "v", 0, 1)) is float

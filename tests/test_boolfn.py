@@ -77,10 +77,10 @@ def test_core_eval_range_errors():
         pytest.param(lambda f, pi: f.core_eval(1.0, 2), "x", "must be an integer", id="core-float-x"),
         pytest.param(lambda f, pi: f.core_eval(1, 2.0), "w", "must be an integer", id="core-float-w"),
         pytest.param(lambda f, pi: f.core_eval(1, np.True_), "w", "must be an integer", id="core-numpy-bool-w"),
-        pytest.param(lambda f, pi: f.core_eval(-1, 0), "x", "= -1 outside", id="core-negative-x"),
-        pytest.param(lambda f, pi: f.core_eval(0, -1), "w", "= -1 outside", id="core-negative-w"),
-        pytest.param(lambda f, pi: pi.apply(8), "x", "= 8 outside", id="apply-past-the-cube"),
-        pytest.param(lambda f, pi: pi.apply(-1), "x", "= -1 outside", id="apply-negative"),
+        pytest.param(lambda f, pi: f.core_eval(-1, 0), "x", "must be in 0..3, got -1", id="core-negative-x"),
+        pytest.param(lambda f, pi: f.core_eval(0, -1), "w", "must be in 0..6, got -1", id="core-negative-w"),
+        pytest.param(lambda f, pi: pi.apply(8), "x", "must be in 0..7, got 8", id="apply-past-the-cube"),
+        pytest.param(lambda f, pi: pi.apply(-1), "x", "must be in 0..7, got -1", id="apply-negative"),
         pytest.param(lambda f, pi: pi.apply(2.0), "x", "must be an integer", id="apply-float"),
         pytest.param(lambda f, pi: pi.apply(True), "x", "must be an integer", id="apply-bool"),
     ],

@@ -153,7 +153,7 @@ def test_measure_core_descriptor_checks_k_first(capsys):
     for k in ("9", "8", "-1"):
         assert run_cli("measure", "--fn", f"core:n=8,k={k}", "--set", "0") == 2
         err = capsys.readouterr().err
-        assert f"core size k must satisfy 0 <= k < n = 8, got {k}" in err and "larger sample" not in err
+        assert f"k must be in 0..7, got {k}" in err and "larger sample" not in err
 
 
 def test_brute_iso_once_relabels_a_non_core_function_in_full():
@@ -290,6 +290,7 @@ def test_eps_whose_square_underflows_exits_2(capsys):
             "entries exceeds",
         ),
         ({"kind": "psym_core", "n": 2**40, "k": 2, "asym": [], "core_hex": "00"}, "x 1099511627775 entries"),
+        ({"kind": "truth_table", "n": -1, "table_hex": "00"}, "field 'n' must be >= 1, got -1"),
     ],
 )
 def test_malformed_function_file_exits_2(blob, message, tmp_path, capsys):

@@ -383,6 +383,14 @@ def test_binomial_pmf_matches_direct_formula():
     assert pmf[2] == 6 * Fraction(1, 9) * Fraction(4, 9)
 
 
+@pytest.mark.parametrize("p", [0.5, np.float64(0.5), np.float32(0.5), np.float16(0.5), Fraction(1, 2)])
+def test_probability_takes_every_real_type(p):
+    # a NumPy float other than float64 is no Rational for Fraction, so the
+    # real-number rule hands it on as a float
+    assert binomial_pmf(2, p) == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+    assert pt.mu_p(SetFamily.of(2, [[0]]), p) == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("member", [1.5, 1.0, True, np.float64(1.0)])
 def test_set_family_built_directly_checks_its_members(member):
     # a 1.5 was measured as {1} by mu_p while is_t_intersecting saw no 1 in it

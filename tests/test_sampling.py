@@ -93,17 +93,17 @@ def test_sample_diw_infeasible_weight_returns_zeros():
 def test_out_of_range_workspace_is_rejected(workspace):
     partition = pt.Partition(6, [0b11, 0b1100, 0b110000])
     f = pt.SymmetricProfile(6, np.zeros(7, dtype=np.uint8))
-    with pytest.raises(ValueError, match="workspace is not a part index"):
+    with pytest.raises(ValueError, match=f"workspace must be in 0..2, got {workspace}"):
         _SubsetSumTable(partition, workspace, ())
-    with pytest.raises(ValueError, match="workspace is not a part index"):
+    with pytest.raises(ValueError, match=f"workspace must be in 0..2, got {workspace}"):
         pt.SamplerHandle(f, partition, workspace, (0,))
 
 
 @pytest.mark.parametrize(
     "f_n, part_n, j_parts, message",
     [
-        (6, 6, (-1,), "slots must be part indices"),
-        (6, 6, (3,), "slots must be part indices"),
+        (6, 6, (-1,), "asymmetric slot must be in 0..2, got -1"),
+        (6, 6, (3,), "asymmetric slot must be in 0..2, got 3"),
         (8, 6, (0,), "must agree"),
         (6, 8, (0,), "must agree"),
         (6, 6, (0, 0), "slots must be distinct parts"),
@@ -122,7 +122,7 @@ def test_malformed_handle_is_rejected(f_n, part_n, j_parts, message):
         (2.0, (0,), "workspace must be an integer, got float"),
         (True, (0,), "workspace must be an integer, got bool"),
         (2, (0.0,), "asymmetric slot must be an integer, got float"),
-        (2, (np.int64(4),), "slots must be part indices"),
+        (2, (np.int64(4),), "asymmetric slot must be in 0..3, got 4"),
         (2, (0, 1, 0), "slots must be distinct parts"),
         (2, (2,), "workspace cannot be an asymmetric slot"),
         (2, (3,), "slots must be nonempty parts"),

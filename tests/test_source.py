@@ -126,6 +126,42 @@ def test_core_orderings_are_enumerated_in_one_function():
     assert found == ["psymtest.oracle._orderings"]
 
 
+def _functions_holding(predicate) -> set[str]:
+    """The functions (module.qualname) of the package with a node that
+    ``predicate`` holds for, docstrings left out; module-level code counts
+    as the module."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}"
+        if predicate(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_the_integer_input_rule_has_one_owner():
+    # _bits.as_index alone reads an integer (operator.index) and words the
+    # "must be an integer" message; every other check of an integer calls it
+    def reads_index(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "operator"
+        return isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", "") == "operator"
+
+    def words_message(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value
+
+    assert _functions_holding(reads_index) == {"_bits.as_index"}
+    assert _functions_holding(words_message) == {"_bits.as_index"}
+
+
 def test_readme_kron_pass_matches_the_constants():
     # the "Notes on scale" sentences on the tensor-power passes
     readme = (Path(__file__).parents[1] / "README.md").read_text()
